@@ -43,7 +43,7 @@ absent.
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly on numpy-less installs
     import numpy as np
@@ -1565,6 +1565,85 @@ class FleetKernel:
         )
 
 
+class Injections(NamedTuple):
+    """One fleet cycle's injections, flattened lane-major (int64).
+
+    ``packed`` is the :meth:`FleetKernel.inject_packed` argument tuple
+    ``(gid, recs, lane_flits)`` when the queue ids strictly increase
+    (at most one packet per source queue, in scan order), else None and
+    the batch goes through :meth:`FleetKernel.inject_cycle`.
+    """
+
+    lanes: object
+    srcs: object
+    dsts: object
+    num_flits: object
+    pids: object
+    counts: object
+    packed: Optional[tuple]
+
+
+def pack_injections(
+    cycle: int,
+    columns: Sequence[Tuple[List[int], List[int]]],
+    factories: Sequence[object],
+    num_ports: int,
+) -> Optional[Injections]:
+    """Flatten each lane's ``(srcs, dsts)`` columns; None when none inject.
+
+    Lane ``i``'s packets take consecutive ids claimed from
+    ``factories[i]`` (:meth:`~repro.network.packet.PacketFactory.reserve`)
+    and its ``num_flits``, so ids and lengths match a scalar run of the
+    same source without building a ``Packet``.
+
+    Raises:
+        OverflowError: If a flit count, packet id or the cycle does not
+            fit the kernel's 32-bit ring records.
+    """
+    num_lanes = len(columns)
+    counts = np.fromiter(
+        (len(srcs) for srcs, _ in columns), dtype=np.int64, count=num_lanes
+    )
+    total = int(counts.sum())
+    if not total:
+        return None
+    first_ids = np.fromiter(
+        (factory.reserve(count)
+         for factory, count in zip(factories, counts.tolist())),
+        dtype=np.int64, count=num_lanes,
+    )
+    lane_flit_len = np.fromiter(
+        (factory.num_flits for factory in factories),
+        dtype=np.int64, count=num_lanes,
+    )
+    flat_srcs: List[int] = []
+    flat_dsts: List[int] = []
+    for srcs, dsts in columns:
+        flat_srcs += srcs
+        flat_dsts += dsts
+    srcs = np.array(flat_srcs, dtype=np.int64)
+    dsts = np.array(flat_dsts, dtype=np.int64)
+    lanes = np.repeat(np.arange(num_lanes, dtype=np.int64), counts)
+    offsets = np.cumsum(counts) - counts
+    pids = np.arange(total, dtype=np.int64) + (first_ids - offsets)[lanes]
+    num_flits = lane_flit_len[lanes]
+    if ((num_flits | pids) >> 31).any() or (cycle >> 31):
+        raise OverflowError(
+            "fleet ring records are 32-bit: num_flits, "
+            "created and pid must lie in [0, 2**31)"
+        )
+    gid = lanes * num_ports + srcs
+    packed = None
+    if total == 1 or (gid[1:] > gid[:-1]).all():
+        recs = np.empty((total, 4), dtype=np.int32)
+        recs[:, 0] = dsts
+        recs[:, 1] = num_flits
+        recs[:, 2] = cycle
+        recs[:, 3] = pids
+        packed = (gid, recs, counts * lane_flit_len)
+    return Injections(lanes, srcs, dsts, num_flits, pids, counts, packed)
+
+
 class FleetSimulation:
     """Drives B lanes through the warm-up / measure / drain cycle loop.
 
@@ -1573,9 +1652,11 @@ class FleetSimulation:
     limit), so each lane's :class:`SimulationResult` is bit-identical to a
     scalar run with the same traffic source and fault schedule.
 
-    Traffic stays scalar per lane on purpose: ``SyntheticTraffic``
-    interleaves ``rng.random()`` / ``rng.integers()`` calls per port, so
-    any batched generation would change the RNG stream and break parity.
+    Every traffic source must offer ``columns_for_cycle`` and the
+    ``factory`` numbering its packets (every generator in
+    :mod:`repro.traffic` does): each cycle the lanes' ``(srcs, dsts)``
+    columns are packed into one batched injection
+    (:func:`pack_injections`), with no ``Packet`` objects built.
     """
 
     def __init__(
@@ -1598,6 +1679,15 @@ class FleetSimulation:
         if perf is not None:
             self.kernel.attach_perf(perf)
         self.traffics = list(traffics)
+        for traffic in self.traffics:
+            if not (hasattr(traffic, "columns_for_cycle")
+                    and hasattr(traffic, "factory")):
+                raise TypeError(
+                    f"fleet lanes need column traffic sources "
+                    f"(columns_for_cycle and a PacketFactory factory); "
+                    f"{type(traffic).__name__} has not"
+                )
+        self._factories = [traffic.factory for traffic in self.traffics]
         self.warmup_cycles = warmup_cycles
         self.latency_sample_limit = latency_sample_limit
         self._cycle = 0
@@ -1617,53 +1707,47 @@ class FleetSimulation:
         cycle = self._cycle
         kernel = self.kernel
         if inject:
-            rows = []
-            for lane, traffic in enumerate(self.traffics):
-                for p in traffic.packets_for_cycle(cycle):
-                    rows.append(
-                        (lane, p.src, p.dst, p.num_flits, p.packet_id)
-                    )
-            if rows:
-                arr = np.array(rows, dtype=np.int64)
-                lanes = arr[:, 0]
-                if (
-                    ((arr[:, 3] | arr[:, 4]) >> 31).any()
-                    or (cycle >> 31)
-                ):
-                    raise OverflowError(
-                        "fleet ring records are 32-bit: num_flits, "
-                        "created and pid must lie in [0, 2**31)"
-                    )
+            perf = kernel._perf
+            if perf is None:
+                batch = pack_injections(
+                    cycle,
+                    [traffic.columns_for_cycle(cycle)
+                     for traffic in self.traffics],
+                    self._factories, kernel.num_ports,
+                )
+            else:
+                start = time.perf_counter_ns()
+                columns = [
+                    traffic.columns_for_cycle(cycle)
+                    for traffic in self.traffics
+                ]
+                mid = time.perf_counter_ns()
+                batch = pack_injections(
+                    cycle, columns, self._factories, kernel.num_ports
+                )
+                perf.add("traffic", mid - start,
+                         sum(len(srcs) for srcs, _ in columns))
+                perf.add("pack", time.perf_counter_ns() - mid)
+            if batch is not None:
                 tracer = kernel._tracer
                 if tracer is not None:
-                    # Rows are built lane-major with each lane's packets
-                    # in traffic order — the scalar inject order.
+                    # Lane-major with each lane's packets in traffic
+                    # order — the scalar inject order.
                     tracer.append_batch(
-                        cycle, lanes, INJECT, arr[:, 1], arr[:, 2],
-                        arr[:, 3], arr[:, 4],
+                        cycle, batch.lanes, INJECT, batch.srcs, batch.dsts,
+                        batch.num_flits, batch.pids,
                     )
-                gid = lanes * kernel.num_ports + arr[:, 1]
-                if len(rows) == 1 or (gid[1:] > gid[:-1]).all():
-                    recs = np.empty((len(rows), 4), dtype=np.int32)
-                    recs[:, 0] = arr[:, 2]
-                    recs[:, 1] = arr[:, 3]
-                    recs[:, 2] = cycle
-                    recs[:, 3] = arr[:, 4]
-                    lane_flits = np.bincount(
-                        lanes, weights=arr[:, 3],
-                        minlength=kernel.num_lanes,
-                    ).astype(np.int64)
-                    kernel.inject_packed(gid, recs, lane_flits)
+                if batch.packed is not None:
+                    kernel.inject_packed(*batch.packed)
                 else:
-                    created = np.full(lanes.size, cycle, dtype=np.int64)
+                    created = np.full(batch.lanes.size, cycle,
+                                      dtype=np.int64)
                     kernel.inject_cycle(
-                        lanes, arr[:, 1], arr[:, 2], created, arr[:, 3],
-                        arr[:, 4], _checked=True,
+                        batch.lanes, batch.srcs, batch.dsts, created,
+                        batch.num_flits, batch.pids, _checked=True,
                     )
                 if measuring:
-                    acct["injected"] += np.bincount(
-                        lanes, minlength=kernel.num_lanes
-                    )
+                    acct["injected"] += batch.counts
         fc, tb, tsrc, tdst, tcre = kernel.step(cycle, active)
         if measuring:
             if active is None:

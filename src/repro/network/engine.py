@@ -15,6 +15,7 @@ Statistics are accumulated only after an optional warm-up period, which is
 the standard methodology for measuring saturation throughput and latency.
 """
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Protocol
@@ -36,7 +37,17 @@ DEFAULT_LATENCY_SAMPLE_LIMIT = 1 << 20
 
 
 class TrafficSource(Protocol):
-    """Anything that can generate packets for a given cycle."""
+    """Anything that can generate packets for a given cycle.
+
+    Sources may also offer ``columns_for_cycle(cycle) -> (srcs, dsts)``,
+    the same injections as two parallel lists of ports, together with
+    the ``factory`` (:class:`~repro.network.packet.PacketFactory`) that
+    numbers their packets.  Every generator in :mod:`repro.traffic`
+    does, and ``packets_for_cycle`` wraps it.  The scalar engine needs
+    only ``packets_for_cycle``; the batched fleet kernel
+    (:class:`repro.core.fleet.FleetSimulation`) needs the columns and
+    injects them without building packets.
+    """
 
     def packets_for_cycle(self, cycle: int) -> Iterable[Packet]:
         """Packets generated during ``cycle`` (possibly none)."""
@@ -251,6 +262,9 @@ class Simulation:
             raise ValueError("latency sample limit must be >= 1 or None")
         self.switch = switch
         self.traffic = traffic
+        # Perf counters attached to the switch also time generation
+        # (the "traffic" phase), apart from the switch's own inject.
+        self._perf = getattr(switch, "_perf", None)
         self.warmup_cycles = warmup_cycles
         self.latency_sample_limit = latency_sample_limit
         self._cycle = 0
@@ -345,13 +359,20 @@ class Simulation:
     def _tick(self, result: SimulationResult, measuring: bool, inject: bool) -> None:
         cycle = self._cycle
         if inject:
+            packets = self.traffic.packets_for_cycle(cycle)
+            perf = self._perf
+            if perf is not None:
+                start = time.perf_counter_ns()
+                packets = list(packets)
+                perf.add("traffic", time.perf_counter_ns() - start,
+                         len(packets))
             inject_many = getattr(self.switch, "inject_many", None)
             if inject_many is not None:
-                count = inject_many(self.traffic.packets_for_cycle(cycle))
+                count = inject_many(packets)
                 if measuring:
                     result.packets_injected += count
             else:
-                for packet in self.traffic.packets_for_cycle(cycle):
+                for packet in packets:
                     self.switch.inject(packet)
                     if measuring:
                         result.packets_injected += 1

@@ -97,6 +97,16 @@ class PacketFactory:
         self._next_id += 1
         return packet
 
+    def reserve(self, count: int) -> int:
+        """Claim ``count`` consecutive ids without building packets.
+
+        Returns the first id; the batched fleet kernel stamps column
+        injections with them, so ids match a scalar run of the source.
+        """
+        first = self._next_id
+        self._next_id = first + count
+        return first
+
     @property
     def packets_created(self) -> int:
         """Number of packets handed out so far."""

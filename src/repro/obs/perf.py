@@ -11,8 +11,13 @@ Wall-time and op counts are attributed to the kernel phases (transmit /
 refill / arbitrate / commit / inject / trace-drain) by *sampling*: one
 cycle in every ``stride`` is timed phase-by-phase, the rest run the
 untimed twin, so the counters-on overhead stays a few percent at the
-default stride.  Results export onto a :class:`~repro.obs.stats.StatsRegistry`
-(:meth:`PerfCounters.to_stats`) and from there to Prometheus text.
+default stride.  The simulation loops add two phases timed on every
+cycle: ``traffic`` (generating the cycle's injections, in
+:class:`~repro.network.engine.Simulation` and the fleet's
+``FleetSimulation``) and, in the fleet, ``pack`` (flattening the lanes'
+columns into one batched injection).  Results export onto a
+:class:`~repro.obs.stats.StatsRegistry` (:meth:`PerfCounters.to_stats`)
+and from there to Prometheus text.
 
 **Cross-run ledger** — an append-only JSONL history (``repro.perf/v1``)
 so benchmark results accumulate across runs instead of overwriting a
@@ -46,6 +51,8 @@ DEFAULT_STRIDE = 16
 #: Canonical phase order for reports (phases actually observed may be a
 #: subset: e.g. the reference kernel never drains a binary trace).
 PHASES = (
+    "traffic",
+    "pack",
     "inject",
     "transmit",
     "refill",
@@ -62,9 +69,9 @@ class PerfCounters:
     The kernel calls :meth:`add` only on *sampled* cycles (every
     ``stride``-th), so totals are estimates of the sampled share, not of
     the whole run; :meth:`phase_fractions` is the meaningful output —
-    the relative split of a cycle's wall-time across phases.  Inject and
-    trace-drain are timed on every call (they happen outside the cycle
-    loop or rarely enough not to matter).
+    the relative split of a cycle's wall-time across phases.  Traffic,
+    pack, inject and trace-drain are timed on every call (they happen
+    outside the kernel's cycle step or rarely enough not to matter).
 
     Attributes:
         stride: Sampling stride (1 = time every cycle).

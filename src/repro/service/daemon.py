@@ -129,6 +129,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.wfile.flush()
             except OSError:
                 return
+            finally:
+                if op == "shutdown":
+                    # Stop only once the acknowledgement is on the wire
+                    # (or cannot be sent): a stopped service lets
+                    # `repro serve` exit, cutting off an unsent reply.
+                    threading.Thread(
+                        target=service.stop, name="repro-service-stop",
+                        daemon=True,
+                    ).start()
             if op == "shutdown":
                 return
 
@@ -344,9 +353,7 @@ class SweepService:
                 prometheus=self.metrics.to_prometheus(),
             )
         if op == "shutdown":
-            threading.Thread(
-                target=self.stop, name="repro-service-stop", daemon=True
-            ).start()
+            # The connection handler calls stop() after sending this.
             return protocol.ok(stopping=True)
         return protocol.error(
             "bad_request", f"unknown op {op!r} (one of {protocol.OPS})"

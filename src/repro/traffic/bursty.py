@@ -11,7 +11,7 @@ for a long time after the burst", Section III-B.4).
 
 from typing import Dict, List, Optional
 
-from repro.traffic.base import SyntheticTraffic
+from repro.traffic.base import DrawStream, SyntheticTraffic
 
 
 class BurstyTraffic(SyntheticTraffic):
@@ -50,14 +50,16 @@ class BurstyTraffic(SyntheticTraffic):
             self._p_start = 1.0 / mean_off if mean_off > 0 else 1.0
         else:
             self._p_start = 0.0
+        self._end_threshold = DrawStream.threshold(self._p_end)
+        self._start_threshold = DrawStream.threshold(self._p_start)
 
     def should_inject(self, src: int, cycle: int) -> bool:
         if self._on[src]:
-            if self.rng.random() < self._p_end:
+            if self.stream.raw() < self._end_threshold:
                 self._on[src] = False
                 self._burst_dst.pop(src, None)
         if not self._on[src]:
-            if self.rng.random() < self._p_start:
+            if self.stream.raw() < self._start_threshold:
                 self._on[src] = True
                 if self.per_burst_destination:
                     self._burst_dst[src] = self.uniform_destination(src)

@@ -9,7 +9,7 @@ slot-level LRG starves the hotspot layer's own inputs.
 
 from typing import List, Optional
 
-from repro.traffic.base import SyntheticTraffic
+from repro.traffic.base import Columns, DrawStream, SyntheticTraffic
 
 
 class HotspotTraffic(SyntheticTraffic):
@@ -20,6 +20,10 @@ class HotspotTraffic(SyntheticTraffic):
         background_load: Optional extra Bernoulli load per input spread
             uniformly over the other outputs (0 disables, the paper's
             Fig 11a experiment is pure hotspot).
+
+    Columns come from whole-cycle stream draws (one Bernoulli word per
+    input, then the background pass), not from per-port calls of the
+    :meth:`should_inject` / :meth:`destination` hooks.
     """
 
     def __init__(
@@ -39,17 +43,24 @@ class HotspotTraffic(SyntheticTraffic):
             raise ValueError("background load must be in [0, 1]")
         self.hotspot_output = hotspot_output
         self.background_load = background_load
+        self._background_threshold = DrawStream.threshold(background_load)
 
     def destination(self, src: int) -> Optional[int]:
         # Every input targets the hotspot, including the hotspot's own tile
         # (the paper's Fig 11a has all inputs 0..63 requesting output 63).
         return self.hotspot_output
 
-    def packets_for_cycle(self, cycle):
-        yield from super().packets_for_cycle(cycle)
+    def columns_for_cycle(self, cycle: int) -> Columns:
+        stream = self.stream
+        srcs = stream.bernoulli(self.active_inputs, self._inject_threshold)
+        dsts = [self.hotspot_output] * len(srcs)
         if self.background_load > 0.0:
-            for src in self.active_inputs:
-                if self.rng.random() < self.background_load:
-                    dst = self.uniform_destination(src)
-                    if dst != self.hotspot_output:
-                        yield self.factory.create(src, dst, created_cycle=cycle)
+            extra_srcs, extra_dsts = stream.bernoulli_uniform(
+                self.active_inputs, self._background_threshold,
+                self.num_ports - 1, exclude_self=True,
+            )
+            for src, dst in zip(extra_srcs, extra_dsts):
+                if dst != self.hotspot_output:
+                    srcs.append(src)
+                    dsts.append(dst)
+        return srcs, dsts

@@ -38,10 +38,17 @@ class TraceTraffic:
             count += 1
         self.total_events = count
 
+    def columns_for_cycle(self, cycle: int) -> Tuple[List[int], List[int]]:
+        """``(srcs, dsts)`` replayed at ``cycle``, in trace order."""
+        pairs = self._by_cycle.get(cycle, ())
+        return [src for src, _ in pairs], [dst for _, dst in pairs]
+
     def packets_for_cycle(self, cycle: int) -> Iterator[Packet]:
         """Packets replayed at ``cycle`` (the TrafficSource protocol)."""
-        for src, dst in self._by_cycle.get(cycle, ()):
-            yield self.factory.create(src, dst, created_cycle=cycle)
+        srcs, dsts = self.columns_for_cycle(cycle)
+        create = self.factory.create
+        for src, dst in zip(srcs, dsts):
+            yield create(src, dst, created_cycle=cycle)
 
     def events(self) -> List[Tuple[int, int, int]]:
         """All (cycle, src, dst) triples, in cycle order."""

@@ -2,11 +2,17 @@
 
 from typing import List, Optional
 
-from repro.traffic.base import SyntheticTraffic
+from repro.traffic.base import Columns, SyntheticTraffic
 
 
 class UniformRandomTraffic(SyntheticTraffic):
     """Each injected packet picks a destination uniformly at random.
+
+    Columns are drawn in one fused pass over the stream
+    (:meth:`~repro.traffic.base.DrawStream.bernoulli_uniform`), in the
+    draw order of the :meth:`should_inject` / :meth:`destination` hooks;
+    those hooks are not called per port, so customise a pattern by
+    subclassing :class:`SyntheticTraffic` instead.
 
     Args:
         exclude_self: Skip ``dst == src`` (a tile does not cross the switch
@@ -27,3 +33,10 @@ class UniformRandomTraffic(SyntheticTraffic):
 
     def destination(self, src: int) -> int:
         return self.uniform_destination(src, exclude_self=self.exclude_self)
+
+    def columns_for_cycle(self, cycle: int) -> Columns:
+        span = self.num_ports - 1 if self.exclude_self else self.num_ports
+        return self.stream.bernoulli_uniform(
+            self.active_inputs, self._inject_threshold, span,
+            self.exclude_self,
+        )

@@ -249,6 +249,56 @@ class TestComparePerf:
         ) == []
 
 
+class TestTrafficPhase:
+    """Generation is its own phase, apart from packing and injection."""
+
+    def test_scalar_simulation_times_generation(self):
+        from repro.core.hirise import HiRiseSwitch
+        from repro.network.engine import Simulation
+        from repro.traffic import UniformRandomTraffic
+
+        perf = PerfCounters(stride=4)
+        switch = HiRiseSwitch(CONFIG, perf=perf)
+        traffic = UniformRandomTraffic(CONFIG.radix, 0.5, seed=3)
+        result = Simulation(switch, traffic).run(60)
+        assert perf.time_ns["traffic"] > 0
+        assert perf.ops["traffic"] == result.packets_injected
+        assert perf.ops["inject"] == result.packets_injected
+        assert "pack" not in perf.time_ns
+
+    def test_unattached_simulation_keeps_no_counters(self):
+        from repro.core.hirise import HiRiseSwitch
+        from repro.network.engine import Simulation
+        from repro.traffic import UniformRandomTraffic
+
+        simulation = Simulation(
+            HiRiseSwitch(CONFIG),
+            UniformRandomTraffic(CONFIG.radix, 0.5, seed=3),
+        )
+        assert simulation._perf is None
+
+    def test_fleet_separates_generation_from_packing(self):
+        from repro.core.fleet import FleetSimulation
+        from repro.traffic import UniformRandomTraffic
+
+        perf = PerfCounters(stride=4)
+        fleet = FleetSimulation(
+            CONFIG,
+            [UniformRandomTraffic(CONFIG.radix, 0.5, seed=s)
+             for s in range(3)],
+            perf=perf,
+        )
+        results = fleet.run(60)
+        injected = sum(result.packets_injected for result in results)
+        assert perf.ops["traffic"] == injected
+        assert perf.time_ns["traffic"] > 0
+        assert perf.time_ns["pack"] > 0
+        assert perf.ops["inject"] == injected
+        assert list(perf.phase_fractions())[:3] == [
+            "traffic", "pack", "inject"
+        ]
+
+
 class TestMicroBenchmark:
     def test_smoke_returns_ledger_ready_metrics(self):
         metrics, details = run_micro_benchmark(CONFIG, cycles=40, trials=1)

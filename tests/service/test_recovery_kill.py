@@ -18,21 +18,40 @@ SERVE_PATTERN = re.compile(r"serving on [^:]+:(\d+)")
 
 
 def start_daemon(state_dir):
-    """`repro serve` as a subprocess; returns (process, client)."""
+    """`repro serve` as a subprocess; returns (process, client).
+
+    The daemon leads its own process group, so :func:`kill_group` can
+    take its executor's pool workers down with it.
+    """
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--state", str(state_dir), "--workers", "2", "--max-batch", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
     )
     line = process.stdout.readline()
     match = SERVE_PATTERN.search(line)
     if not match:
-        process.kill()
+        kill_group(process)
         pytest.fail(f"daemon did not start: {line!r}")
     client = ServiceClient("127.0.0.1", int(match.group(1)),
                            timeout=60.0)
     client.wait_until_up()
     return process, client
+
+
+def kill_group(process):
+    """SIGKILL the daemon's whole process group and reap the daemon.
+
+    Killing only the daemon orphans its pool workers, which keep
+    running (and competing for the CPUs) after the test.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the daemon and all its workers have already exited
+    process.wait(timeout=30)
+    process.stdout.close()
 
 
 def campaign_specs():
@@ -65,8 +84,7 @@ def test_kill_minus_nine_then_restart_is_bit_identical(tmp_path):
         else:
             pytest.fail("campaign made no progress before the kill")
     finally:
-        os.kill(process.pid, signal.SIGKILL)
-        process.wait(timeout=30)
+        kill_group(process)
 
     # Restart on the same state: the journal replays what the crash
     # interrupted; nothing is lost, nothing diverges.
@@ -104,4 +122,5 @@ def test_kill_minus_nine_then_restart_is_bit_identical(tmp_path):
         try:
             process.wait(timeout=30)
         except subprocess.TimeoutExpired:
-            process.kill()
+            pass
+        kill_group(process)
