@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from scipy import stats as scipy_stats
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -62,7 +60,10 @@ def t_interval(
         raise ValueError("need at least two observations")
     mean = sum(observations) / n
     variance = sum((x - mean) ** 2 for x in observations) / (n - 1)
-    critical = float(scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1))
+    # ``stdtrit`` is the quantile ``scipy.stats.t.ppf`` calls, bit for
+    # bit; importing it here keeps scipy off the package's import path.
+    from scipy.special import stdtrit
+    critical = float(stdtrit(n - 1, (1 + confidence) / 2))
     half_width = critical * math.sqrt(variance / n)
     return ConfidenceInterval(
         mean=mean, half_width=half_width,

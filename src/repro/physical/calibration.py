@@ -10,6 +10,8 @@ are obtained by non-negative least squares over those anchors, mirroring
 how the paper calibrated its SPICE models against Swizzle-Switch silicon.
 
 Residuals at the anchors are ~1-3% and are asserted in the test suite.
+Each fit imports ``scipy.optimize.nnls`` in its body, so scipy loads at
+the first fit rather than with the package.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,6 @@ from functools import lru_cache
 from typing import Dict, List
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.core.config import HiRiseConfig
 from repro.physical.geometry import (
@@ -124,6 +125,7 @@ def _delay_design_row(geometry: SwitchGeometry) -> List[float]:
 @lru_cache(maxsize=1)
 def calibrated_delay() -> DelayConstants:
     """Fit the cycle-time constants to the five published frequencies."""
+    from scipy.optimize import nnls
     geometries = _anchor_geometries()
     matrix = np.array([_delay_design_row(g) for g in geometries.values()])
     target = np.array(
@@ -140,6 +142,7 @@ def calibrated_delay() -> DelayConstants:
 @lru_cache(maxsize=1)
 def calibrated_energy() -> EnergyConstants:
     """Fit the energy constants to the five published energy points."""
+    from scipy.optimize import nnls
     geometries = _anchor_geometries()
     matrix = np.array([_delay_design_row(g) for g in geometries.values()])
     target = np.array([PAPER_ENERGY_PJ[name] for name in geometries])
@@ -153,6 +156,7 @@ def calibrated_energy() -> EnergyConstants:
 @lru_cache(maxsize=1)
 def calibrated_area() -> AreaConstants:
     """Fit the area constants to the five published area points."""
+    from scipy.optimize import nnls
     geometries = _anchor_geometries()
     matrix = np.array(
         [

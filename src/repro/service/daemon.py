@@ -243,8 +243,11 @@ class SweepService:
             (self._host, self._port), _Handler
         )
         self._server.service = self
+        # ``shutdown()`` waits out one poll of ``serve_forever``; the
+        # default 0.5 s poll would make every ``stop()`` take that long.
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
             name="repro-service-tcp", daemon=True,
         )
         self._server_thread.start()

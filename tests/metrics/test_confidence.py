@@ -1,5 +1,7 @@
 """Tests of the confidence-interval utilities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,37 @@ class TestReplicate:
         ci = replicate(experiment, num_replications=3)
         assert ci.relative_half_width < 0.1
         assert ci.mean > 1.0  # packets/cycle aggregate for radix 16
+
+
+class TestCriticalValue:
+    """``t_interval`` takes its critical value from ``scipy.special.stdtrit``
+    rather than ``scipy.stats.t.ppf`` (which calls it) so that importing
+    the package does not load ``scipy.stats``; the two must agree bit for
+    bit."""
+
+    CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+
+    def test_stdtrit_matches_t_ppf_exactly(self):
+        from scipy import stats
+        from scipy.special import stdtrit
+
+        mismatches = [
+            (df, confidence)
+            for confidence in self.CONFIDENCES
+            for df in range(1, 2001)
+            if float(stdtrit(df, (1 + confidence) / 2))
+            != float(stats.t.ppf((1 + confidence) / 2, df=df))
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_half_width_equals_the_t_ppf_formula(self, confidence):
+        from scipy import stats
+
+        samples = [1.0, 2.5, 2.0, 4.0, 3.5]
+        n = len(samples)
+        mean = sum(samples) / n
+        variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+        critical = float(stats.t.ppf((1 + confidence) / 2, df=n - 1))
+        expected = critical * math.sqrt(variance / n)
+        assert t_interval(samples, confidence).half_width == expected

@@ -281,3 +281,14 @@ def test_shutdown_op_stops_the_daemon(tmp_path):
         pytest.fail("daemon kept serving after shutdown")
     with pytest.raises((OSError, ServiceError)):
         client.ping()
+
+
+def test_idle_stop_returns_promptly(tmp_path):
+    """``stop()`` waits out at most one server poll, not the 0.5 s
+    default of ``serve_forever``."""
+    service = make_service(tmp_path, workers=1)
+    service.start()
+    time.sleep(0.1)
+    started = time.monotonic()
+    service.stop()
+    assert time.monotonic() - started < 0.25
