@@ -19,9 +19,8 @@ what the CI perf-smoke job runs (with ``--quick``).
 Every run also measures the observability overhead on the headline
 config: tracing **off** (the headline benchmark itself — the untraced
 kernel carries only one ``tracer is None`` branch per cycle) and tracing
-**on**, both for the legacy row capture (a ``SwitchTracer`` recording
-every event) and for the binary columnar capture (a full-fidelity
-``BinaryTracer``, interleaved on/off pairs).  ``--check`` additionally
+**on** with a full-fidelity ``BinaryTracer`` (interleaved on/off
+pairs).  ``--check`` additionally
 gates the tracing-off normalised score at <2% below the committed PR 1
 fast-path baseline, so tracing support can never tax untraced runs, and
 gates the binary tracing-on overhead at the 10% budget (a within-run
@@ -255,25 +254,14 @@ def run_benchmarks(cycles: int, trials: int, include_reference: bool) -> dict:
     }
     # Observability overhead on the headline config.  Tracing-off IS the
     # headline benchmark (an untraced switch carries the whole tracing
-    # machinery dormant); tracing-on re-runs it with a recording tracer.
-    # Both sides get extra trials: the gate below is a 2% bound, so the
-    # best-of estimator needs tighter convergence than the 30% gate.
-    from repro.obs.trace import SwitchTracer
-
+    # machinery dormant), re-measured with extra trials: the gate below
+    # is a 2% bound, so the best-of estimator needs tighter convergence
+    # than the 30% gate.
     tracing_trials = max(trials, 3)
-    tracers = []
 
     def untraced_factory():
         return HiRiseSwitch(
             HiRiseConfig(radix=RADIX, layers=LAYERS, channel_multiplicity=4)
-        )
-
-    def traced_factory():
-        tracer = SwitchTracer(capacity=None)
-        tracers.append(tracer)
-        return HiRiseSwitch(
-            HiRiseConfig(radix=RADIX, layers=LAYERS, channel_multiplicity=4),
-            tracer=tracer,
         )
 
     gate_controls = {
@@ -298,11 +286,6 @@ def run_benchmarks(cycles: int, trials: int, include_reference: bool) -> dict:
                 off_vs_controls[name], rate / control_rate
             )
     print(f" {off_rate:.0f} cycles/s")
-    print("  hirise_64x4_c4 (traced) ...", end="", flush=True)
-    traced_rate, on_normalized = bench_normalized(
-        traced_factory, cycles, tracing_trials
-    )
-    print(f" {traced_rate:.0f} cycles/s")
     report["tracing"] = {
         "off_cycles_per_sec": round(off_rate, 1),
         "off_normalized": off_normalized,
@@ -310,10 +293,6 @@ def run_benchmarks(cycles: int, trials: int, include_reference: bool) -> dict:
             name: round(ratio, 4)
             for name, ratio in off_vs_controls.items()
         },
-        "on_cycles_per_sec": round(traced_rate, 1),
-        "on_normalized": on_normalized,
-        "on_overhead_frac": round(1.0 - on_normalized / off_normalized, 4),
-        "events_per_trial": len(tracers[-1].events),
         "pr1_committed_normalized": PR1_COMMIT_NORMALIZED,
         "off_vs_pr1_baseline": off_normalized / PR1_COMMIT_NORMALIZED,
     }
@@ -322,91 +301,79 @@ def run_benchmarks(cycles: int, trials: int, include_reference: bool) -> dict:
     # config at full fidelity (capacity=None, no decimation).  Off and
     # on trials interleave so machine contention hits both sides; the
     # within-run on/off ratio is what --check gates at the 10% budget.
-    try:
-        from repro.obs.tracebin import BinaryTracer
-    except ImportError:
-        BinaryTracer = None
-    bin_section = {"skipped": "numpy not available"}
-    if BinaryTracer is not None:
-        try:
-            BinaryTracer(capacity=None)
-        except RuntimeError:
-            BinaryTracer = None
-    if BinaryTracer is not None:
-        bin_tracers = []
+    from repro.obs.tracebin import BinaryTracer
 
-        def bin_traced_factory():
-            tracer = BinaryTracer(capacity=None)
-            # Keep only the most recent tracer (for events_per_trial):
-            # each full-fidelity tracer pins the whole run's capture
-            # (tens of MB), and letting a dozen accumulate skews the
-            # allocator against later traced trials.
-            bin_tracers[:] = [tracer]
-            return HiRiseSwitch(
-                HiRiseConfig(
-                    radix=RADIX, layers=LAYERS, channel_multiplicity=4
-                ),
-                tracer=tracer,
+    bin_tracers = []
+
+    def bin_traced_factory():
+        tracer = BinaryTracer(capacity=None)
+        # Keep only the most recent tracer (for events_per_trial):
+        # each full-fidelity tracer pins the whole run's capture
+        # (tens of MB), and letting a dozen accumulate skews the
+        # allocator against later traced trials.
+        bin_tracers[:] = [tracer]
+        return HiRiseSwitch(
+            HiRiseConfig(radix=RADIX, layers=LAYERS, channel_multiplicity=4),
+            tracer=tracer,
+        )
+
+    # Overhead converges from above as runs lengthen (fixed
+    # per-trial costs — allocator warm-up, first-touch growth of the
+    # capture buffers — amortize away), so the gate measures at a
+    # pinned floor of 6000 cycles even under --quick; shorter runs
+    # overstate the steady-state capture cost.
+    #
+    # Shared/virtualised runners add a second distortion: bursts of
+    # host contention that stretch whole stretches of wall-clock.
+    # Interference can only *slow* a trial, so the measurement runs
+    # several independent rounds of interleaved off/on pairs and
+    # gates the cleanest round (minimum overhead across rounds) —
+    # the same reasoning as timeit's min-of-repeats, applied to the
+    # on/off ratio.  Every round is recorded in the report so a
+    # noisy run is visible.
+    bin_cycles = max(cycles, 6000)
+    rounds, pairs_per_round = 4, max(trials, 3)
+    print(f"  hirise_64x4_c4 (binary traced, {rounds} rounds x "
+          f"{pairs_per_round} pairs x {bin_cycles} cycles) ...",
+          end="", flush=True)
+    round_overheads = []
+    bin_off = bin_on = 0.0
+    for _ in range(rounds):
+        round_off = round_on = 0.0
+        for _ in range(pairs_per_round):
+            round_off = max(
+                round_off,
+                bench_switch(untraced_factory, bin_cycles, 1),
             )
-
-        # Overhead converges from above as runs lengthen (fixed
-        # per-trial costs — allocator warm-up, first-touch growth of the
-        # capture buffers — amortize away), so the gate measures at a
-        # pinned floor of 6000 cycles even under --quick; shorter runs
-        # overstate the steady-state capture cost.
-        #
-        # Shared/virtualised runners add a second distortion: bursts of
-        # host contention that stretch whole stretches of wall-clock.
-        # Interference can only *slow* a trial, so the measurement runs
-        # several independent rounds of interleaved off/on pairs and
-        # gates the cleanest round (minimum overhead across rounds) —
-        # the same reasoning as timeit's min-of-repeats, applied to the
-        # on/off ratio.  Every round is recorded in the report so a
-        # noisy run is visible.
-        bin_cycles = max(cycles, 6000)
-        rounds, pairs_per_round = 4, max(trials, 3)
-        print(f"  hirise_64x4_c4 (binary traced, {rounds} rounds x "
-              f"{pairs_per_round} pairs x {bin_cycles} cycles) ...",
-              end="", flush=True)
-        round_overheads = []
-        bin_off = bin_on = 0.0
-        for _ in range(rounds):
-            round_off = round_on = 0.0
-            for _ in range(pairs_per_round):
-                round_off = max(
-                    round_off,
-                    bench_switch(untraced_factory, bin_cycles, 1),
-                )
-                round_on = max(
-                    round_on,
-                    bench_switch(bin_traced_factory, bin_cycles, 1),
-                )
-            round_overheads.append(1.0 - round_on / round_off)
-            if round_overheads[-1] == min(round_overheads):
-                bin_off, bin_on = round_off, round_on
-        bin_overhead = min(round_overheads)
-        print(f" {bin_on:.0f} cycles/s (off {bin_off:.0f}, "
-              f"overhead {bin_overhead:.1%}; rounds "
-              f"{', '.join(f'{o:.1%}' for o in round_overheads)})")
-        bin_section = {
-            "off_cycles_per_sec": round(bin_off, 1),
-            "on_cycles_per_sec": round(bin_on, 1),
-            "on_overhead_frac": round(bin_overhead, 4),
-            "round_overheads": [round(o, 4) for o in round_overheads],
-            "overhead_budget": TRACEBIN_OVERHEAD_BUDGET,
-            "events_per_trial": len(bin_tracers[-1]),
-            "cycles": bin_cycles,
-            "capacity": None,
-            "note": (
-                "full-fidelity BinaryTracer (capacity=None, stride 1) "
-                "vs untraced, interleaved best-of pairs with the GC "
-                "paused at a pinned >=6000-cycle floor; rounds repeat "
-                "the measurement and the cleanest round (min overhead) "
-                "is the --check gate — host interference only ever "
-                "inflates a round"
-            ),
-        }
-    report["tracing_bin"] = bin_section
+            round_on = max(
+                round_on,
+                bench_switch(bin_traced_factory, bin_cycles, 1),
+            )
+        round_overheads.append(1.0 - round_on / round_off)
+        if round_overheads[-1] == min(round_overheads):
+            bin_off, bin_on = round_off, round_on
+    bin_overhead = min(round_overheads)
+    print(f" {bin_on:.0f} cycles/s (off {bin_off:.0f}, "
+          f"overhead {bin_overhead:.1%}; rounds "
+          f"{', '.join(f'{o:.1%}' for o in round_overheads)})")
+    report["tracing_bin"] = {
+        "off_cycles_per_sec": round(bin_off, 1),
+        "on_cycles_per_sec": round(bin_on, 1),
+        "on_overhead_frac": round(bin_overhead, 4),
+        "round_overheads": [round(o, 4) for o in round_overheads],
+        "overhead_budget": TRACEBIN_OVERHEAD_BUDGET,
+        "events_per_trial": len(bin_tracers[-1]),
+        "cycles": bin_cycles,
+        "capacity": None,
+        "note": (
+            "full-fidelity BinaryTracer (capacity=None, stride 1) "
+            "vs untraced, interleaved best-of pairs with the GC "
+            "paused at a pinned >=6000-cycle floor; rounds repeat "
+            "the measurement and the cleanest round (min overhead) "
+            "is the --check gate — host interference only ever "
+            "inflates a round"
+        ),
+    }
 
     # Self-profiling counters (repro.obs.perf) on the headline config at
     # the default sampling stride.  Same methodology as the binary-trace
@@ -746,8 +713,7 @@ def check_regression(report: dict, committed_path: Path) -> int:
         )
         print(
             f"  tracing-off vs PR 1 baseline: {ratio:.3f}x best view "
-            f"({detail}; floor {floor:.2f}x, {status}); "
-            f"tracing-on overhead {tracing['on_overhead_frac']:.1%}"
+            f"({detail}; floor {floor:.2f}x, {status})"
         )
         if ratio < floor:
             failures.append(

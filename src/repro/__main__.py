@@ -393,7 +393,7 @@ def cmd_trace(args) -> int:
     import time
 
     from repro.obs import (
-        SwitchTracer, filter_records, summarize_records,
+        BinaryTracer, filter_records, summarize_records,
         validate_chrome_path, validate_jsonl_path,
     )
 
@@ -405,26 +405,10 @@ def cmd_trace(args) -> int:
         print("trace: cycle-level tracing needs the hirise design",
               file=sys.stderr)
         return 2
-    tracer = None
-    if args.tracer == "binary":
-        try:
-            from repro.obs import BinaryTracer
-
-            tracer = (
-                BinaryTracer(capacity=args.capacity)
-                if args.capacity is not None else BinaryTracer()
-            )
-        except RuntimeError:
-            tracer = None  # no numpy: fall back to the row capture
-    if tracer is None:
-        if args.binary:
-            print("trace: --binary needs the binary tracer "
-                  "(numpy and --tracer binary)", file=sys.stderr)
-            return 2
-        tracer = (
-            SwitchTracer(capacity=args.capacity)
-            if args.capacity is not None else SwitchTracer()
-        )
+    tracer = (
+        BinaryTracer(capacity=args.capacity)
+        if args.capacity is not None else BinaryTracer()
+    )
     config = _build_design(args)
     if args.kernel == "reference":
         from repro.core.reference import ReferenceHiRiseSwitch
@@ -456,7 +440,7 @@ def cmd_trace(args) -> int:
         _print_trace_summary(
             summarize_records(records),
             rate=len(tracer.events) / elapsed if elapsed > 0 else None,
-            stride=getattr(tracer, "stride", 1),
+            stride=tracer.stride,
             dropped=tracer.dropped,
         )
     if args.binary:
@@ -1038,12 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--kernel", choices=["fast", "reference"],
                        default="fast")
     trace.add_argument("--capacity", type=int, default=None,
-                       help="event-buffer capacity (default 2^20)")
-    trace.add_argument("--tracer", choices=["binary", "jsonl"],
-                       default="binary",
-                       help="capture buffer: binary columnar (default; "
-                            "falls back to jsonl without numpy) or the "
-                            "legacy row capture")
+                       help="retained-event bound; past it the trace "
+                            "is stride-decimated (default 2^20)")
     trace.add_argument("--binary", metavar="TRACEBIN",
                        help="write the repro.trace_bin/v1 columnar "
                             "trace here")

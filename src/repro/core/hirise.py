@@ -56,17 +56,11 @@ from repro.network.packet import Packet
 from repro.network.port import InputPort
 from repro.obs.trace import (
     CLRG_HALVE,
-    COOL,
-    EJECT,
-    P1_GRANT,
-    P2_BLOCK,
-    P2_GRANT,
     REASON_CHANNEL_FAILED,
     REASON_OUTPUT_BUSY,
     REASON_OUTPUT_COOLING,
     REASON_RESOURCE_BUSY,
     REASON_RESOURCE_COOLING,
-    VIA_BLOCK,
 )
 from repro.obs.tracebin import (
     _T_COOL,
@@ -174,7 +168,7 @@ class HiRiseSwitch(SwitchModel):
     ``subblock_arbiters``) so tests and walkthroughs can seed specific
     priority states.
 
-    Tracing: pass a :class:`repro.obs.SwitchTracer` as ``tracer`` to
+    Tracing: pass a :class:`repro.obs.BinaryTracer` as ``tracer`` to
     record cycle-level events (grants, blocks, cooldowns, CLRG
     halvings).  The tracer only observes — traced runs are bit-identical
     to untraced runs — and with ``tracer=None`` (the default) the cycle
@@ -272,24 +266,18 @@ class HiRiseSwitch(SwitchModel):
         self._tracer = tracer
         if tracer is not None:
             tracer.bind(self)
-            # Shadow the injection methods on the instance: injections
-            # are traced without any check on the untraced path.  Binary
-            # tracers get the deferred batch-capture step (timeline of
-            # per-cycle references, expanded to columns off the hot
-            # loop); JSONL tracers keep the per-event emit path.
-            if getattr(tracer, "batch_capture", False):
-                self.inject = self._inject_traced_bin  # type: ignore[method-assign]
-                self.inject_many = self._inject_many_traced_bin  # type: ignore[method-assign]
-                self._traced_step = self._step_traced_bin
-                self._p2_grants: List[Tuple[int, int, int]] = []
-                self._establish = (  # type: ignore[method-assign]
-                    self._establish_traced_clrg if self._is_clrg
-                    else self._establish_traced_plain
-                )
-            else:
-                self.inject = self._inject_traced  # type: ignore[method-assign]
-                self.inject_many = self._inject_many_traced  # type: ignore[method-assign]
-                self._traced_step = self._step_traced
+            # Shadow the injection and commit methods on the instance:
+            # injections and phase-2 grants are captured without any
+            # check on the untraced path.  The traced step appends
+            # per-cycle references to the tracer's timeline, expanded
+            # to columns off the hot loop.
+            self.inject = self._inject_traced  # type: ignore[method-assign]
+            self.inject_many = self._inject_many_traced  # type: ignore[method-assign]
+            self._p2_grants: List[Tuple[int, int, int]] = []
+            self._establish = (  # type: ignore[method-assign]
+                self._establish_traced_clrg if self._is_clrg
+                else self._establish_traced_plain
+            )
             for output, arbiter in self.subblock_arbiters.items():
                 counters = getattr(arbiter, "counters", None)
                 if counters is not None:
@@ -297,20 +285,20 @@ class HiRiseSwitch(SwitchModel):
 
         # Opt-in phase-level performance counters (repro.obs.perf): the
         # counters only read the monotonic clock, so attached runs stay
-        # bit-identical.  step() dispatches to _step_perf, which times
-        # one cycle in every perf.stride phase-by-phase and runs the
-        # untimed twin otherwise.  Injection is timed by shadowing the
-        # instance methods — unless a tracer already owns them, in which
-        # case injection stays traced and inject time is not attributed.
+        # bit-identical.  step() hands one cycle in every perf.stride to
+        # _step_perf, which times it phase by phase; the other cycles
+        # run untimed.  Injection is timed by shadowing the instance
+        # methods — unless a tracer already owns them, in which case
+        # injection stays traced and inject time is not attributed;
+        # the tracer's deferred column expansion is timed instead, as
+        # "trace_drain".
         self._perf = perf
         if perf is not None:
             perf.bind(self)
             if tracer is None:
                 self.inject = self._inject_perf  # type: ignore[method-assign]
                 self.inject_many = self._inject_many_perf  # type: ignore[method-assign]
-            elif hasattr(tracer, "perf"):
-                # Batch-capture tracers expose a perf slot: their
-                # deferred column expansion is timed as "trace_drain".
+            else:
                 tracer.perf = perf
 
         # Opt-in runtime invariant verification (repro.check): binds
@@ -546,59 +534,31 @@ class HiRiseSwitch(SwitchModel):
         return count
 
     def step(self, cycle: int) -> List[Flit]:
-        if self._perf is not None:
-            return self._step_perf(cycle)
+        perf = self._perf
+        if perf is not None:
+            perf.cycles_total += 1
+            if not cycle % perf.stride:
+                return self._step_perf(cycle)
         if self._tracer is not None:
-            return self._traced_step(cycle)
-        # Scheduled faults land before anything else in the cycle, so a
-        # channel failing at cycle k is masked from cycle k's arbitration
-        # (its in-flight packet, if any, still quiesces via transmit).
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                apply_fault_events(self, due)
-        # Paths released by a tail last cycle carried data on their wires,
-        # so they could not also arbitrate that cycle: every packet pays
-        # one arbitration cycle ("arbitrate or transmit in a single
-        # cycle").  Clear their cooling flags incrementally.
-        paths = self._cooling_paths
-        if paths:
-            in_cooling = self._in_cooling
-            out_cooling = self._out_cooling
-            res_cooling = self._res_cooling
-            for src, output, rid in paths:
-                in_cooling[src] = 0
-                out_cooling[output] = 0
-                res_cooling[rid] = 0
-            paths.clear()
+            return self._step_traced(cycle)
+        self._begin_cycle(cycle)
         ejected = self._transmit_and_refill(cycle)
         self._arbitrate(cycle)
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected
 
-    def _step_perf(self, cycle: int) -> List[Flit]:
-        """Perf-counting step: phase-time one cycle in every stride.
+    def _begin_cycle(self, cycle: int) -> None:
+        """Per-cycle preamble shared by every step path.
 
-        Unsampled cycles run the untimed twin (zero clock reads);
-        sampled cycles run transmit and refill as *separate* passes —
-        equivalent to the fused scan, see :meth:`_transmit_and_refill` —
-        with a monotonic read at each phase boundary.  Traced sampled
-        cycles are attributed whole (as ``step``) rather than split,
-        since the traced twins interleave capture with every phase.
+        Scheduled faults land before anything else in the cycle, so a
+        channel failing at cycle k is masked from cycle k's arbitration
+        (its in-flight packet, if any, still quiesces via transmit).
+        Then the paths released by a tail last cycle, which carried
+        data on their wires and so could not also arbitrate ("arbitrate
+        or transmit in a single cycle"), have their cooling flags
+        cleared incrementally.
         """
-        perf = self._perf
-        perf.cycles_total += 1
-        if cycle % perf.stride:
-            return self._step_unsampled(cycle)
-        perf.cycles_sampled += 1
-        ns = time.perf_counter_ns
-        if self._tracer is not None:
-            t0 = ns()
-            ejected = self._traced_step(cycle)
-            perf.add("step", ns() - t0, len(ejected))
-            return ejected
         cursor = self._fault_cursor
         if cursor is not None:
             due = cursor.take(cycle)
@@ -614,6 +574,28 @@ class HiRiseSwitch(SwitchModel):
                 out_cooling[output] = 0
                 res_cooling[rid] = 0
             paths.clear()
+
+    def _step_perf(self, cycle: int) -> List[Flit]:
+        """Sampled perf cycle: time the cycle phase by phase.
+
+        :meth:`step` hands over one cycle in every ``perf.stride``; the
+        others run untimed through the fused path or
+        :meth:`_step_traced`.  Transmit and refill run as *separate*
+        passes — equivalent to the fused scan, see
+        :meth:`_transmit_and_refill` — with a monotonic read at each
+        phase boundary.  Traced cycles are
+        attributed whole (as ``step``) rather than split, since the
+        traced step interleaves capture with every phase.
+        """
+        perf = self._perf
+        perf.cycles_sampled += 1
+        ns = time.perf_counter_ns
+        if self._tracer is not None:
+            t0 = ns()
+            ejected = self._step_traced(cycle)
+            perf.add("step", ns() - t0, len(ejected))
+            return ejected
+        self._begin_cycle(cycle)
         t1 = ns()
         ejected = self._transmit_pass(cycle)
         t2 = ns()
@@ -629,31 +611,6 @@ class HiRiseSwitch(SwitchModel):
         perf.add("refill", t3 - t2)
         perf.add("arbitrate", t4 - t3, len(local_winners))
         perf.add("commit", t5 - t4)
-        if self._invariants is not None:
-            self._invariants.after_step(self, cycle, ejected)
-        return ejected
-
-    def _step_unsampled(self, cycle: int) -> List[Flit]:
-        # Twin of the untimed step body (step() minus the dispatches).
-        if self._tracer is not None:
-            return self._traced_step(cycle)
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                apply_fault_events(self, due)
-        paths = self._cooling_paths
-        if paths:
-            in_cooling = self._in_cooling
-            out_cooling = self._out_cooling
-            res_cooling = self._res_cooling
-            for src, output, rid in paths:
-                in_cooling[src] = 0
-                out_cooling[output] = 0
-                res_cooling[rid] = 0
-            paths.clear()
-        ejected = self._transmit_and_refill(cycle)
-        self._arbitrate(cycle)
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected
@@ -859,12 +816,11 @@ class HiRiseSwitch(SwitchModel):
     ) -> Dict[int, _LocalWin]:
         """Collect requests and run every free local resource's arbitration.
 
-        ``blocked`` (binary-traced steps only) collects one
+        ``blocked`` (traced steps only) collects one
         ``(port, dst, reason)`` entry per idle port that had head flits
         but no viable request — the ``via_block`` events — fused into
         the request scan so the traced path never re-derives viability.
-        Untraced and JSONL-traced calls pass ``None`` and pay only this
-        default argument.
+        Untraced calls pass ``None`` and pay only this default argument.
         """
         cfg = self.config
         layers = cfg.layers
@@ -924,11 +880,11 @@ class HiRiseSwitch(SwitchModel):
                     if vc is None:
                         continue
                 else:
-                    # Binary-traced twin of the scan above: identical
+                    # Traced twin of the scan above: identical
                     # decisions, plus it remembers the lowest-index head
                     # so a blocked port's ``via_block`` event (first
                     # seq-0 front in VC *index* order, matching
-                    # `_trace_viability`) costs no second scan.
+                    # `_capture_blocked`) costs no second scan.
                     cap_idx = num_vcs
                     cap_dst = -1
                     for offset in range(num_vcs):
@@ -1094,12 +1050,6 @@ class HiRiseSwitch(SwitchModel):
                 continue
             self._establish(winner, output, candidate_vcs)
 
-    def _subblock_arbitrate(
-        self, output: int, candidates: List[Tuple[int, "_LocalWin"]]
-    ) -> Optional[_LocalWin]:
-        """Run the configured scheme for one sub-block; commit its state."""
-        return self._subblock_pick(output, candidates)
-
     def _subblock_slot_based(
         self, output: int, candidates: List[Tuple[int, "_LocalWin"]]
     ) -> Optional[_LocalWin]:
@@ -1202,7 +1152,7 @@ class HiRiseSwitch(SwitchModel):
     def _establish_traced_clrg(
         self, win: _LocalWin, output: int, candidate_vcs: List[int]
     ) -> None:
-        """Binary-traced `_establish` (CLRG): also records the grant.
+        """Traced `_establish` (CLRG): also records the grant.
 
         Twin of :meth:`_establish` plus one append capturing the phase-2
         grant and its post-commit CLRG class (the sub-block's
@@ -1229,7 +1179,7 @@ class HiRiseSwitch(SwitchModel):
     def _establish_traced_plain(
         self, win: _LocalWin, output: int, candidate_vcs: List[int]
     ) -> None:
-        """Binary-traced `_establish` (non-CLRG): class is always -1."""
+        """Traced `_establish` (non-CLRG): class is always -1."""
         input_port = win.input_port
         port = self.ports[input_port]
         vc_index = candidate_vcs[input_port]
@@ -1245,167 +1195,9 @@ class HiRiseSwitch(SwitchModel):
         self._p2_grants.append((input_port, output, -1))
 
     # ------------------------------------------------------------------
-    # Traced variants (selected at construction when a tracer is given)
+    # Traced variants (deferred batch capture, repro.obs.tracebin)
     # ------------------------------------------------------------------
     def _inject_traced(self, packet: Packet) -> None:
-        src = packet.src
-        if not 0 <= src < self.num_ports:
-            raise ValueError(f"source port {src} out of range")
-        if not 0 <= packet.dst < self.num_ports:
-            raise ValueError(f"destination port {packet.dst} out of range")
-        queue = self._queues[src]
-        queue._packets.append(packet)
-        queue._pending_flits += packet.num_flits
-        self._tracer.inject(
-            packet.created_cycle, src, packet.dst,
-            packet.num_flits, packet.packet_id,
-        )
-
-    def _inject_many_traced(self, packets: Iterable[Packet]) -> int:
-        count = 0
-        for packet in packets:
-            self._inject_traced(packet)
-            count += 1
-        return count
-
-    def _step_traced(self, cycle: int) -> List[Flit]:
-        """Traced step(): identical state transitions plus event emission.
-
-        Runs the exact same helpers as the untraced path
-        (:meth:`_transmit_and_refill`, :meth:`_phase1_local`,
-        :meth:`_phase2_interlayer`) and derives events from their outputs
-        and the public path state afterwards, so arbitration decisions
-        stay bit-identical with tracing on.
-        """
-        tracer = self._tracer
-        tracer.cycle = cycle
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                apply_fault_events(self, due)
-        paths = self._cooling_paths
-        if paths:
-            in_cooling = self._in_cooling
-            out_cooling = self._out_cooling
-            res_cooling = self._res_cooling
-            for src, output, rid in paths:
-                in_cooling[src] = 0
-                out_cooling[output] = 0
-                res_cooling[rid] = 0
-            paths.clear()
-
-        ejected = self._transmit_and_refill(cycle)
-        emit = tracer.emit
-        for flit in ejected:
-            emit(EJECT, flit.src, flit.dst, flit.seq,
-                 1 if flit.seq == flit.num_flits - 1 else 0)
-        # Paths torn down this cycle (tail transferred): pair each with
-        # the cycle it was granted, giving the full hold interval.
-        grant_cycle = self.grant_cycle
-        for src, output, rid in self._cooling_paths:
-            emit(COOL, rid, src, output, grant_cycle.get(src, -1))
-
-        self._trace_viability()
-
-        self._arb_cycle = cycle
-        candidate_vcs = self._candidate_vc
-        winners = self._phase1_local(candidate_vcs, cycle)
-        for rid, win in winners.items():
-            emit(P1_GRANT, rid, win.input_port, win.dst_output, win.weight)
-        self._phase2_interlayer(winners, candidate_vcs)
-        # Every phase-1 winner was an idle input, so a connection present
-        # after phase 2 can only be this cycle's grant.
-        connections = self.connections
-        is_clrg = self._is_clrg
-        subblock_arbiters = self.subblock_arbiters
-        for rid, win in winners.items():
-            input_port = win.input_port
-            entry = connections.get(input_port)
-            if entry is not None:
-                output = entry[1]
-                cls = -1
-                if is_clrg:
-                    cls = int(
-                        subblock_arbiters[output].counters.class_of(input_port)
-                    )
-                emit(P2_GRANT, rid, input_port, output, cls)
-            else:
-                emit(P2_BLOCK, rid, input_port, win.dst_output)
-        if self._invariants is not None:
-            self._invariants.after_step(self, cycle, ejected)
-        return ejected
-
-    def _trace_viability(self) -> None:
-        """Emit ``via_block`` for idle inputs with head flits but no
-        viable request, with the blocking reason decomposed.
-
-        Read-only: reuses the per-port viability objects (which are pure)
-        before arbitration mutates any state.
-        """
-        emit = self._tracer.emit
-        in_cooling = self._in_cooling
-        viability = self._viability
-        output_owner = self.output_owner
-        out_cooling = self._out_cooling
-        resource_owner = self.resource_owner
-        res_cooling = self._res_cooling
-        binned = self.allocation.is_binned
-        request_rid = self._request_rid
-        cfg = self.config
-        layers = cfg.layers
-        layer_of = cfg.layer_of_port_table
-        healthy_channels = self._healthy_channels
-        for port in self._arb_ports:
-            port_id = port.port_id
-            if in_cooling[port_id] or port.active_vc is not None:
-                continue
-            check = viability[port_id]
-            heads = []
-            viable = False
-            for vc in port.vcs:
-                fifo = vc._fifo
-                if fifo:
-                    head = fifo[0]
-                    if head.seq == 0:
-                        if check(head):
-                            viable = True
-                            break
-                        heads.append(head)
-            if viable or not heads:
-                continue
-            # Report the first blocked head's reason (VC round-robin order
-            # does not matter for a port that cannot request at all).
-            dst = heads[0].dst
-            if output_owner[dst] is not None:
-                reason = REASON_OUTPUT_BUSY
-            elif out_cooling[dst]:
-                reason = REASON_OUTPUT_COOLING
-            else:
-                src_layer = layer_of[port_id]
-                dst_layer = layer_of[dst]
-                if (dst_layer != src_layer
-                        and not healthy_channels[src_layer * layers + dst_layer]):
-                    # Dynamic faults killed every channel toward the
-                    # destination layer (the binned table points at a
-                    # cooling sentinel; the priority rid list is empty).
-                    reason = REASON_CHANNEL_FAILED
-                else:
-                    if binned:
-                        rids = (request_rid[port_id][dst],)
-                    else:
-                        rids = check.rids_of_dst[dst]
-                    reason = REASON_RESOURCE_COOLING
-                    for rid in rids:
-                        if resource_owner[rid] >= 0 and not res_cooling[rid]:
-                            reason = REASON_RESOURCE_BUSY
-                            break
-            emit(VIA_BLOCK, port_id, dst, reason)
-
-    # ------------------------------------------------------------------
-    # Binary-traced variants (deferred batch capture, repro.obs.tracebin)
-    # ------------------------------------------------------------------
-    def _inject_traced_bin(self, packet: Packet) -> None:
         src = packet.src
         if not 0 <= src < self.num_ports:
             raise ValueError(f"source port {src} out of range")
@@ -1418,7 +1210,7 @@ class HiRiseSwitch(SwitchModel):
         # object is enough; the tracer derives the inject event lazily.
         self._tracer.timeline.append((_T_INJECT1, packet))
 
-    def _inject_many_traced_bin(self, packets: Iterable[Packet]) -> int:
+    def _inject_many_traced(self, packets: Iterable[Packet]) -> int:
         if type(packets) is not list:
             packets = list(packets)
         num_ports = self.num_ports
@@ -1436,8 +1228,8 @@ class HiRiseSwitch(SwitchModel):
             self._tracer.timeline.append((_T_INJECT, packets))
         return len(packets)
 
-    def _step_traced_bin(self, cycle: int) -> List[Flit]:
-        """Binary-traced step(): one timeline entry per event batch.
+    def _step_traced(self, cycle: int) -> List[Flit]:
+        """Traced step(): one timeline entry per event batch.
 
         Identical state transitions to :meth:`step`; observation cost is
         a handful of list appends per cycle because the heavy per-event
@@ -1450,25 +1242,10 @@ class HiRiseSwitch(SwitchModel):
         """
         tracer = self._tracer
         tracer.cycle = cycle
+        # Fault events raw-emit straight onto the timeline, first in
+        # the cycle (the tracer's cycle is already set for them).
+        self._begin_cycle(cycle)
         timeline = tracer.timeline
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                # Fault events raw-emit straight onto the timeline, in
-                # the same first-of-cycle position as the JSONL path.
-                apply_fault_events(self, due)
-        paths = self._cooling_paths
-        if paths:
-            in_cooling = self._in_cooling
-            out_cooling = self._out_cooling
-            res_cooling = self._res_cooling
-            for src, output, rid in paths:
-                in_cooling[src] = 0
-                out_cooling[output] = 0
-                res_cooling[rid] = 0
-            paths.clear()
-
         ejected = self._transmit_and_refill(cycle)
         if ejected:
             timeline.append((_T_EJECT, cycle, ejected))
@@ -1508,11 +1285,12 @@ class HiRiseSwitch(SwitchModel):
         """Record one ``via_block`` entry for a port phase 1 just skipped.
 
         Runs only for idle ports whose request scan found no viable VC,
-        so the extra work rides on the rare branch.  Mirrors
-        :meth:`_trace_viability`: the reported head is the first seq-0
-        front in VC *index* order, and the reason decomposition reads
-        the same pre-arbitration ownership/cooling state (the request
-        scan mutates nothing, so the state is identical here).
+        so the extra work rides on the rare branch.  Mirrors the
+        reference kernel's ``_trace_viability``: the reported head is
+        the first seq-0 front in VC *index* order, and the reason
+        decomposition reads the same pre-arbitration ownership/cooling
+        state (the request scan mutates nothing, so the state is
+        identical here).
         """
         head = None
         for vc in port.vcs:

@@ -105,9 +105,11 @@ class ReferenceHiRiseSwitch(SwitchModel):
     Args:
         config: Architectural parameters (radix, layers, channel
             multiplicity, allocation policy, arbitration scheme).
-        tracer: Optional :class:`repro.obs.SwitchTracer`; records the
-            same cycle-level events as the fast kernel (observe-only, so
-            arbitration decisions are untouched).
+        tracer: Optional :class:`repro.obs.BinaryTracer`; records the
+            same cycle-level events as the fast kernel, one ``emit``
+            call per event (observe-only, so arbitration decisions are
+            untouched).  This per-event path is the oracle the fast
+            kernel's batched capture is compared against.
         faults: Optional :class:`repro.faults.FaultSchedule`; applied
             through the same per-cycle hook as the fast kernel (events
             due at a cycle land at the very start of ``step()``), so
@@ -289,24 +291,14 @@ class ReferenceHiRiseSwitch(SwitchModel):
         perf.add("inject", time.perf_counter_ns() - start, 1)
 
     def step(self, cycle: int) -> List[Flit]:
-        if self._perf is not None:
-            return self._step_perf(cycle)
+        perf = self._perf
+        if perf is not None:
+            perf.cycles_total += 1
+            if not cycle % perf.stride:
+                return self._step_perf(cycle)
         if self._tracer is not None:
             return self._step_traced(cycle)
-        # Scheduled faults land before anything else in the cycle, so a
-        # channel failing at cycle k is masked from cycle k's arbitration
-        # (its in-flight packet, if any, still quiesces via transmit).
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                apply_fault_events(self, due)
-        # Paths released by a tail this cycle carried data on their wires,
-        # so they cannot also arbitrate this cycle: every packet pays one
-        # arbitration cycle ("arbitrate or transmit in a single cycle").
-        self._cooling_inputs.clear()
-        self._cooling_outputs.clear()
-        self._cooling_resources.clear()
+        self._begin_cycle(cycle)
         ejected = self._transmit(cycle)
         for port in self.ports:
             port.refill(cycle)
@@ -315,24 +307,17 @@ class ReferenceHiRiseSwitch(SwitchModel):
             self._invariants.after_step(self, cycle, ejected)
         return ejected
 
-    def _step_perf(self, cycle: int) -> List[Flit]:
-        """Perf-counting step twin (see the fast kernel's _step_perf).
+    def _begin_cycle(self, cycle: int) -> None:
+        """Per-cycle preamble shared by every step path.
 
-        The reference kernel's phases are already separate calls, so
-        sampled cycles just put a monotonic read between them; traced
-        sampled cycles are attributed whole as ``step``.
+        Scheduled faults land before anything else in the cycle, so a
+        channel failing at cycle k is masked from cycle k's arbitration
+        (its in-flight packet, if any, still quiesces via transmit).
+        Then last cycle's cooling sets are emptied; transmit refills
+        them with the paths whose tail moves this cycle, which carry
+        data on their wires and so cannot also arbitrate this cycle
+        ("arbitrate or transmit in a single cycle").
         """
-        perf = self._perf
-        perf.cycles_total += 1
-        if cycle % perf.stride:
-            return self._step_unsampled(cycle)
-        perf.cycles_sampled += 1
-        ns = time.perf_counter_ns
-        if self._tracer is not None:
-            t0 = ns()
-            ejected = self._step_traced(cycle)
-            perf.add("step", ns() - t0, len(ejected))
-            return ejected
         cursor = self._fault_cursor
         if cursor is not None:
             due = cursor.take(cycle)
@@ -341,6 +326,23 @@ class ReferenceHiRiseSwitch(SwitchModel):
         self._cooling_inputs.clear()
         self._cooling_outputs.clear()
         self._cooling_resources.clear()
+
+    def _step_perf(self, cycle: int) -> List[Flit]:
+        """Sampled perf cycle (see the fast kernel's _step_perf).
+
+        The reference kernel's phases are already separate calls, so
+        sampled cycles just put a monotonic read between them; traced
+        sampled cycles are attributed whole as ``step``.
+        """
+        perf = self._perf
+        perf.cycles_sampled += 1
+        ns = time.perf_counter_ns
+        if self._tracer is not None:
+            t0 = ns()
+            ejected = self._step_traced(cycle)
+            perf.add("step", ns() - t0, len(ejected))
+            return ejected
+        self._begin_cycle(cycle)
         t1 = ns()
         ejected = self._transmit(cycle)
         t2 = ns()
@@ -357,26 +359,6 @@ class ReferenceHiRiseSwitch(SwitchModel):
         perf.add("refill", t3 - t2)
         perf.add("arbitrate", t4 - t3, len(local_winners))
         perf.add("commit", t5 - t4)
-        if self._invariants is not None:
-            self._invariants.after_step(self, cycle, ejected)
-        return ejected
-
-    def _step_unsampled(self, cycle: int) -> List[Flit]:
-        # Twin of the untimed step body (step() minus the dispatches).
-        if self._tracer is not None:
-            return self._step_traced(cycle)
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                apply_fault_events(self, due)
-        self._cooling_inputs.clear()
-        self._cooling_outputs.clear()
-        self._cooling_resources.clear()
-        ejected = self._transmit(cycle)
-        for port in self.ports:
-            port.refill(cycle)
-        self._arbitrate(cycle)
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected
@@ -663,14 +645,7 @@ class ReferenceHiRiseSwitch(SwitchModel):
         """
         tracer = self._tracer
         tracer.cycle = cycle
-        cursor = self._fault_cursor
-        if cursor is not None:
-            due = cursor.take(cycle)
-            if due:
-                apply_fault_events(self, due)
-        self._cooling_inputs.clear()
-        self._cooling_outputs.clear()
-        self._cooling_resources.clear()
+        self._begin_cycle(cycle)
         conns_before = dict(self.connections)
         ejected = self._transmit(cycle)
         emit = tracer.emit
@@ -711,6 +686,9 @@ class ReferenceHiRiseSwitch(SwitchModel):
             else:
                 emit(P2_BLOCK, rid_of_key[resource], input_port,
                      win.dst_output)
+        # Same bound on pending raw entries as the fast kernel's step.
+        if len(tracer.timeline) >= tracer.drain_interval:
+            tracer.drain()
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected

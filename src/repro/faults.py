@@ -742,13 +742,13 @@ def verify_parity(
             (:func:`repro.core.fleet.fleet_supports`).
     """
     from repro.network.engine import Simulation
-    from repro.obs.trace import SwitchTracer
+    from repro.obs.tracebin import BinaryTracer
     from repro.traffic import UniformRandomTraffic
 
     results = {}
     traces = {}
     for kernel in ("fast", "reference"):
-        tracer = SwitchTracer(capacity=None)
+        tracer = BinaryTracer(capacity=None)
         checker = None
         if invariants:
             from repro.check.invariants import InvariantChecker

@@ -2,14 +2,15 @@
 
 Three layers, all opt-in and all zero-cost when unused:
 
-* :mod:`repro.obs.trace` — :class:`SwitchTracer` records cycle-level
-  arbitration/datapath events from a switch built with ``tracer=``;
-  exports JSONL and Chrome ``trace_event`` timelines.
-* :mod:`repro.obs.tracebin` — :class:`BinaryTracer`, the binary
-  columnar capture buffer (preallocated int32/int64 columns,
-  stride-doubling decimation, ``repro.trace_bin/v1`` files), its
-  picklable :class:`BinaryTracerFactory`, and :class:`FleetTracer`,
-  the multi-lane buffer the batched fleet kernel emits into natively.
+* :mod:`repro.obs.trace` — the cycle-level event schema (kinds,
+  payload fields, validators), the shared :func:`resource_label`, and
+  the Chrome ``trace_event`` export.
+* :mod:`repro.obs.tracebin` — :class:`BinaryTracer`, the capture
+  buffer a switch built with ``tracer=`` records its arbitration and
+  datapath events into (int32/int64 columns, stride-doubling
+  decimation, ``repro.trace_bin/v1`` files), its picklable
+  :class:`BinaryTracerFactory`, and :class:`FleetTracer`, the
+  multi-lane buffer the batched fleet kernel emits into natively.
   JSONL and Chrome timelines are export views of the binary columns.
 * :mod:`repro.obs.stats` — a gem5-style :class:`StatsRegistry` of
   hierarchically named scalar/vector/distribution/formula statistics
@@ -46,7 +47,6 @@ from repro.obs.analyze import (
     compare_audits,
     filter_records,
     iter_jsonl,
-    resource_label,
     summarize_records,
     validate_audit_summary,
 )
@@ -82,8 +82,8 @@ from repro.obs.telemetry import TELEMETRY_FORMAT, Heartbeat, SweepTelemetry
 from repro.obs.trace import (
     EVENT_FIELDS,
     EVENT_NAMES,
-    SwitchTracer,
     iter_chrome_events,
+    resource_label,
     validate_chrome,
     validate_chrome_path,
     validate_jsonl_path,
@@ -136,7 +136,6 @@ __all__ = [
     "Stat",
     "StatsRegistry",
     "SweepTelemetry",
-    "SwitchTracer",
     "TELEMETRY_FORMAT",
     "TraceColumns",
     "VectorStat",

@@ -1,7 +1,7 @@
 """Streaming trace analytics: raw event streams to audited run reports.
 
-PR 2's :class:`repro.obs.trace.SwitchTracer` produces cycle-level JSONL
-event streams, but nothing *read* them: the paper's headline fairness
+The tracers (:mod:`repro.obs.tracebin`) produce cycle-level event
+streams, but nothing *read* them: the paper's headline fairness
 claim (two-phase LRG starves the hotspot layer's own inputs; CLRG
 restores per-input fairness) was only visible by eyeballing aggregate
 throughput.  This module turns a trace into an **audit report** the way
@@ -31,10 +31,11 @@ measured property:
 
 The analyzer is **single-pass and bounded-memory**: it consumes any
 record iterator (a JSONL file streamed line by line, or
-``tracer.records()``) exactly once, keeps only O(ports + resources)
-running state plus a capped, deterministically decimated epoch list and
-a capped anomaly list — never the events themselves — so traces far
-larger than memory audit fine.
+``tracer.records()``) or decoded binary columns exactly once, keeps
+only O(ports + resources) running state plus a capped,
+deterministically decimated epoch list and a capped anomaly list —
+never the events themselves — so traces far larger than memory audit
+fine.
 
 The report's :meth:`AuditReport.summary` dict is the stable machine
 schema (:data:`AUDIT_SCHEMA`, checked by :func:`validate_audit_summary`)
@@ -65,6 +66,7 @@ from repro.obs.trace import (
     P2_GRANT,
     SCHED_ACCEPT,
     SCHED_GRANT,
+    resource_label,
 )
 
 try:  # pragma: no cover - exercised via the pure-python fallback tests
@@ -94,30 +96,6 @@ DEFAULT_TOP_RESOURCES = 8
 
 #: Record fields that name switch ports (for ``--port`` filtering).
 PORT_FIELDS = ("src", "dst", "input", "output")
-
-
-def resource_label(
-    resource_id: int, radix: int, layers: int, channel_multiplicity: int
-) -> str:
-    """Human-readable name of a flat resource id from trace meta fields.
-
-    Mirrors ``config.resource_key_table`` without needing a config
-    object, so JSONL traces are labellable offline.  Falls back to
-    ``res<id>`` when the meta fields are missing or inconsistent.
-    """
-    if radix < 1 or layers < 1 or channel_multiplicity < 1 or radix % layers:
-        return f"res{resource_id}"
-    if 0 <= resource_id < radix:
-        ppl = radix // layers
-        return f"int L{resource_id // ppl}.{resource_id % ppl}"
-    index = resource_id - radix
-    per_src = layers * channel_multiplicity
-    if not 0 <= index < layers * per_src:
-        return f"res{resource_id}"
-    src = index // per_src
-    dst = (index // channel_multiplicity) % layers
-    channel = index % channel_multiplicity
-    return f"ch L{src}->L{dst}#{channel}"
 
 
 def iter_jsonl(path) -> Iterator[Dict[str, object]]:
@@ -1068,15 +1046,8 @@ def analyze_jsonl(path, **options) -> "AuditReport":
 
 
 def analyze_tracer(tracer, **options) -> "AuditReport":
-    """Audit an in-memory tracer buffer.
-
-    :class:`repro.obs.BinaryTracer` goes through the columnar fast
-    path; anything exposing ``records()`` (a
-    :class:`repro.obs.SwitchTracer`) streams dict records.
-    """
-    if hasattr(tracer, "columns"):
-        return analyze_columns(tracer.columns(), **options)
-    return analyze_records(tracer.records(), **options)
+    """Audit an in-memory :class:`repro.obs.BinaryTracer` (columnar)."""
+    return analyze_columns(tracer.columns(), **options)
 
 
 def analyze_columns(columns, **options) -> "AuditReport":

@@ -10,9 +10,9 @@ like ``tracer=``/``invariants=``: the unattached hot path pays one
 Wall-time and op counts are attributed to the kernel phases (transmit /
 refill / arbitrate / commit / inject / trace-drain) by *sampling*: one
 cycle in every ``stride`` is timed phase-by-phase, the rest run the
-untimed twin, so the counters-on overhead stays a few percent at the
-default stride.  The simulation loops add two phases timed on every
-cycle: ``traffic`` (generating the cycle's injections, in
+kernel's ordinary untimed step, so the counters-on overhead stays a few
+percent at the default stride.  The simulation loops add two phases
+timed on every cycle: ``traffic`` (generating the cycle's injections, in
 :class:`~repro.network.engine.Simulation` and the fleet's
 ``FleetSimulation``) and, in the fleet, ``pack`` (flattening the lanes'
 columns into one batched injection).  Results export onto a
@@ -353,7 +353,6 @@ METRIC_DIRECTIONS: Dict[str, int] = {
     "aggregate_lane_cycles_per_sec": 1,
     "fleet_speedup": 1,
     "perf_on_overhead_frac": -1,
-    "tracing_on_overhead_frac": -1,
     "tracebin_on_overhead_frac": -1,
     "calibration_ops_per_sec": 0,
 }

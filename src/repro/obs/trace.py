@@ -1,19 +1,21 @@
-"""Cycle-level event tracing for the switch kernels.
+"""Cycle-level trace event schema and its export views.
 
-A :class:`SwitchTracer` is handed to a switch at construction
-(``HiRiseSwitch(config, tracer=...)`` or
-``ReferenceHiRiseSwitch(config, tracer=...)``) and receives every
-observable arbitration and datapath event: injections, ejections,
-phase-1 (local) grants, phase-2 (inter-layer) grants and losses,
-viability rejections, path cooldowns (with the grant cycle, so path
-occupancy intervals come for free), CLRG counter halvings, and drain
-stalls.  Tracing is *opt-in at construction*: an untraced switch keeps
-its hot loop byte-for-byte on the fast path behind a single predictable
+A :class:`repro.obs.BinaryTracer` handed to a switch at construction
+(``HiRiseSwitch(config, tracer=...)``,
+``ReferenceHiRiseSwitch(config, tracer=...)`` or ``VOQSwitch``)
+receives every observable arbitration and datapath event: injections,
+ejections, phase-1 (local) grants, phase-2 (inter-layer) grants and
+losses, viability rejections, path cooldowns (with the grant cycle, so
+path occupancy intervals come for free), CLRG counter halvings, and
+drain stalls.  Tracing is *opt-in at construction*: an untraced switch
+keeps its hot loop on the fast path behind a single predictable
 ``tracer is None`` check per cycle, and traced runs are bit-identical to
 untraced runs (the tracer only observes, never decides).
 
-Events are buffered as compact integer tuples
-``(cycle, kind, a, b, c, d)`` and exported in two formats:
+This module defines what an event is — the compact integer tuple
+``(cycle, kind, a, b, c, d)``, the kinds (:data:`EVENT_NAMES`) and their
+payload fields (:data:`EVENT_FIELDS`) — and the two export views every
+capture shares:
 
 * **JSONL** — one self-describing record per line (plus a leading
   ``meta`` record), the stable machine-readable schema
@@ -21,12 +23,12 @@ Events are buffered as compact integer tuples
 * **Chrome ``trace_event``** — a timeline JSON loadable in
   ``chrome://tracing`` / Perfetto: one "thread" per switch resource with
   a complete ("X") event per path hold, instant events for CLRG
-  halvings and drain stalls, and a per-cycle ejected-flit counter track.
+  halvings and drain stalls, and a per-cycle ejected-flit counter track
+  (:func:`iter_chrome_events`, :func:`write_chrome_stream`).
 """
 
 import json
-from collections import Counter
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 #: Trace format version, written into the JSONL meta record.
 TRACE_VERSION = 1
@@ -139,170 +141,40 @@ REASON_CHANNEL_FAILED = 4
 
 _NAME_TO_KIND = {name: kind for kind, name in EVENT_NAMES.items()}
 
-#: Default event-buffer capacity (events beyond it are counted, not kept).
+#: Default bound on a tracer's retained events (decimated beyond it).
 DEFAULT_CAPACITY = 1 << 20
 
 
-class SwitchTracer:
-    """Buffers cycle-level switch events as compact integer tuples.
+def resource_label(
+    resource_id: int, radix: int, layers: int, channel_multiplicity: int
+) -> str:
+    """Human-readable name of a flat resource id.
 
-    Args:
-        capacity: Maximum number of buffered events; once full, further
-            events are dropped (and counted in :attr:`dropped`) instead
-            of growing memory without bound.  ``None`` means unbounded.
-
-    A tracer is bound to the switch it is constructed with (the switch
-    calls :meth:`bind` so exports can name resources); reusing one
-    tracer across switches concatenates their events under the last
-    bound configuration.
+    Mirrors ``config.resource_key_table`` from the geometry alone, so
+    live tracers, decoded binary columns and offline JSONL traces (whose
+    meta record carries the geometry) all label resources the same way.
+    Falls back to ``res<id>`` when the id is out of range or the
+    geometry is missing or inconsistent.
     """
-
-    __slots__ = ("events", "cycle", "capacity", "dropped", "config")
-
-    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("tracer capacity must be >= 1 or None")
-        self.events: List[Tuple[int, int, int, int, int, int]] = []
-        self.cycle = 0
-        self.capacity = capacity
-        self.dropped = 0
-        self.config = None
-
-    def bind(self, switch) -> None:
-        """Attach the switch's configuration (resource naming for exports)."""
-        self.config = getattr(switch, "config", None)
-
-    # ------------------------------------------------------------------
-    # Emission (called from the traced switch step)
-    # ------------------------------------------------------------------
-    def emit(self, kind: int, a: int = 0, b: int = 0, c: int = 0,
-             d: int = 0) -> None:
-        """Append one event at the tracer's current cycle."""
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self.events.append((self.cycle, kind, a, b, c, d))
-
-    def inject(self, cycle: int, src: int, dst: int, num_flits: int,
-               packet_id: int) -> None:
-        """Injection events carry their own cycle (they precede step())."""
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self.events.append((cycle, INJECT, src, dst, num_flits, packet_id))
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Event counts keyed by wire name (for summaries and tests)."""
-        counted = Counter(event[1] for event in self.events)
-        return {EVENT_NAMES[kind]: count for kind, count in counted.items()}
-
-    def halving_events(self) -> List[Tuple[int, int, int]]:
-        """All CLRG halvings as ``(cycle, output, total_halvings)``."""
-        return [
-            (cycle, a, b)
-            for cycle, kind, a, b, _c, _d in self.events
-            if kind == CLRG_HALVE
-        ]
-
-    def resource_name(self, resource_id: int) -> str:
-        """Human-readable name of a flat resource id (export labelling)."""
-        config = self.config
-        if config is not None:
-            try:
-                key = config.resource_key_table[resource_id]
-            except IndexError:
-                return f"res{resource_id}"
-            if key[0] == "int":
-                return f"int L{key[1]}.{key[2]}"
-            return f"ch L{key[1]}->L{key[2]}#{key[3]}"
+    if radix < 1 or layers < 1 or channel_multiplicity < 1 or radix % layers:
         return f"res{resource_id}"
-
-    # ------------------------------------------------------------------
-    # JSONL export
-    # ------------------------------------------------------------------
-    def records(self) -> Iterator[Dict[str, object]]:
-        """Self-describing dict per event, meta record first."""
-        meta: Dict[str, object] = {
-            "event": "meta",
-            "version": TRACE_VERSION,
-            "events": len(self.events),
-            "dropped": self.dropped,
-        }
-        config = self.config
-        if config is not None:
-            meta.update(
-                radix=config.radix,
-                layers=config.layers,
-                channel_multiplicity=config.channel_multiplicity,
-                arbitration=str(config.arbitration.value),
-                allocation=str(config.allocation.value),
-            )
-        yield meta
-        fields = EVENT_FIELDS
-        names = EVENT_NAMES
-        for cycle, kind, a, b, c, d in self.events:
-            record: Dict[str, object] = {"cycle": cycle, "event": names[kind]}
-            payload = (a, b, c, d)
-            for index, field in enumerate(fields[kind]):
-                record[field] = payload[index]
-            yield record
-
-    def write_jsonl(self, destination: Union[str, IO[str]]) -> int:
-        """Write the JSONL export; returns the number of records written."""
-        if hasattr(destination, "write"):
-            return self._write_jsonl(destination)
-        with open(destination, "w", encoding="utf-8") as handle:
-            return self._write_jsonl(handle)
-
-    def _write_jsonl(self, handle: IO[str]) -> int:
-        count = 0
-        for record in self.records():
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-            count += 1
-        return count
-
-    # ------------------------------------------------------------------
-    # Chrome trace_event export
-    # ------------------------------------------------------------------
-    def chrome_trace(self) -> Dict[str, object]:
-        """Chrome ``trace_event`` JSON (1 simulated cycle = 1 us).
-
-        Tracks: pid 0 holds one thread per switch resource with an "X"
-        (complete) slice per path hold — built from ``cool`` events,
-        which carry the grant cycle — plus slices for paths still open
-        at export time; pid 1 carries instant events (CLRG halvings per
-        output, drain stalls); pid 2 carries an ``ejected_flits``
-        counter sampled on every cycle that ejected at least one flit.
-        """
-        return {
-            "traceEvents": list(
-                iter_chrome_events(self.events, self.resource_name)
-            ),
-            "displayTimeUnit": "ms",
-        }
-
-    def write_chrome(self, destination: Union[str, IO[str]]) -> int:
-        """Stream the Chrome trace; returns the number of trace events.
-
-        Events are serialised record-by-record, so memory stays bounded
-        regardless of trace size (the event *source* here is the
-        in-memory tuple buffer; the binary tracer streams from columns).
-        """
-        return write_chrome_stream(
-            destination, iter_chrome_events(self.events, self.resource_name)
-        )
+    if 0 <= resource_id < radix:
+        ppl = radix // layers
+        return f"int L{resource_id // ppl}.{resource_id % ppl}"
+    index = resource_id - radix
+    per_src = layers * channel_multiplicity
+    if not 0 <= index < layers * per_src:
+        return f"res{resource_id}"
+    src = index // per_src
+    dst = (index // channel_multiplicity) % layers
+    channel = index % channel_multiplicity
+    return f"ch L{src}->L{dst}#{channel}"
 
 
 def iter_chrome_events(events, resource_name) -> Iterator[Dict[str, object]]:
     """Generate Chrome ``trace_event`` dicts from raw event tuples.
 
-    Shared by :class:`SwitchTracer`, the binary tracer, and the
+    Shared by the binary tracer, decoded trace columns, and the
     ``--convert`` CLI path.  Streaming: per-cycle ejected-flit counter
     samples flush as soon as the eject cycle advances (eject cycles are
     non-decreasing in every kernel's stream), so the only state held

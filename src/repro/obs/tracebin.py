@@ -1,18 +1,19 @@
 """Binary columnar trace capture and the ``repro.trace_bin/v1`` format.
 
-:class:`SwitchTracer` (JSONL-oriented, one Python call and one tuple per
-event) costs ~46% when attached to the fast kernel — fine for smoke
-runs, unusable as an always-on production mode.  :class:`BinaryTracer`
-closes that gap with *deferred batch capture*: the traced fast-kernel
-step appends a handful of tagged entries per cycle to a timeline — in
-most cases references to per-cycle structures the kernel already built
-(the ejected-flit list, the phase-1 winners dict) — and the expansion
-into packed integer columns happens lazily, outside the stepping loop.
-The captured objects are immutable after capture (flit/packet fields and
-``_LocalWin`` records are never mutated once emitted), so the deferred
-expansion replays the exact event stream :class:`SwitchTracer` would
-have produced; state-dependent payloads (cooling grant cycles, phase-2
-outcomes, viability reasons) are the only values materialised eagerly.
+Recording one Python call and one tuple per event costs ~37% when
+attached to the fast kernel — fine for smoke runs, unusable as an
+always-on production mode.  :class:`BinaryTracer` avoids that with
+*deferred batch capture*: the traced fast-kernel step appends a handful
+of tagged entries per cycle to a timeline — in most cases references to
+per-cycle structures the kernel already built (the ejected-flit list,
+the phase-1 winners dict) — and the expansion into packed integer
+columns happens lazily, outside the stepping loop.  The captured objects
+are immutable after capture (flit/packet fields and ``_LocalWin``
+records are never mutated once emitted), so the deferred expansion
+replays the exact event stream the reference kernel records through
+per-event :meth:`BinaryTracer.emit` calls; state-dependent payloads
+(cooling grant cycles, phase-2 outcomes, viability reasons) are the
+only values materialised eagerly.
 
 Storage is columnar: one ``int64`` cycle column plus five ``int32``
 payload columns (kind, a, b, c, d) in growable ``array`` buffers that
@@ -54,6 +55,7 @@ from repro.obs.trace import (
     P2_GRANT,
     TRACE_VERSION,
     iter_chrome_events,
+    resource_label,
     write_chrome_stream,
 )
 
@@ -77,9 +79,8 @@ TRACEBIN_SUFFIX = ".tracebin"
 #: Column order of every segment; ``cycle`` is int64, the rest int32.
 COLUMNS = ("cycle", "kind", "a", "b", "c", "d")
 
-# Timeline entry tags (first tuple element).  The traced kernel appends
-# these; _expand_timeline() replays them into flat event rows in the
-# exact order SwitchTracer would have emitted.
+# Timeline entry tags (first tuple element).  The traced kernels append
+# these; drain() replays them into flat event rows in emission order.
 _T_RAW = 0      # (tag, cycle, kind, a, b, c, d) — pre-expanded event
 _T_INJECT = 1   # (tag, [Packet, ...]) — batch injection, created_cycle order
 _T_INJECT1 = 2  # (tag, Packet) — single injection
@@ -98,13 +99,15 @@ DEFAULT_DRAIN_INTERVAL = 1 << 16
 class BinaryTracer:
     """Columnar, deferred-capture switch tracer (binary-native).
 
-    Protocol-compatible with :class:`~repro.obs.trace.SwitchTracer`
-    (``bind`` / ``emit`` / ``inject`` / ``records`` / ``write_jsonl`` /
-    ``write_chrome`` / ``counts_by_kind`` / ``halving_events`` /
-    ``events``), so the reference kernel, the fault engine, the drain
-    loop, and the audit pipeline all work unchanged.  The fast kernel
-    detects :attr:`batch_capture` and switches to the deferred timeline
-    capture that makes always-on tracing affordable.
+    Two capture protocols feed one timeline.  Per-event ``emit`` /
+    ``inject`` calls serve the reference and VOQ kernels, the fault
+    engine and the drain loop.  The fast kernel instead appends tagged
+    per-cycle batches, the deferred capture that makes always-on
+    tracing affordable.  Every traced kernel drains the timeline once
+    it reaches :attr:`drain_interval` entries, so ``capacity`` bounds
+    memory during the run, not only at its end.  Reads go through
+    ``records`` / ``write_jsonl`` / ``write_chrome`` /
+    ``counts_by_kind`` / ``halving_events`` / ``events``.
 
     Args:
         capacity: Bound on retained events.  Without a spill path the
@@ -116,9 +119,6 @@ class BinaryTracer:
             fidelity, bounded memory).  The file is finalised by
             :meth:`save` (same path) or :meth:`close`.
     """
-
-    #: The fast kernel dispatches on this to its batch-capture step.
-    batch_capture = True
 
     __slots__ = (
         "timeline", "cycle", "capacity", "config", "drain_interval",
@@ -166,7 +166,7 @@ class BinaryTracer:
             )
 
     # ------------------------------------------------------------------
-    # SwitchTracer-compatible emission (reference kernel, rare events)
+    # Per-event emission (reference and VOQ kernels, rare events)
     # ------------------------------------------------------------------
     def emit(self, kind: int, a: int = 0, b: int = 0, c: int = 0,
              d: int = 0) -> None:
@@ -439,7 +439,7 @@ class BinaryTracer:
 
     @property
     def events(self) -> List[Tuple[int, int, int, int, int, int]]:
-        """Retained events as SwitchTracer-style tuples (materialised)."""
+        """Retained events as ``(cycle, kind, a, b, c, d)`` tuples."""
         self.drain()
         return list(zip(self._cycles, self._kinds, self._a, self._b,
                         self._c, self._d))
@@ -494,15 +494,10 @@ class BinaryTracer:
     def resource_name(self, resource_id: int) -> str:
         """Human-readable name of a flat resource id (export labelling)."""
         config = self.config
-        if config is not None:
-            try:
-                key = config.resource_key_table[resource_id]
-            except IndexError:
-                return f"res{resource_id}"
-            if key[0] == "int":
-                return f"int L{key[1]}.{key[2]}"
-            return f"ch L{key[1]}->L{key[2]}#{key[3]}"
-        return f"res{resource_id}"
+        if config is None:
+            return f"res{resource_id}"
+        return resource_label(resource_id, config.radix, config.layers,
+                              config.channel_multiplicity)
 
     def meta(self) -> Dict[str, object]:
         """The JSONL-style meta record for the retained events."""
@@ -676,7 +671,7 @@ class TraceColumns:
         return len(self.kind)
 
     def iter_events(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
-        """Events as SwitchTracer-style integer tuples."""
+        """Events as ``(cycle, kind, a, b, c, d)`` integer tuples."""
         for row in zip(self.cycle, self.kind, self.a, self.b,
                        self.c, self.d):
             yield tuple(int(x) for x in row)
@@ -714,19 +709,12 @@ class TraceColumns:
 
     def resource_name(self, resource_id: int) -> str:
         """Reconstruct the resource label from the header geometry."""
-        radix = int(self.meta.get("radix", 0) or 0)
-        layers = int(self.meta.get("layers", 0) or 0)
-        cmult = int(self.meta.get("channel_multiplicity", 0) or 0)
-        if radix and layers:
-            if resource_id < radix:
-                ports_per_layer = radix // layers
-                return (f"int L{resource_id // ports_per_layer}."
-                        f"{resource_id % ports_per_layer}")
-            chan = resource_id - radix
-            if cmult and chan < layers * layers * cmult:
-                return (f"ch L{chan // (layers * cmult)}->"
-                        f"L{(chan // cmult) % layers}#{chan % cmult}")
-        return f"res{resource_id}"
+        meta = self.meta
+        return resource_label(
+            resource_id, int(meta.get("radix", 0) or 0),
+            int(meta.get("layers", 0) or 0),
+            int(meta.get("channel_multiplicity", 0) or 0),
+        )
 
     def write_jsonl(self, destination: Union[str, IO[str]]) -> int:
         """Write the JSONL view; returns the number of records written."""

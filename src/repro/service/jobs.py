@@ -296,10 +296,10 @@ def _run_sweep(spec: Dict[str, object]) -> Dict[str, object]:
 def _run_audit(spec: Dict[str, object]) -> Dict[str, object]:
     from repro.core.hirise import HiRiseSwitch
     from repro.network.engine import Simulation
-    from repro.obs import SwitchTracer, analyze_tracer, validate_audit_summary
+    from repro.obs import BinaryTracer, analyze_tracer, validate_audit_summary
 
     config = build_config(spec["config"])
-    tracer = SwitchTracer()
+    tracer = BinaryTracer()
     switch = HiRiseSwitch(config, tracer=tracer)
     sim = Simulation(
         switch, _build_traffic(spec, config),

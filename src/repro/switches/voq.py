@@ -227,6 +227,11 @@ class VOQSwitch(SwitchModel):
                 cooling_inputs.add(flit.src)
                 cooling_outputs.add(flit.dst)
         self._schedule(cycle, cooling_inputs, cooling_outputs)
+        # Bound the tracer's pending raw entries, as the Hi-Rise kernels do.
+        if tracer is not None and (
+            len(tracer.timeline) >= tracer.drain_interval
+        ):
+            tracer.drain()
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected

@@ -16,7 +16,8 @@ from repro.core.reference import ReferenceHiRiseSwitch
 from repro.faults import FaultSchedule, fail_channel
 from repro.network import engine as engine_module
 from repro.network.engine import Simulation
-from repro.obs.trace import INVARIANT, SwitchTracer
+from repro.obs.trace import INVARIANT
+from repro.obs.tracebin import BinaryTracer
 from repro.traffic import UniformRandomTraffic
 
 KERNELS = [HiRiseSwitch, ReferenceHiRiseSwitch]
@@ -211,7 +212,7 @@ class TestViolationStructure:
         assert record["check"] in CHECK_CODES
 
     def test_traced_violation_emits_invariant_event(self):
-        tracer = SwitchTracer(capacity=None)
+        tracer = BinaryTracer(capacity=None)
         checker = InvariantChecker()
         switch = HiRiseSwitch(
             small_config(), tracer=tracer, invariants=checker

@@ -28,7 +28,7 @@ from repro.faults import (
 )
 from repro.network.engine import Simulation
 from repro.obs.snapshot import telemetry_snapshot
-from repro.obs.trace import SwitchTracer
+from repro.obs.tracebin import BinaryTracer
 from repro.traffic import UniformRandomTraffic
 
 KERNELS = {"fast": HiRiseSwitch, "reference": ReferenceHiRiseSwitch}
@@ -42,7 +42,7 @@ def make_config(**overrides):
 
 def run_traced(switch_class, schedule, cycles=200, load=0.8, seed=3,
                config=None):
-    tracer = SwitchTracer()
+    tracer = BinaryTracer()
     switch = switch_class(config or make_config(), faults=schedule,
                           tracer=tracer)
     traffic = UniformRandomTraffic(switch.config.radix, load=load, seed=seed)
@@ -210,7 +210,7 @@ class TestPartition:
 class TestIdempotenceAndIntrospection:
     def test_redundant_events_are_silent_noops(self):
         config = make_config()
-        tracer = SwitchTracer()
+        tracer = BinaryTracer()
         switch = HiRiseSwitch(config, tracer=tracer)
         apply_fault_events(switch, [fail_channel(0, 0, 1, 0)])
         before = len(tracer.events)

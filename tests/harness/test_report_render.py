@@ -69,10 +69,10 @@ class TestRenderAuditMarkdown:
         from repro.core.config import HiRiseConfig
         from repro.core.hirise import HiRiseSwitch
         from repro.network.engine import Simulation
-        from repro.obs import SwitchTracer, analyze_tracer
+        from repro.obs import BinaryTracer, analyze_tracer
         from repro.traffic import HotspotTraffic
 
-        tracer = SwitchTracer(capacity=None)
+        tracer = BinaryTracer(capacity=None)
         switch = HiRiseSwitch(
             HiRiseConfig(radix=16, layers=4, channel_multiplicity=2),
             tracer=tracer,

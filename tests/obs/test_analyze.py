@@ -17,11 +17,11 @@ from repro.obs.analyze import (
     compare_audits,
     filter_records,
     iter_jsonl,
-    resource_label,
     summarize_records,
     validate_audit_summary,
 )
-from repro.obs.trace import SwitchTracer
+from repro.obs.trace import resource_label
+from repro.obs.tracebin import BinaryTracer
 from repro.traffic import HotspotTraffic
 
 
@@ -33,7 +33,7 @@ def small_config(**overrides):
 
 def traced_hotspot(arbitration, cycles=2000, warmup=200, load=0.08, seed=2):
     """A traced, non-draining hotspot run (drain would equalize service)."""
-    tracer = SwitchTracer(capacity=None)
+    tracer = BinaryTracer(capacity=None)
     switch = HiRiseSwitch(
         small_config(arbitration=arbitration), tracer=tracer
     )
@@ -407,7 +407,7 @@ class TestFaultTracking:
             fail_input(200, 5),
             repair_channel(400, 0, 1, 0),
         ])
-        tracer = SwitchTracer(capacity=None)
+        tracer = BinaryTracer(capacity=None)
         switch = HiRiseSwitch(
             small_config(), tracer=tracer, faults=schedule
         )
@@ -475,7 +475,7 @@ def traced_hotspot_voq(arbitration, islip_iterations=1, cycles=2000,
     """A traced hotspot run of the VOQ fabric (same window as CLRG's)."""
     from repro.switches import make_switch
 
-    tracer = SwitchTracer(capacity=None)
+    tracer = BinaryTracer(capacity=None)
     config = small_config(
         arbitration=arbitration, islip_iterations=islip_iterations,
     )
@@ -553,7 +553,7 @@ class TestSchedKindRoundTrip:
     def test_sched_kinds_round_trip_binary_and_jsonl(self, tmp_path):
         numpy = pytest.importorskip("numpy")  # noqa: F841
         from repro.obs.analyze import analyze_tracebin
-        from repro.obs.tracebin import BinaryTracer, read_tracebin
+        from repro.obs.tracebin import read_tracebin
         from repro.switches import make_switch
 
         tracer = BinaryTracer(capacity=None)

@@ -1,4 +1,4 @@
-"""Tests of the cycle-level switch tracer and its exports."""
+"""Tests of the cycle-level switch tracer, its exports and labels."""
 
 import json
 
@@ -20,13 +20,15 @@ from repro.obs.trace import (
     INJECT,
     P1_GRANT,
     P2_GRANT,
-    SwitchTracer,
+    resource_label,
     validate_chrome,
     validate_chrome_path,
     validate_jsonl_path,
     validate_record,
     validate_records,
 )
+from repro.obs.tracebin import BinaryTracer, TraceColumns
+from repro.switches import VOQSwitch
 from repro.traffic import HotspotTraffic, UniformRandomTraffic
 
 
@@ -37,7 +39,7 @@ def small_config(**overrides):
 
 
 def traced_run(switch_class, config, traffic, cycles=300, warmup=40):
-    tracer = SwitchTracer(capacity=None)
+    tracer = BinaryTracer(capacity=None)
     switch = switch_class(config, tracer=tracer)
     result = Simulation(switch, traffic, warmup_cycles=warmup).run(
         measure_cycles=cycles, drain=True
@@ -47,30 +49,35 @@ def traced_run(switch_class, config, traffic, cycles=300, warmup=40):
 
 class TestTracerBuffer:
     def test_emit_stamps_current_cycle(self):
-        tracer = SwitchTracer()
+        tracer = BinaryTracer()
         tracer.cycle = 7
         tracer.emit(P1_GRANT, 1, 2, 3, 4)
         assert tracer.events == [(7, P1_GRANT, 1, 2, 3, 4)]
 
     def test_inject_carries_its_own_cycle(self):
-        tracer = SwitchTracer()
+        tracer = BinaryTracer()
         tracer.cycle = 99
         tracer.inject(5, src=0, dst=3, num_flits=4, packet_id=17)
         assert tracer.events == [(5, INJECT, 0, 3, 4, 17)]
 
     def test_capacity_drops_instead_of_growing(self):
-        tracer = SwitchTracer(capacity=2)
-        for _ in range(5):
-            tracer.emit(EJECT)
-        assert len(tracer.events) == 2
+        # Past capacity the buffer decimates: it keeps the events whose
+        # index is a multiple of the (doubling) stride, and counts the
+        # rest as dropped.
+        tracer = BinaryTracer(capacity=2)
+        for index in range(5):
+            tracer.emit(EJECT, index)
+        assert tracer.stride == 4
+        assert [event[2] for event in tracer.events] == [0, 4]
         assert tracer.dropped == 3
+        assert tracer.total_events == 5
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            SwitchTracer(capacity=0)
+            BinaryTracer(capacity=0)
 
     def test_counts_by_kind_uses_wire_names(self):
-        tracer = SwitchTracer()
+        tracer = BinaryTracer()
         tracer.emit(EJECT)
         tracer.emit(EJECT)
         tracer.emit(CLRG_HALVE, 3, 1)
@@ -113,15 +120,15 @@ class TestTracedRunExports:
             HiRiseSwitch, small_config(),
             UniformRandomTraffic(16, load=0.6, seed=3),
         )
-        trace = tracer.chrome_trace()
-        assert validate_chrome(trace) == len(trace["traceEvents"])
+        path = tmp_path / "trace.json"
+        written = tracer.write_chrome(str(path))
+        trace = json.loads(path.read_text())
+        assert validate_chrome(trace) == written == len(trace["traceEvents"])
+        assert validate_chrome_path(path) == written
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert slices, "a busy run must produce path slices"
         for event in slices:
             assert event["dur"] >= 1
-        path = tmp_path / "trace.json"
-        assert tracer.write_chrome(str(path)) == len(trace["traceEvents"])
-        assert validate_chrome_path(path) == len(trace["traceEvents"])
 
     def test_grant_events_reference_real_resources(self):
         config = small_config()
@@ -188,7 +195,7 @@ class TestTracedEqualsUntraced:
             )
 
         untraced = run(None)
-        traced = run(SwitchTracer(capacity=None))
+        traced = run(BinaryTracer(capacity=None))
         assert traced.packets_ejected == untraced.packets_ejected
         assert traced.flits_ejected == untraced.flits_ejected
         assert traced.cycles == untraced.cycles
@@ -197,7 +204,7 @@ class TestTracedEqualsUntraced:
         assert traced.per_output_ejected == untraced.per_output_ejected
 
     def test_full_tracer_keeps_results_identical(self):
-        # A saturated buffer must only drop events, never change the run.
+        # A decimating buffer must only thin events, never change the run.
         config = small_config()
 
         def run(tracer):
@@ -207,7 +214,7 @@ class TestTracedEqualsUntraced:
                 measure_cycles=200, drain=True
             )
 
-        tiny = SwitchTracer(capacity=16)
+        tiny = BinaryTracer(capacity=16)
         assert run(tiny).packet_latencies == run(None).packet_latencies
         assert tiny.dropped > 0
 
@@ -241,3 +248,90 @@ class TestKernelEventParity:
         fast_lines = [json.dumps(r) for r in fast.records()]
         reference_lines = [json.dumps(r) for r in reference.records()]
         assert fast_lines == reference_lines
+
+
+class TestResourceLabel:
+    def test_every_rid_matches_the_config_key_table(self):
+        config = HiRiseConfig(radix=64, layers=4, channel_multiplicity=4)
+        tracer = BinaryTracer()
+        tracer.bind(HiRiseSwitch(config))
+        columns = tracer.columns()
+        geometry = (config.radix, config.layers, config.channel_multiplicity)
+        for rid, key in enumerate(config.resource_key_table):
+            if key[0] == "int":
+                expected = f"int L{key[1]}.{key[2]}"
+            else:
+                expected = f"ch L{key[1]}->L{key[2]}#{key[3]}"
+            assert resource_label(rid, *geometry) == expected
+            assert tracer.resource_name(rid) == expected
+            assert columns.resource_name(rid) == expected
+
+    def test_out_of_range_ids_and_missing_geometry_fall_back(self):
+        config = HiRiseConfig(radix=64, layers=4, channel_multiplicity=4)
+        geometry = (config.radix, config.layers, config.channel_multiplicity)
+        tracer = BinaryTracer()
+        tracer.bind(HiRiseSwitch(config))
+        for rid in (config.num_resources, -1):
+            assert resource_label(rid, *geometry) == f"res{rid}"
+            assert tracer.resource_name(rid) == f"res{rid}"
+        assert BinaryTracer().resource_name(3) == "res3"
+        empty = TraceColumns([], [], [], [], [], [])
+        assert empty.resource_name(3) == "res3"
+
+
+class TestDrainBound:
+    """Every traced kernel drains its pending timeline as it runs.
+
+    With a small ``drain_interval`` the raw entries waiting for
+    expansion stay below it after every step, so ``capacity`` bounds
+    memory during the run, not only when it is read at the end.
+    """
+
+    @staticmethod
+    def bounded_run(switch_class, config, cycles=400):
+        tracer = BinaryTracer(capacity=64)
+        tracer.drain_interval = 32
+        switch = switch_class(config, tracer=tracer)
+        step = switch.step
+        peak = [0]
+
+        def observed_step(cycle):
+            ejected = step(cycle)
+            peak[0] = max(peak[0], len(tracer.timeline))
+            return ejected
+
+        switch.step = observed_step
+        traffic = UniformRandomTraffic(config.radix, load=0.8, seed=7)
+        result = Simulation(switch, traffic, warmup_cycles=0).run(
+            measure_cycles=cycles
+        )
+        return result, tracer, peak[0]
+
+    @pytest.mark.parametrize("switch_class", [
+        HiRiseSwitch, ReferenceHiRiseSwitch,
+    ], ids=["fast", "reference"])
+    def test_hirise_kernels_keep_pending_entries_bounded(self, switch_class):
+        _result, tracer, peak = self.bounded_run(
+            switch_class, small_config()
+        )
+        assert peak < tracer.drain_interval
+        assert len(tracer.events) <= tracer.capacity
+        assert tracer.stride > 1
+
+    def test_voq_switch_keeps_pending_entries_bounded(self):
+        _result, tracer, peak = self.bounded_run(
+            VOQSwitch, small_config(arbitration=ArbitrationScheme.ISLIP)
+        )
+        assert peak < tracer.drain_interval
+        assert len(tracer.events) <= tracer.capacity
+
+    def test_reference_decimation_equals_fast_decimation(self):
+        config = small_config()
+        fast_result, fast, _ = self.bounded_run(HiRiseSwitch, config)
+        ref_result, reference, _ = self.bounded_run(
+            ReferenceHiRiseSwitch, config
+        )
+        assert fast_result.packet_latencies == ref_result.packet_latencies
+        assert fast.stride == reference.stride > 1
+        assert fast.dropped == reference.dropped
+        assert fast.events == reference.events

@@ -2,11 +2,11 @@
 
 The contract under test, per layer:
 
-* **capture** — a ``BinaryTracer`` on the fast kernel records exactly
-  the event stream a ``SwitchTracer`` records, and attaching either
-  changes nothing about the simulation results (traced == untraced,
-  bit for bit); fast and reference kernels emit identical binary
-  streams;
+* **capture** — the fast kernel's batched capture and the reference
+  kernel's per-event ``emit`` capture produce identical binary streams
+  and JSONL bytes for every Hi-Rise scheme and allocation, with and
+  without scripted faults, and attaching a tracer changes nothing
+  about the simulation results (traced == untraced, bit for bit);
 * **round-trips** — every event kind survives binary -> file ->
   columns -> JSONL and back, including the rare kinds (fault_repair,
   invariant) no saturation run produces;
@@ -25,13 +25,7 @@ from repro.core.hirise import HiRiseSwitch
 from repro.core.reference import ReferenceHiRiseSwitch
 from repro.network.engine import Simulation
 from repro.obs.analyze import analyze_jsonl, analyze_tracer
-from repro.obs.trace import (
-    EVENT_FIELDS,
-    EVENT_NAMES,
-    SwitchTracer,
-    validate_chrome_path,
-    validate_jsonl_path,
-)
+from repro.obs.trace import EVENT_FIELDS, EVENT_NAMES, validate_jsonl_path
 from repro.obs.tracebin import (
     BinaryTracer,
     BinaryTracerFactory,
@@ -71,17 +65,28 @@ def result_fields(result):
 # ---------------------------------------------------------------------------
 # Capture parity
 # ---------------------------------------------------------------------------
-class TestCaptureParity:
-    @pytest.mark.parametrize("arbitration", ["clrg", "l2l_lrg", "age"])
-    def test_binary_stream_equals_switch_tracer_stream(self, arbitration):
-        config = small_config(arbitration=arbitration)
-        binary = BinaryTracer(capacity=None)
-        rows = SwitchTracer(capacity=None)
-        run_switch(HiRiseSwitch(config, tracer=binary))
-        run_switch(HiRiseSwitch(config, tracer=rows))
-        assert binary.events == rows.events
-        assert binary.counts_by_kind() == rows.counts_by_kind()
+HIRISE_SCHEMES = ("clrg", "wlrg", "l2l_lrg", "l2l_rr", "age")
 
+
+def traced_pair(config, tmp_path, faults=None, **run_options):
+    """(results, events, JSONL text) of fast and reference traced runs."""
+    runs = []
+    for name, kernel in (("fast", HiRiseSwitch),
+                         ("reference", ReferenceHiRiseSwitch)):
+        tracer = BinaryTracer(capacity=None)
+        switch = kernel(
+            config, tracer=tracer,
+            faults=faults() if faults is not None else None,
+        )
+        result = run_switch(switch, **run_options)
+        path = tmp_path / f"{name}.jsonl"
+        tracer.write_jsonl(str(path))
+        validate_jsonl_path(str(path))
+        runs.append((result_fields(result), tracer.events, path.read_text()))
+    return runs
+
+
+class TestCaptureParity:
     def test_traced_run_bit_identical_to_untraced(self):
         config = small_config()
         untraced = run_switch(HiRiseSwitch(config))
@@ -90,37 +95,43 @@ class TestCaptureParity:
         )
         assert result_fields(traced) == result_fields(untraced)
 
-    @pytest.mark.parametrize("allocation", ["input_binned", "priority"])
+    @pytest.mark.parametrize(
+        "allocation", ["input_binned", "output_binned", "priority"]
+    )
     def test_fast_and_reference_kernels_emit_identical_streams(
-        self, allocation
+        self, allocation, tmp_path
     ):
-        config = small_config(allocation=allocation)
-        fast = BinaryTracer(capacity=None)
-        reference = BinaryTracer(capacity=None)
-        fast_result = run_switch(
-            HiRiseSwitch(config, tracer=fast), cycles=150
-        )
-        ref_result = run_switch(
-            ReferenceHiRiseSwitch(config, tracer=reference), cycles=150
-        )
-        assert result_fields(fast_result) == result_fields(ref_result)
-        assert fast.events == reference.events
+        for arbitration in HIRISE_SCHEMES:
+            config = small_config(
+                arbitration=arbitration, allocation=allocation
+            )
+            fast, reference = traced_pair(
+                config, tmp_path, cycles=150, load=0.6
+            )
+            assert fast == reference, arbitration
 
-    def test_jsonl_and_chrome_views_match_switch_tracer(self, tmp_path):
-        config = small_config()
-        binary = BinaryTracer(capacity=None)
-        rows = SwitchTracer(capacity=None)
-        run_switch(HiRiseSwitch(config, tracer=binary), cycles=120)
-        run_switch(HiRiseSwitch(config, tracer=rows), cycles=120)
-        bin_jsonl = tmp_path / "bin.jsonl"
-        row_jsonl = tmp_path / "row.jsonl"
-        binary.write_jsonl(str(bin_jsonl))
-        rows.write_jsonl(str(row_jsonl))
-        assert bin_jsonl.read_text() == row_jsonl.read_text()
-        validate_jsonl_path(str(bin_jsonl))
-        bin_chrome = tmp_path / "bin.json"
-        binary.write_chrome(str(bin_chrome))
-        validate_chrome_path(str(bin_chrome))
+    def test_fast_and_reference_streams_match_under_faults(self, tmp_path):
+        from repro.faults import (
+            FaultSchedule, corrupt_clrg, fail_channel, fail_input,
+            repair_channel, repair_input,
+        )
+
+        def schedule():
+            return FaultSchedule([
+                fail_channel(20, 0, 1, 0), fail_input(25, 2),
+                corrupt_clrg(30, 3, 2), fail_channel(40, 1, 2, 0),
+                fail_channel(41, 1, 2, 1), repair_channel(90, 0, 1, 0),
+                repair_input(100, 2), repair_channel(130, 1, 2, 1),
+            ])
+
+        fast, reference = traced_pair(
+            small_config(), tmp_path, cycles=200, load=0.7,
+            faults=schedule,
+        )
+        assert fast == reference
+        _result, events, _jsonl = fast
+        kinds = {EVENT_NAMES[event[1]] for event in events}
+        assert {"fault_inject", "fault_repair"} <= kinds
 
 
 # ---------------------------------------------------------------------------
