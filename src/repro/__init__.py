@@ -6,7 +6,8 @@ Public API highlights:
 * :class:`repro.core.HiRiseSwitch` / :class:`repro.core.HiRiseConfig` —
   the paper's hierarchical 3D switch with CLRG arbitration;
 * :class:`repro.switches.SwizzleSwitch2D` and
-  :class:`repro.switches.FoldedSwitch3D` — the 2D and folded baselines;
+  :class:`repro.switches.FoldedSwitch3D` — the 2D and folded baselines,
+  both the one-layer Hi-Rise switch;
 * :mod:`repro.traffic` — synthetic traffic patterns (uniform random,
   hotspot, bursty, adversarial, ...);
 * :mod:`repro.metrics` — latency/throughput/fairness statistics and the

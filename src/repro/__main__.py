@@ -41,15 +41,13 @@ from typing import List, Optional
 from repro.core import HiRiseConfig, HiRiseSwitch
 from repro.network.engine import Simulation
 from repro.physical import cost_of
-from repro.switches import FoldedSwitch3D, SwizzleSwitch2D
 from repro.traffic import HotspotTraffic, UniformRandomTraffic
 
 
 def _build_design(args):
-    if args.design == "2d":
-        return "2d"
-    if args.design == "folded":
-        return "folded"
+    """The design to cost: a "2d"/"folded" label, or a Hi-Rise config."""
+    if args.design in ("2d", "folded"):
+        return args.design
     return HiRiseConfig(
         radix=args.radix,
         layers=args.layers,
@@ -59,14 +57,18 @@ def _build_design(args):
     )
 
 
+def _build_config(args) -> HiRiseConfig:
+    """The configuration to simulate: the 2D and folded switches are
+    cycle-identical one-layer Hi-Rise switches."""
+    if args.design in ("2d", "folded"):
+        return HiRiseConfig(radix=args.radix, layers=1, channel_multiplicity=1)
+    return _build_design(args)
+
+
 def _build_switch(args):
     from repro.switches import make_switch
 
-    if args.design == "2d":
-        return SwizzleSwitch2D(args.radix)
-    if args.design == "folded":
-        return FoldedSwitch3D(args.radix, args.layers)
-    return make_switch(_build_design(args))
+    return make_switch(_build_config(args))
 
 
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
@@ -401,15 +403,11 @@ def cmd_trace(args) -> int:
         return _inspect_trace(args)
     if args.convert:
         return _convert_trace(args)
-    if args.design != "hirise":
-        print("trace: cycle-level tracing needs the hirise design",
-              file=sys.stderr)
-        return 2
     tracer = (
         BinaryTracer(capacity=args.capacity)
         if args.capacity is not None else BinaryTracer()
     )
-    config = _build_design(args)
+    config = _build_config(args)
     if args.kernel == "reference":
         from repro.core.reference import ReferenceHiRiseSwitch
 
@@ -574,20 +572,20 @@ def cmd_faults(args) -> int:
     )
     from repro.harness.report import render_degradation_markdown
 
-    if args.design != "hirise":
-        print("faults: fault injection needs the hirise design",
-              file=sys.stderr)
-        return 2
-    config = _build_design(args)
+    config = _build_config(args)
     if args.generate is not None:
-        schedule = FaultSchedule.random(
-            config,
-            seed=args.fault_seed,
-            horizon=args.warmup + args.cycles,
-            faults=args.generate,
-            include_inputs=args.include_inputs,
-            include_clrg=args.include_clrg,
-        )
+        try:
+            schedule = FaultSchedule.random(
+                config,
+                seed=args.fault_seed,
+                horizon=args.warmup + args.cycles,
+                faults=args.generate,
+                include_inputs=args.include_inputs,
+                include_clrg=args.include_clrg,
+            )
+        except ValueError as error:
+            print(f"faults: {error}", file=sys.stderr)
+            return 2
         print(f"generated {len(schedule)} fault events "
               f"(seed {args.fault_seed})")
     elif args.schedule:
@@ -723,11 +721,7 @@ def cmd_perf(args) -> int:
         filter_entries, make_ledger_entry, read_ledger, run_micro_benchmark,
     )
 
-    if args.design != "hirise":
-        print("perf: the micro benchmark needs the hirise design",
-              file=sys.stderr)
-        return 2
-    config = _build_design(args)
+    config = _build_config(args)
     fingerprint = config_fingerprint(config)
     workload = args.workload or (
         f"uniform_{config.radix}x{config.layers}_c"

@@ -231,7 +231,7 @@ def generate_cases(
     rng = random.Random(seed)
     cases: List[CaseSpec] = []
     for index in range(count):
-        layer_options = [l for l in (2, 4) if 2 * l <= max_radix]
+        layer_options = [l for l in (1, 2, 4) if 2 * l <= max_radix]
         layers = rng.choice(layer_options)
         ppl_options = [p for p in (2, 4, 8) if layers * p <= max_radix]
         ports_per_layer = rng.choice(ppl_options)

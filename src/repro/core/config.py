@@ -101,8 +101,10 @@ class HiRiseConfig:
     failed_channels: Tuple[Tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.layers < 2:
-            raise ValueError("Hi-Rise needs at least two layers")
+        if self.radix < 2:
+            raise ValueError("radix must be >= 2")
+        if self.layers < 1:
+            raise ValueError("a switch needs at least one layer")
         if self.radix < self.layers:
             raise ValueError("radix must be at least the layer count")
         if self.radix % self.layers != 0:

@@ -103,22 +103,29 @@ class _BinnedViability:
     this port would occupy (the dedicated intermediate output for
     same-layer traffic, the failure-remapped binned L2LC otherwise).
     Calling the instance allocates nothing — it replaces the two nested
-    closures the seed kernel rebuilt for every port on every cycle.
+    closures the seed kernel rebuilt for every port on every cycle.  It
+    holds the switch's ownership and cooling containers (never rebound),
+    not the switch, so a finished switch is freed by reference counting.
     """
 
-    __slots__ = ("switch", "rid_of_dst")
+    __slots__ = (
+        "output_owner", "out_cooling", "resource_owner", "res_cooling",
+        "rid_of_dst",
+    )
 
     def __init__(self, switch: "HiRiseSwitch", rid_of_dst: Tuple[int, ...]):
-        self.switch = switch
+        self.output_owner = switch.output_owner
+        self.out_cooling = switch._out_cooling
+        self.resource_owner = switch.resource_owner
+        self.res_cooling = switch._res_cooling
         self.rid_of_dst = rid_of_dst
 
     def __call__(self, flit: Flit) -> bool:
-        sw = self.switch
         dst = flit.dst
-        if sw.output_owner[dst] is not None or sw._out_cooling[dst]:
+        if self.output_owner[dst] is not None or self.out_cooling[dst]:
             return False
         rid = self.rid_of_dst[dst]
-        return sw.resource_owner[rid] < 0 and not sw._res_cooling[rid]
+        return self.resource_owner[rid] < 0 and not self.res_cooling[rid]
 
 
 class _PriorityViability:
@@ -127,24 +134,30 @@ class _PriorityViability:
     ``rids_of_dst`` maps every destination to the tuple of resource ids
     any of which could carry the request: a single intermediate-output id
     for same-layer traffic, the healthy L2LC ids toward the destination
-    layer (in channel order) otherwise.
+    layer (in channel order) otherwise.  Like :class:`_BinnedViability`,
+    it holds the switch's containers rather than the switch.
     """
 
-    __slots__ = ("switch", "rids_of_dst")
+    __slots__ = (
+        "output_owner", "out_cooling", "resource_owner", "res_cooling",
+        "rids_of_dst",
+    )
 
     def __init__(
         self, switch: "HiRiseSwitch", rids_of_dst: Tuple[Tuple[int, ...], ...]
     ):
-        self.switch = switch
+        self.output_owner = switch.output_owner
+        self.out_cooling = switch._out_cooling
+        self.resource_owner = switch.resource_owner
+        self.res_cooling = switch._res_cooling
         self.rids_of_dst = rids_of_dst
 
     def __call__(self, flit: Flit) -> bool:
-        sw = self.switch
         dst = flit.dst
-        if sw.output_owner[dst] is not None or sw._out_cooling[dst]:
+        if self.output_owner[dst] is not None or self.out_cooling[dst]:
             return False
-        owner = sw.resource_owner
-        cooling = sw._res_cooling
+        owner = self.resource_owner
+        cooling = self.res_cooling
         for rid in self.rids_of_dst[dst]:
             if owner[rid] < 0 and not cooling[rid]:
                 return True
@@ -351,18 +364,20 @@ class HiRiseSwitch(SwitchModel):
         # Reused by _arbitrate (see there for the staleness argument).
         self._candidate_vc = [0] * cfg.radix
 
-        # Per-scheme sub-block implementation, resolved once.
+        # Per-scheme sub-block implementation, resolved once.  Stored as
+        # the plain function (a bound method on self would be a
+        # reference cycle that only the cyclic collector could free).
         self._is_clrg = cfg.arbitration is ArbitrationScheme.CLRG
         if cfg.arbitration in (
             ArbitrationScheme.L2L_LRG, ArbitrationScheme.L2L_RR
         ):
-            self._subblock_pick = self._subblock_slot_based
+            self._subblock_pick = HiRiseSwitch._subblock_slot_based
         elif cfg.arbitration is ArbitrationScheme.AGE:
-            self._subblock_pick = self._subblock_age
+            self._subblock_pick = HiRiseSwitch._subblock_age
         elif cfg.arbitration is ArbitrationScheme.WLRG:
-            self._subblock_pick = self._subblock_wlrg
+            self._subblock_pick = HiRiseSwitch._subblock_wlrg
         else:
-            self._subblock_pick = self._subblock_clrg
+            self._subblock_pick = HiRiseSwitch._subblock_clrg
 
         # Per-port viability objects (single allocation, at construction).
         self._viability: List[object] = []
@@ -1045,7 +1060,7 @@ class HiRiseSwitch(SwitchModel):
 
         subblock_pick = self._subblock_pick
         for output, candidates in by_output.items():
-            winner = subblock_pick(output, candidates)
+            winner = subblock_pick(self, output, candidates)
             if winner is None:
                 continue
             self._establish(winner, output, candidate_vcs)

@@ -271,17 +271,23 @@ class FaultSchedule:
         if faults < 0:
             raise ValueError("fault count must be >= 0")
         rng = random.Random(seed)
-        kinds = ["channel"]
-        if include_inputs:
-            kinds.append("input")
-        if include_clrg:
-            kinds.append("clrg")
         pairs = [
             (src, dst)
             for src in range(config.layers)
             for dst in range(config.layers)
             if src != dst
         ]
+        # A one-layer switch has no L2LCs, so no channel can fail.
+        kinds = ["channel"] if pairs else []
+        if include_inputs:
+            kinds.append("input")
+        if include_clrg:
+            kinds.append("clrg")
+        if faults and not kinds:
+            raise ValueError(
+                "a one-layer switch has no channels to fail: include "
+                "input or CLRG faults"
+            )
         events: List[FaultEvent] = []
         for _ in range(faults):
             cycle = rng.randrange(start, horizon)

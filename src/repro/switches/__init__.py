@@ -1,11 +1,13 @@
 """Baseline switch models and the input-queued VOQ fabric.
 
 The flat 2D Swizzle-Switch and the 3D folded switch are matrix
-crossbars with embedded per-output LRG arbitration.  Both are
-behaviourally identical — folding redistributes inputs/outputs over
-layers without changing the datapath or arbitration — so the 3D cycle
-model subclasses the 2D model; the differences (TSV count, wire
-loading, clock frequency) live in :mod:`repro.physical`.
+crossbars with embedded per-output LRG arbitration, which is Hi-Rise
+with one layer: :class:`SwizzleSwitch2D` and :class:`FoldedSwitch3D`
+build a :class:`repro.core.HiRiseSwitch` on a one-layer configuration.
+Folding redistributes inputs/outputs over layers without changing the
+datapath or arbitration, so the two are cycle-identical; the
+differences (TSV count, wire loading, clock frequency) live in
+:mod:`repro.physical`.
 
 :class:`VOQSwitch` is the input-queued counterpoint: virtual output
 queues per input scheduled by iSLIP or a maximum-weight-matching
@@ -20,8 +22,7 @@ observability hooks through unchanged.
 
 from typing import Optional
 
-from repro.switches.swizzle2d import SwizzleSwitch2D
-from repro.switches.folded3d import FoldedSwitch3D
+from repro.switches.swizzle2d import FoldedSwitch3D, SwizzleSwitch2D
 from repro.switches.voq import VOQStage, VOQSwitch
 
 __all__ = [

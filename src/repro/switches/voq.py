@@ -14,7 +14,8 @@ connections persist from the head flit's grant until the tail transfers,
 and a port whose tail moved this cycle cannot also be scheduled this
 cycle ("arbitrate or transmit in a single cycle").
 
-Cycle order within :meth:`step` (mirrors ``SwizzleSwitch2D``):
+Cycle order within :meth:`step` (mirrors the one-layer Hi-Rise switch,
+i.e. the flat crossbar):
 
 1. *faults* — due :class:`repro.faults.FaultSchedule` events land first,
    so an input stuck at cycle ``k`` is masked from cycle ``k``'s

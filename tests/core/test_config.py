@@ -24,7 +24,8 @@ class TestValidation:
         "kwargs",
         [
             {"radix": 63},                       # not divisible by layers
-            {"layers": 1},                       # too few layers
+            {"layers": 0},                       # too few layers
+            {"radix": 1, "layers": 1},           # too few ports
             {"radix": 2, "layers": 4},           # radix < layers
             {"channel_multiplicity": 0},
             {"num_classes": 1},

@@ -31,9 +31,15 @@ from repro.faults import (
 from repro.network.engine import Simulation
 from repro.traffic import UniformRandomTraffic
 
-FAILED_CHANNEL_CONFIGS = {
-    "healthy": frozenset(),
-    "failed-channels": frozenset({(0, 1, 0), (2, 3, 1), (3, 0, 0)}),
+# Departures from the 16x4 c2 base configuration.  "one-layer" is the
+# flat 2D Swizzle-Switch (and the folded switch): one local crossbar,
+# single-input sub-blocks.
+GEOMETRIES = {
+    "healthy": {},
+    "failed-channels": {
+        "failed_channels": frozenset({(0, 1, 0), (2, 3, 1), (3, 0, 0)}),
+    },
+    "one-layer": {"layers": 1, "channel_multiplicity": 1},
 }
 
 # VOQ schemes (iSLIP/MWM) run on their own single kernel, so
@@ -57,14 +63,16 @@ SCRIPTED_SCHEDULE = FaultSchedule([
 ])
 
 
-def run_once(switch_class, scheme, allocation, failed_channels, load, seed):
-    config = HiRiseConfig(
-        radix=16,
-        layers=4,
-        channel_multiplicity=2,
-        arbitration=scheme,
-        allocation=allocation,
-        failed_channels=failed_channels,
+def geometry_config(geometry, **overrides):
+    return HiRiseConfig(
+        **{"radix": 16, "layers": 4, "channel_multiplicity": 2,
+           **geometry, **overrides}
+    )
+
+
+def run_once(switch_class, scheme, allocation, geometry, load, seed):
+    config = geometry_config(
+        geometry, arbitration=scheme, allocation=allocation
     )
     switch = switch_class(config)
     traffic = UniformRandomTraffic(16, load=load, seed=seed)
@@ -88,17 +96,15 @@ def assert_identical(reference, fast):
     "allocation", list(AllocationPolicy), ids=lambda a: a.value
 )
 @pytest.mark.parametrize(
-    "failed_channels",
-    list(FAILED_CHANNEL_CONFIGS.values()),
-    ids=list(FAILED_CHANNEL_CONFIGS),
+    "geometry", list(GEOMETRIES.values()), ids=list(GEOMETRIES),
 )
-def test_bit_identical_to_seed_kernel(scheme, allocation, failed_channels):
+def test_bit_identical_to_seed_kernel(scheme, allocation, geometry):
     reference = run_once(
-        ReferenceHiRiseSwitch, scheme, allocation, failed_channels,
+        ReferenceHiRiseSwitch, scheme, allocation, geometry,
         load=0.9, seed=11,
     )
     fast = run_once(
-        HiRiseSwitch, scheme, allocation, failed_channels,
+        HiRiseSwitch, scheme, allocation, geometry,
         load=0.9, seed=11,
     )
     assert_identical(reference, fast)
@@ -160,7 +166,7 @@ def test_empty_schedule_bit_identical_to_no_schedule():
     # single arbitration decision.
     plain = run_once(
         HiRiseSwitch, ArbitrationScheme.CLRG,
-        AllocationPolicy.INPUT_BINNED, frozenset(), load=0.9, seed=11,
+        AllocationPolicy.INPUT_BINNED, {}, load=0.9, seed=11,
     )
     armed = run_once_faulted(
         HiRiseSwitch, ArbitrationScheme.CLRG,
@@ -184,22 +190,15 @@ pytestmark_fleet = pytest.mark.skipif(
     "allocation", list(AllocationPolicy), ids=lambda a: a.value
 )
 @pytest.mark.parametrize(
-    "failed_channels",
-    list(FAILED_CHANNEL_CONFIGS.values()),
-    ids=list(FAILED_CHANNEL_CONFIGS),
+    "geometry", list(GEOMETRIES.values()), ids=list(GEOMETRIES),
 )
-def test_fleet_lanes_bit_identical(scheme, allocation, failed_channels):
+def test_fleet_lanes_bit_identical(scheme, allocation, geometry):
     # Each fleet lane (seeds 11, 12, 13) is extracted and compared
     # field-by-field against a scalar fast-kernel run with the same
     # traffic; the fast kernel is pinned to the seed kernel above, so
     # transitively every lane matches the frozen reference.
-    config = HiRiseConfig(
-        radix=16,
-        layers=4,
-        channel_multiplicity=2,
-        arbitration=scheme,
-        allocation=allocation,
-        failed_channels=failed_channels,
+    config = geometry_config(
+        geometry, arbitration=scheme, allocation=allocation
     )
     assert fleet.verify_fleet_parity(
         config, load=0.9, seed=11, measure_cycles=300, warmup_cycles=40,
@@ -331,10 +330,10 @@ def test_bit_identical_across_loads_default_config(load):
     # The paper's headline scheme under light and saturating traffic.
     reference = run_once(
         ReferenceHiRiseSwitch, ArbitrationScheme.CLRG,
-        AllocationPolicy.INPUT_BINNED, frozenset(), load=load, seed=23,
+        AllocationPolicy.INPUT_BINNED, {}, load=load, seed=23,
     )
     fast = run_once(
         HiRiseSwitch, ArbitrationScheme.CLRG,
-        AllocationPolicy.INPUT_BINNED, frozenset(), load=load, seed=23,
+        AllocationPolicy.INPUT_BINNED, {}, load=load, seed=23,
     )
     assert_identical(reference, fast)

@@ -126,11 +126,13 @@ class TestFig5CLRGFairness:
         winners_3d = drive(switch, grants=10)
 
         flat = SwizzleSwitch2D(64)
-        # Match the figure's initial state: 20 > 15 > 11 > 7 > 3.
+        # Match the figure's initial state: 20 > 15 > 11 > 7 > 3.  The
+        # flat crossbar is one layer, so the output's LRG vector is the
+        # local arbiter of its intermediate output, over all 64 inputs.
         order = [20, 15, 11, 7, 3] + [
             i for i in range(64) if i not in (20, 15, 11, 7, 3)
         ]
-        flat.output_arbiters[OUTPUT] = LRGArbiter(64, initial_order=order)
+        flat.int_arbiters[(0, OUTPUT)] = LRGArbiter(64, initial_order=order)
         winners_2d = drive(flat, grants=10)
         assert winners_2d == [20, 15, 11, 7, 3, 20, 15, 11, 7, 3]
         assert winners_3d == winners_2d

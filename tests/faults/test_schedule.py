@@ -192,6 +192,33 @@ class TestRandomSchedules:
         with pytest.raises(ValueError, match="horizon"):
             FaultSchedule.random(self.make_config(), seed=0, horizon=0)
 
+    def test_one_layer_draws_no_channel_faults(self):
+        """A one-layer switch has no L2LCs to fail; multi-layer draw
+        streams are unchanged by that rule (pinned for one seed)."""
+        kwargs = dict(
+            seed=5, horizon=200, faults=4,
+            include_inputs=True, include_clrg=True,
+        )
+        flat = HiRiseConfig(radix=16, layers=1, channel_multiplicity=1)
+        schedule = FaultSchedule.random(flat, **kwargs)
+        assert len(schedule) >= 4
+        assert all(event.channel is None for event in schedule)
+        with pytest.raises(ValueError, match="no channels"):
+            FaultSchedule.random(flat, seed=5, horizon=200, faults=1)
+        assert not FaultSchedule.random(flat, seed=5, horizon=200, faults=0)
+
+        deep = FaultSchedule.random(self.make_config(), **kwargs)
+        assert deep.to_records() == [
+            {"cycle": 7, "kind": "fail_input", "port": 7},
+            {"cycle": 28, "kind": "repair_input", "port": 7},
+            {"cycle": 28, "kind": "fail_input", "port": 15},
+            {"cycle": 77, "kind": "repair_input", "port": 15},
+            {"cycle": 139, "kind": "fail_channel", "channel": [3, 0, 0]},
+            {"cycle": 159, "kind": "fail_input", "port": 11},
+            {"cycle": 167, "kind": "repair_channel", "channel": [3, 0, 0]},
+            {"cycle": 227, "kind": "repair_input", "port": 11},
+        ]
+
 
 class TestFaultCursor:
     def test_take_returns_due_batches_in_order(self):

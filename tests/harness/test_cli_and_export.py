@@ -126,9 +126,19 @@ class TestCli:
         assert code == 0
         assert "events" in capsys.readouterr().out
 
-    def test_trace_rejects_flat_designs(self, capsys):
-        assert main(["trace", "--design", "2d", "--cycles", "50"]) == 2
-        assert "hirise" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [
+        ["trace", "--cycles", "150", "--warmup", "0", "--load", "0.3",
+         "--validate", "--jsonl", "{tmp}/flat.jsonl"],
+        ["faults", "--generate", "3", "--include-inputs", "--cycles", "150",
+         "--warmup", "0", "--load", "0.3", "--parity"],
+        ["perf", "--record", "--cycles", "40", "--trials", "1"],
+    ], ids=["trace", "faults", "perf"])
+    def test_flat_design_commands(self, command, capsys, tmp_path):
+        """The 2D baseline is the one-layer Hi-Rise switch, so tracing,
+        fault injection and perf counters all run on it."""
+        command = [arg.format(tmp=tmp_path) for arg in command]
+        assert main([*command, "--design", "2d", "--radix", "8"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_stats_command_dumps_registry(self, capsys):
         code = main([

@@ -370,11 +370,6 @@ class TestPerfCli:
     def test_no_record_and_no_ledger_exits_two(self):
         assert self.run_cli() == 2
 
-    def test_non_hirise_design_exits_two(self):
-        from repro.__main__ import main
-
-        assert main(["perf", "--design", "2d", "--record"]) == 2
-
     def test_history_and_phases_render(self, tmp_path, capsys):
         ledger = str(tmp_path / "perf.jsonl")
         assert self.run_cli("--record", "--ledger", ledger) == 0

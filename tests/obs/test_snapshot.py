@@ -4,9 +4,9 @@ import json
 
 from repro.core import HiRiseConfig, HiRiseSwitch
 from repro.core.reference import ReferenceHiRiseSwitch
-from repro.network.engine import Simulation
+from repro.network.engine import Simulation, SwitchModel
+from repro.network.port import InputPort
 from repro.obs import render_snapshot, telemetry_snapshot
-from repro.switches import SwizzleSwitch2D
 from repro.traffic import TraceTraffic, UniformRandomTraffic
 
 
@@ -15,6 +15,23 @@ def load_up(switch, cycles=60, load=0.9, seed=3):
     simulation = Simulation(switch, traffic, warmup_cycles=0)
     simulation.run(measure_cycles=cycles, drain=False)
     return switch
+
+
+class PlainSwitch(SwitchModel):
+    """Input ports and nothing else: no path state to report."""
+
+    def __init__(self, radix):
+        self.num_ports = radix
+        self.ports = [InputPort(port) for port in range(radix)]
+
+    def inject(self, packet):
+        self.ports[packet.src].enqueue_packet(packet)
+
+    def step(self, cycle):
+        return []
+
+    def occupancy(self):
+        return sum(port.total_occupancy() for port in self.ports)
 
 
 class TestSnapshotContents:
@@ -39,7 +56,7 @@ class TestSnapshotContents:
             assert entry["resource"][0] in ("int", "ch")
 
     def test_plain_switch_reports_occupancy_only(self):
-        switch = SwizzleSwitch2D(4)
+        switch = PlainSwitch(4)
         switch.inject(TraceTraffic([(0, 1, 2)], packet_flits=3)
                       .factory.create(1, 2, 0))
         snapshot = telemetry_snapshot(switch)

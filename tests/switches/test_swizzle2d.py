@@ -1,4 +1,4 @@
-"""Functional tests of the 2D Swizzle-Switch model."""
+"""Functional tests of the 2D Swizzle-Switch (one-layer Hi-Rise) model."""
 
 import pytest
 
@@ -55,9 +55,10 @@ def test_grant_safety_invariants():
         switch.step(cycle)
         owners = [o for o in switch.output_owner if o is not None]
         assert len(owners) == len(set(owners))
+        assert len(switch.connections) == len(owners)
         for output, owner in enumerate(switch.output_owner):
             if owner is not None:
-                assert switch.input_target[owner] == output
+                assert switch.connections[owner][1] == output
 
 
 def test_flit_conservation():
