@@ -101,6 +101,9 @@ _WKEY_PAIR = 1 << 31
 #: Scatter-min sentinel: larger than every arbiter rank and phase-2 key.
 _BIG = 1 << 62
 
+#: Cycles of uniform traffic :class:`FleetSimulation` draws per lane scan.
+_DRAW_BLOCK = 16
+
 
 def fleet_supports(config: HiRiseConfig) -> bool:
     """Whether the fleet kernel can simulate ``config`` bit-identically.
@@ -155,20 +158,21 @@ def _any_last(a):
 
 
 def _replay_latency_samples(
-    latencies: Sequence[int], limit: Optional[int]
+    latencies: List[int], limit: Optional[int]
 ) -> Tuple[List[int], int]:
     """Replay ``SimulationResult.record_latency`` decimation exactly.
 
-    Given the full ordered latency stream of one lane, return the
-    ``(packet_latencies, _sample_stride)`` pair the scalar result would
-    hold after recording them one at a time: the sample list keeps every
-    ``stride``-th packet and halves itself (doubling the stride) each
-    time it outgrows ``limit``.  Phase-replayed (one slice per stride
-    doubling) instead of element-at-a-time, so finalization stays cheap
-    even for multi-million-packet runs.
+    Given the full ordered latency stream of one lane as a list of
+    Python ints, return the ``(packet_latencies, _sample_stride)`` pair
+    the scalar result would hold after recording them one at a time:
+    the sample list keeps every ``stride``-th packet and halves itself
+    (doubling the stride) each time it outgrows ``limit``.
+    Phase-replayed (one slice per stride doubling) instead of
+    element-at-a-time, so finalization stays cheap even for
+    multi-million-packet runs.
     """
     if limit is None:
-        return [int(v) for v in latencies], 1
+        return list(latencies), 1
     samples: List[int] = []
     stride = 1
     index = 0
@@ -177,7 +181,7 @@ def _replay_latency_samples(
         room = limit + 1 - len(samples)
         take = latencies[index::stride][:room]
         taken = len(take)
-        samples.extend(int(v) for v in take)
+        samples.extend(take)
         if taken < room:
             break  # stream exhausted before the next halving
         last = index + (taken - 1) * stride
@@ -1591,7 +1595,39 @@ def pack_injections(
 ) -> Optional[Injections]:
     """Flatten each lane's ``(srcs, dsts)`` columns; None when none inject.
 
-    Lane ``i``'s packets take consecutive ids claimed from
+    The list form of :func:`pack_lanes`: lane ``i``'s rows are
+    ``columns[i]``.
+    """
+    num_lanes = len(columns)
+    counts = np.fromiter(
+        (len(srcs) for srcs, _ in columns), dtype=np.int64, count=num_lanes
+    )
+    flat_srcs: List[int] = []
+    flat_dsts: List[int] = []
+    for srcs, dsts in columns:
+        flat_srcs += srcs
+        flat_dsts += dsts
+    return pack_lanes(
+        cycle,
+        np.repeat(np.arange(num_lanes, dtype=np.int64), counts),
+        np.array(flat_srcs, dtype=np.int64),
+        np.array(flat_dsts, dtype=np.int64),
+        factories, num_ports,
+    )
+
+
+def pack_lanes(
+    cycle: int,
+    lanes,
+    srcs,
+    dsts,
+    factories: Sequence[object],
+    num_ports: int,
+) -> Optional[Injections]:
+    """Pack one cycle's lane-major rows; None when none inject.
+
+    ``lanes``/``srcs``/``dsts`` are int64 rows sorted by lane, each
+    lane's rows in traffic order.  Lane ``i``'s packets take consecutive ids claimed from
     ``factories[i]`` (:meth:`~repro.network.packet.PacketFactory.reserve`)
     and its ``num_flits``, so ids and lengths match a scalar run of the
     same source without building a ``Packet``.
@@ -1600,13 +1636,11 @@ def pack_injections(
         OverflowError: If a flit count, packet id or the cycle does not
             fit the kernel's 32-bit ring records.
     """
-    num_lanes = len(columns)
-    counts = np.fromiter(
-        (len(srcs) for srcs, _ in columns), dtype=np.int64, count=num_lanes
-    )
-    total = int(counts.sum())
+    total = lanes.size
     if not total:
         return None
+    num_lanes = len(factories)
+    counts = np.bincount(lanes, minlength=num_lanes)
     first_ids = np.fromiter(
         (factory.reserve(count)
          for factory, count in zip(factories, counts.tolist())),
@@ -1616,14 +1650,6 @@ def pack_injections(
         (factory.num_flits for factory in factories),
         dtype=np.int64, count=num_lanes,
     )
-    flat_srcs: List[int] = []
-    flat_dsts: List[int] = []
-    for srcs, dsts in columns:
-        flat_srcs += srcs
-        flat_dsts += dsts
-    srcs = np.array(flat_srcs, dtype=np.int64)
-    dsts = np.array(flat_dsts, dtype=np.int64)
-    lanes = np.repeat(np.arange(num_lanes, dtype=np.int64), counts)
     offsets = np.cumsum(counts) - counts
     pids = np.arange(total, dtype=np.int64) + (first_ids - offsets)[lanes]
     num_flits = lane_flit_len[lanes]
@@ -1656,7 +1682,11 @@ class FleetSimulation:
     ``factory`` numbering its packets (every generator in
     :mod:`repro.traffic` does): each cycle the lanes' ``(srcs, dsts)``
     columns are packed into one batched injection
-    (:func:`pack_injections`), with no ``Packet`` objects built.
+    (:func:`pack_injections`), with no ``Packet`` objects built.  When
+    every lane is a plain :class:`~repro.traffic.uniform.UniformRandomTraffic`
+    of one shape, the lanes' columns are drawn ``_DRAW_BLOCK`` cycles at
+    a time in one array scan
+    (:func:`~repro.traffic.base.bernoulli_uniform_lanes`) instead.
     """
 
     def __init__(
@@ -1691,6 +1721,45 @@ class FleetSimulation:
         self.warmup_cycles = warmup_cycles
         self.latency_sample_limit = latency_sample_limit
         self._cycle = 0
+        self._uniform = self._uniform_lanes()
+        # Drawn injections of cycles [_block_start, _block_end): the
+        # scan's rows, or None when those cycles draw lane by lane.
+        self._block = None
+        self._block_start = 0
+        self._block_end = 0
+        self._inject_end = 0
+
+    def _uniform_lanes(self):
+        """Arguments of the lane scan when every lane can take it.
+
+        Every lane must be exactly ``UniformRandomTraffic`` (a subclass
+        may override its draws) with its own stream and a shared port set
+        and self rule.
+        """
+        from repro.traffic.uniform import UniformRandomTraffic
+
+        traffics = self.traffics
+        if not traffics or any(
+            type(traffic) is not UniformRandomTraffic for traffic in traffics
+        ):
+            return None
+        first = traffics[0]
+        streams = [traffic.stream for traffic in traffics]
+        if len(set(map(id, streams))) < len(streams) or any(
+            traffic.num_ports != first.num_ports
+            or traffic.active_inputs != first.active_inputs
+            or traffic.exclude_self != first.exclude_self
+            for traffic in traffics
+        ):
+            return None
+        span = first.num_ports - (1 if first.exclude_self else 0)
+        return (
+            streams,
+            first.active_inputs,
+            [traffic._inject_threshold for traffic in traffics],
+            span,
+            first.exclude_self,
+        )
 
     @property
     def cycle(self) -> int:
@@ -1707,27 +1776,7 @@ class FleetSimulation:
         cycle = self._cycle
         kernel = self.kernel
         if inject:
-            perf = kernel._perf
-            if perf is None:
-                batch = pack_injections(
-                    cycle,
-                    [traffic.columns_for_cycle(cycle)
-                     for traffic in self.traffics],
-                    self._factories, kernel.num_ports,
-                )
-            else:
-                start = time.perf_counter_ns()
-                columns = [
-                    traffic.columns_for_cycle(cycle)
-                    for traffic in self.traffics
-                ]
-                mid = time.perf_counter_ns()
-                batch = pack_injections(
-                    cycle, columns, self._factories, kernel.num_ports
-                )
-                perf.add("traffic", mid - start,
-                         sum(len(srcs) for srcs, _ in columns))
-                perf.add("pack", time.perf_counter_ns() - mid)
+            batch = self._injections(cycle)
             if batch is not None:
                 tracer = kernel._tracer
                 if tracer is not None:
@@ -1759,6 +1808,56 @@ class FleetSimulation:
                 acct["tails"].append((tb, tsrc, tdst, cycle - tcre))
         self._cycle += 1
 
+    def _injections(self, cycle: int) -> Optional[Injections]:
+        """Draw and pack ``cycle``'s injections across every lane."""
+        perf = self.kernel._perf
+        if cycle >= self._block_end:
+            self._draw_block(cycle, perf)
+        num_ports = self.kernel.num_ports
+        start = time.perf_counter_ns() if perf is not None else 0
+        if self._block is None:
+            columns = [
+                traffic.columns_for_cycle(cycle) for traffic in self.traffics
+            ]
+            if perf is not None:
+                mid = time.perf_counter_ns()
+                perf.add("traffic", mid - start,
+                         sum(len(srcs) for srcs, _ in columns))
+                start = mid
+            batch = pack_injections(cycle, columns, self._factories,
+                                    num_ports)
+        else:
+            bounds, lanes, srcs, dsts = self._block
+            k = cycle - self._block_start
+            rows = slice(bounds[k], bounds[k + 1])
+            batch = pack_lanes(
+                cycle, lanes[rows], srcs[rows], dsts[rows],
+                self._factories, num_ports,
+            )
+        if perf is not None:
+            perf.add("pack", time.perf_counter_ns() - start)
+        return batch
+
+    def _draw_block(self, cycle: int, perf) -> None:
+        """Draw the next block of cycles, never past the last injecting one."""
+        end = min(cycle + _DRAW_BLOCK, self._inject_end)
+        self._block = None
+        self._block_start = cycle
+        self._block_end = end
+        if self._uniform is None:
+            return
+        from repro.traffic.base import bernoulli_uniform_lanes
+
+        start = time.perf_counter_ns() if perf is not None else 0
+        drawn = bernoulli_uniform_lanes(*self._uniform, end - cycle)
+        packets = 0
+        if drawn is not None:
+            bounds, lanes, srcs, dsts = drawn
+            self._block = (bounds.tolist(), lanes, srcs, dsts)
+            packets = lanes.size
+        if perf is not None:
+            perf.add("traffic", time.perf_counter_ns() - start, packets)
+
     def run(
         self, measure_cycles: int, drain: bool = False
     ) -> List[SimulationResult]:
@@ -1773,6 +1872,7 @@ class FleetSimulation:
         }
         end_warmup = self._cycle + self.warmup_cycles
         end_measure = end_warmup + measure_cycles
+        self._inject_end = end_measure
         while self._cycle < end_measure:
             measuring = self._cycle >= end_warmup
             self._tick(acct, measuring, inject=True)
@@ -1819,40 +1919,59 @@ class FleetSimulation:
         B = self.kernel.num_lanes
         N = self.kernel.num_ports
         if acct["tails"]:
-            tb = np.concatenate([t[0] for t in acct["tails"]])
-            tsrc = np.concatenate([t[1] for t in acct["tails"]])
-            tdst = np.concatenate([t[2] for t in acct["tails"]])
-            tlat = np.concatenate([t[3] for t in acct["tails"]])
+            tb, tsrc, tdst, tlat = (
+                np.concatenate(column) for column in zip(*acct["tails"])
+            )
         else:
             tb = tsrc = tdst = tlat = np.zeros(0, dtype=np.int64)
+        # One stable sort by lane keeps each lane's delivery order.
+        order = np.argsort(tb, kind="stable")
+        lat = tlat[order]
+        lane_count = np.bincount(tb, minlength=B)
+        bounds = np.zeros(B + 1, dtype=np.int64)
+        np.cumsum(lane_count, out=bounds[1:])
+        lat_sum = np.zeros(lat.size + 1, dtype=np.int64)
+        np.cumsum(lat, out=lat_sum[1:])
+        lat_sumsq = np.zeros(lat.size + 1, dtype=np.int64)
+        np.cumsum(lat * lat, out=lat_sumsq[1:])
+        src_key = tb * N + tsrc
+        src_cnt = np.bincount(src_key, minlength=B * N).reshape(B, N)
+        src_lat = np.bincount(
+            src_key, weights=tlat, minlength=B * N
+        ).reshape(B, N)
+        dst_cnt = np.bincount(tb * N + tdst, minlength=B * N).reshape(B, N)
         results = []
         for lane in range(B):
-            mask = tb == lane
-            lat = tlat[mask]
+            lo = int(bounds[lane])
+            hi = int(bounds[lane + 1])
             samples, stride = _replay_latency_samples(
-                lat.tolist(), self.latency_sample_limit
+                lat[lo:hi].tolist(), self.latency_sample_limit
             )
             result = SimulationResult(
                 latency_sample_limit=self.latency_sample_limit
             )
             result.cycles = int(acct["cycles"][lane])
             result.packets_injected = int(acct["injected"][lane])
-            result.packets_ejected = int(lat.size)
+            result.packets_ejected = hi - lo
             result.flits_ejected = int(acct["flits"][lane])
             result.packet_latencies = samples
             result._sample_stride = stride
-            result.latency_count = int(lat.size)
-            result.latency_sum = int(lat.sum())
-            result.latency_sumsq = int((lat * lat).sum())
-            src_cnt = np.bincount(tsrc[mask], minlength=N)
-            src_lat = np.bincount(tsrc[mask], weights=lat, minlength=N)
-            dst_cnt = np.bincount(tdst[mask], minlength=N)
-            for p in np.nonzero(src_cnt)[0]:
-                result.per_input_ejected[int(p)] = int(src_cnt[p])
-                result.per_input_latency_sum[int(p)] = int(src_lat[p])
-            for p in np.nonzero(dst_cnt)[0]:
-                result.per_output_ejected[int(p)] = int(dst_cnt[p])
+            result.latency_count = hi - lo
+            result.latency_sum = int(lat_sum[hi] - lat_sum[lo])
+            result.latency_sumsq = int(lat_sumsq[hi] - lat_sumsq[lo])
             results.append(result)
+        lanes, ports = np.nonzero(src_cnt)
+        for lane, port, count, total in zip(
+            lanes.tolist(), ports.tolist(), src_cnt[lanes, ports].tolist(),
+            src_lat[lanes, ports].tolist(),
+        ):
+            results[lane].per_input_ejected[port] = count
+            results[lane].per_input_latency_sum[port] = int(total)
+        lanes, ports = np.nonzero(dst_cnt)
+        for lane, port, count in zip(
+            lanes.tolist(), ports.tolist(), dst_cnt[lanes, ports].tolist()
+        ):
+            results[lane].per_output_ejected[port] = count
         return results
 
 

@@ -206,6 +206,209 @@ class DrawStream:
         return srcs, dsts
 
 
+# The lane scan's word automaton.  ``bernoulli_uniform`` reads each word
+# in one of three states: 0 = inject test with no half buffered, 1 =
+# inject test with a half buffered, 2 = destination word (its low half
+# drawn, its upper half buffered).  A passing test moves 0 -> 2 and
+# 1 -> 0, a failing one stays, and a destination word moves to 1.  A
+# state map ``f`` is coded ``9 f(0) + 3 f(1) + f(2)``; the scan reads a
+# lane's pass bits a byte (eight words) at a time.
+
+
+def _byte_tables():
+    """Per pass byte (bit ``j`` set: word ``j`` is below the threshold).
+
+    Returns ``(byte_map, passing)``: ``byte_map[b]`` codes the state map
+    of byte ``b``; ``passing[256 s + b]`` marks the words of ``b`` that
+    are passing tests when the byte is entered in state ``s``.
+    """
+    state = np.repeat(np.arange(3), 256)
+    byte = np.tile(np.arange(256), 3)
+    passing = np.zeros(768, dtype=np.uint8)
+    for bit in range(8):
+        passed = ((byte >> bit) & 1 == 1) & (state < 2)
+        passing |= passed.astype(np.uint8) << bit
+        state = np.where(state == 2, 1,
+                         np.where(passed, (2 - 2 * state), state))
+    byte_map = 9 * state[:256] + 3 * state[256:512] + state[512:]
+    return byte_map, passing
+
+
+_BYTE_MAP, _BYTE_PASSING = _byte_tables()
+_MAPS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+#: ``_COMPOSE[27 f + g]``: the map ``f`` then ``g``.
+_COMPOSE = np.array([
+    9 * g[f[0]] + 3 * g[f[1]] + g[f[2]] for f in _MAPS for g in _MAPS
+])
+#: ``_APPLY[3 f + s]``: ``f(s)``.
+_APPLY = np.array([f[s] for f in _MAPS for s in range(3)])
+
+#: ``(bounds, lanes, srcs, dsts)``: a block of cycles' injections over
+#: every lane, rows ordered by cycle, then lane, then port; cycle ``c``
+#: of the block owns rows ``bounds[c]:bounds[c + 1]``.
+LaneColumns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _passing_tests(passed: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Flat positions of every lane's passing tests, lane-major.
+
+    One prefix scan over the ``(lanes, words)`` pass bits: each byte's
+    state map comes from a table, a Hillis-Steele scan composes the maps
+    along the lane, and each byte's entry state picks its passing tests.
+    ``start`` is each lane's entry state (1 iff a half is buffered).
+    """
+    width = passed.shape[1]
+    bits = np.packbits(passed, axis=1, bitorder="little")
+    total = _BYTE_MAP.take(bits)
+    shift = 1
+    while shift < total.shape[1]:
+        head = total[:, :-shift] * 27
+        total = total.copy()
+        total[:, shift:] = _COMPOSE.take(head + total[:, shift:])
+        shift *= 2
+    entry = np.empty(bits.shape, dtype=np.intp)
+    entry[:, 0] = start
+    entry[:, 1:] = _APPLY.take(total[:, :-1] * 3 + start[:, None])
+    passing = _BYTE_PASSING.take(entry * 256 + bits)
+    return np.flatnonzero(np.unpackbits(
+        passing, axis=1, count=width, bitorder="little").view(bool))
+
+
+def _words_estimate(tests: int, threshold: int) -> int:
+    """Words a lane likely needs for ``tests`` tests at ``threshold``.
+
+    A word per test plus one per other pass (passes alternate between
+    drawing a fresh word and using the buffered half), with a margin of
+    four standard deviations, capped at two words per test.
+    """
+    extra = tests * threshold / 2.0 ** 65 + math.sqrt(tests)
+    return min(2 * tests, tests + 2 + math.ceil(extra))
+
+
+def bernoulli_uniform_lanes(
+    streams: Sequence[DrawStream],
+    ports: Sequence[int],
+    thresholds: Sequence[int],
+    span: int,
+    exclude_self: bool,
+    cycles: int,
+) -> Optional[LaneColumns]:
+    """``cycles`` cycles of :meth:`DrawStream.bernoulli_uniform` per lane.
+
+    Lane ``i`` draws from ``streams[i]`` with ``thresholds[i]``; all
+    lanes share ``ports``, ``span`` and ``exclude_self``.  Each lane's
+    words (its buffered ones first, then ``random_raw`` blocks) are
+    classified by the three-state word automaton in one prefix scan over
+    the ``(lanes, words)`` block, so every lane's columns for every
+    cycle come out of a few array ops, and each stream is left exactly
+    as ``cycles`` scalar calls per lane would leave it.
+
+    Returns None, with every stream's future draws unchanged, when the
+    span is outside ``2..2**32`` or any destination in the block hits a
+    Lemire rejection; the caller then draws those cycles per lane.
+    """
+    if not 2 <= span <= _SPAN32:
+        return None
+    num_lanes = len(streams)
+    num_ports = len(ports)
+    tests = num_ports * cycles
+    if not tests:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros(cycles + 1, dtype=np.int64), empty, empty, empty
+    # Buffered words first; a lane that runs short of its estimate is
+    # topped up to the bound of two words per test.
+    ahead = [len(stream._words) - stream._pos for stream in streams]
+    sizes = np.array([
+        max(count, _words_estimate(tests, threshold))
+        for count, threshold in zip(ahead, thresholds)
+    ])
+    words = np.zeros((num_lanes, int(sizes.max())), dtype=np.uint64)
+    for lane, stream in enumerate(streams):
+        count = ahead[lane]
+        if count:
+            words[lane, :count] = stream._words[stream._pos:]
+        words[lane, count:sizes[lane]] = stream._bitgen.random_raw(
+            sizes[lane] - count)
+    start = np.array([stream._upper is not None for stream in streams],
+                     dtype=np.int64)
+    thresh = np.array([min(t, _MASK64) for t in thresholds], dtype=np.uint64)
+    always = np.array([t > _MASK64 for t in thresholds])
+    lane_ids = np.arange(num_lanes)
+    while True:
+        width = words.shape[1]
+        passed = words < thresh[:, None]
+        passed[always] = True
+        pos = _passing_tests(passed, start)
+        lane_of = pos // width
+        # Passes alternate between taking a fresh word (whose next word
+        # is a destination word, not a test) and the buffered half, so a
+        # pass's rank in its lane gives its kind and its test index.
+        first = np.searchsorted(lane_of, lane_ids)
+        rank = np.arange(pos.size) - first[lane_of]
+        entry = start[lane_of]
+        index = pos - lane_of * width - ((rank + 1 - entry) >> 1)
+        kept = np.bincount(lane_of[index < tests], minlength=num_lanes)
+        used = tests + ((kept + 1 - start) >> 1)
+        short = np.flatnonzero(used > sizes).tolist()
+        if not short:
+            break
+        wider = np.zeros((num_lanes, max(width, 2 * tests)), dtype=np.uint64)
+        wider[:, :width] = words
+        words = wider
+        for lane in short:
+            words[lane, sizes[lane]:2 * tests] = (
+                streams[lane]._bitgen.random_raw(2 * tests - sizes[lane]))
+            sizes[lane] = 2 * tests
+    keep = index < tests
+    pos = pos[keep]
+    lane_of = lane_of[keep]
+    index = index[keep]
+    fresh = ((rank[keep] + entry[keep]) & 1) == 0
+    dest = np.zeros(pos.size, dtype=np.uint64)
+    dest[fresh] = words.ravel()[pos[fresh] + 1]
+    # A pass with a half buffered takes the upper half of the lane's
+    # previous pass's destination word, or the half the stream held on
+    # entry when it is the lane's first pass.
+    upper = dest >> np.uint64(32)
+    half = dest & np.uint64(_MASK32)
+    held = np.flatnonzero(~fresh)
+    half[held] = upper[held - 1]
+    entry_upper = np.array([stream._upper or 0 for stream in streams],
+                           dtype=np.uint64)
+    first = np.cumsum(kept) - kept
+    opens = np.flatnonzero((start == 1) & (kept > 0))
+    half[first[opens]] = entry_upper[opens]
+    product = half * np.uint64(span)
+    limit = _SPAN32 % span
+    if limit and ((product & np.uint64(_MASK32)) < np.uint64(limit)).any():
+        for lane, stream in enumerate(streams):
+            stream._words = words[lane, :sizes[lane]].tolist()
+            stream._pos = 0
+        return None
+    dst = (product >> np.uint64(32)).astype(np.int64)
+    cycle = index // num_ports
+    order = np.argsort(cycle, kind="stable")
+    lanes = lane_of[order]
+    srcs = np.asarray(ports, dtype=np.int64)[(index - cycle * num_ports)[order]]
+    dst = dst[order]
+    if exclude_self:
+        dst += dst >= srcs
+    bounds = np.searchsorted(cycle[order], np.arange(cycles + 1))
+    # Leave each stream as the scalar calls would: the unused words
+    # buffered, and a half buffered iff the pass count flips the entry
+    # state -- the upper half of the lane's last destination word.
+    last = first + kept - 1
+    for lane, stream in enumerate(streams):
+        stream._words = words[lane, used[lane]:sizes[lane]].tolist()
+        stream._pos = 0
+        count = int(kept[lane])
+        if (start[lane] + count) % 2 == 0:
+            stream._upper = None
+        elif count:
+            stream._upper = int(upper[last[lane]])
+    return bounds, lanes, srcs, dst
+
+
 class SyntheticTraffic(ABC):
     """Bernoulli per-input injection with a pattern-specific destination.
 

@@ -12,7 +12,10 @@ class UniformRandomTraffic(SyntheticTraffic):
     (:meth:`~repro.traffic.base.DrawStream.bernoulli_uniform`), in the
     draw order of the :meth:`should_inject` / :meth:`destination` hooks;
     those hooks are not called per port, so customise a pattern by
-    subclassing :class:`SyntheticTraffic` instead.
+    subclassing :class:`SyntheticTraffic` instead.  A fleet whose lanes
+    are all exactly this class draws them many cycles at a time across
+    lanes (:func:`~repro.traffic.base.bernoulli_uniform_lanes`), with
+    the same result.
 
     Args:
         exclude_self: Skip ``dst == src`` (a tile does not cross the switch
