@@ -25,6 +25,7 @@ differential parity test pins that equivalence against
 :class:`repro.arbitration.RoundRobinArbiter`.
 """
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arbitration.matching import Matching, WeightMatrix
@@ -59,13 +60,6 @@ class ISLIPArbiter:
         #: Per-input round-robin pointer used in the accept stage.
         self.accept_pointers = [0] * num_ports
 
-    def _first_at_or_after(self, pointer: int, candidates: set) -> int:
-        for offset in range(self.num_ports):
-            slot = (pointer + offset) % self.num_ports
-            if slot in candidates:
-                return slot
-        raise AssertionError("unreachable: candidates is non-empty")
-
     def match(
         self,
         weights: WeightMatrix,
@@ -82,22 +76,35 @@ class ISLIPArbiter:
         if len(weights) != n or any(len(row) != n for row in weights):
             raise ValueError(f"weights must be {n}x{n}")
 
+        # Per-output requesters in ascending input order, from one
+        # transpose of the weight matrix.  Ascending lists let the
+        # round-robin pick bisect for the first entry at or after a
+        # pointer (wrapping to the first entry).
+        requesters = [
+            [inp for inp, weight in enumerate(column) if weight > 0]
+            for column in zip(*weights)
+        ]
+        grant_pointers = self.grant_pointers
+        accept_pointers = self.accept_pointers
         matching: Matching = {}
-        matched_outputs = set()
         for iteration in range(self.iterations):
             # Request: unmatched inputs request all outputs with
             # backlogged VOQs that are still unmatched.
-            requests: Dict[int, set] = {}
-            for out in range(n):
-                if out in matched_outputs:
-                    continue
-                requesting = {
-                    inp
-                    for inp in range(n)
-                    if inp not in matching and weights[inp][out] > 0
-                }
-                if requesting:
-                    requests[out] = requesting
+            requests: Dict[int, List[int]] = {}
+            if iteration == 0:
+                for out, requesting in enumerate(requesters):
+                    if requesting:
+                        requests[out] = requesting
+            else:
+                matched_outputs = set(matching.values())
+                for out, requesting in enumerate(requesters):
+                    if out in matched_outputs:
+                        continue
+                    requesting = [
+                        inp for inp in requesting if inp not in matching
+                    ]
+                    if requesting:
+                        requests[out] = requesting
             if not requests:
                 break
 
@@ -106,32 +113,34 @@ class ISLIPArbiter:
             grants: Dict[int, List[int]] = {}
             grant_pairs: List[Tuple[int, int]] = []
             for out, requesting in requests.items():
-                inp = self._first_at_or_after(
-                    self.grant_pointers[out], requesting
-                )
-                grants.setdefault(inp, []).append(out)
+                inp = _first_at_or_after(grant_pointers[out], requesting)
+                if inp in grants:
+                    grants[inp].append(out)
+                else:
+                    grants[inp] = [out]
                 grant_pairs.append((out, inp))
             if observer is not None:
                 observer(iteration, "grant", grant_pairs)
 
             # Accept: each granted input picks the granting output at or
             # after its accept pointer; iteration-1 accepts commit both
-            # pointers (the desynchronization rule).
+            # pointers (the desynchronization rule).  Outputs were
+            # granted in ascending order, so each list is sorted.
             accept_pairs: List[Tuple[int, int]] = []
-            made_progress = False
             for inp, granting in grants.items():
-                out = self._first_at_or_after(
-                    self.accept_pointers[inp], set(granting)
-                )
+                out = _first_at_or_after(accept_pointers[inp], granting)
                 matching[inp] = out
-                matched_outputs.add(out)
                 accept_pairs.append((inp, out))
-                made_progress = True
                 if iteration == 0:
-                    self.grant_pointers[out] = (inp + 1) % n
-                    self.accept_pointers[inp] = (out + 1) % n
+                    grant_pointers[out] = (inp + 1) % n
+                    accept_pointers[inp] = (out + 1) % n
             if observer is not None:
                 observer(iteration, "accept", accept_pairs)
-            if not made_progress:
-                break
         return matching
+
+
+def _first_at_or_after(pointer: int, candidates: List[int]) -> int:
+    """First of the ascending, non-empty ``candidates`` at or after
+    ``pointer``, wrapping round to the smallest."""
+    index = bisect_left(candidates, pointer)
+    return candidates[index] if index < len(candidates) else candidates[0]

@@ -152,6 +152,10 @@ class InvariantChecker:
         self._rid_of_key: Dict[Tuple, int] = {}
         self._prev_connections: Dict[int, Tuple[int, int]] = {}
         self._prev_halvings: Dict[int, int] = {}
+        self._rank_holders: List[Tuple[object, str]] = []
+        self._verified_orders: List[Optional[Tuple[List[int], int]]] = []
+        self._banks: List[Tuple[int, object]] = []
+        self._verified_banks: List[Optional[Tuple[list, int, bool]]] = []
 
     # ------------------------------------------------------------------
     # Construction-time wiring (called by the kernels)
@@ -169,6 +173,17 @@ class InvariantChecker:
             key: rid
             for rid, key in enumerate(switch.config.resource_key_table)
         }
+        # Resolved once: fault events mutate arbiter state in place
+        # (CORRUPT_CLRG rewrites counter values) and never replace an
+        # arbiter or its counter bank, so these stay the live objects.
+        self._rank_holders = _rank_holders(switch)
+        self._verified_orders = [None] * len(self._rank_holders)
+        self._banks = [
+            (output, arbiter.counters)
+            for output, arbiter in switch.subblock_arbiters.items()
+            if getattr(arbiter, "counters", None) is not None
+        ]
+        self._verified_banks = [None] * len(self._banks)
 
         original_inject = switch.inject
 
@@ -431,23 +446,31 @@ class InvariantChecker:
         # 5. CLRG counter sanity (integer banks only: the QoS extension
         # charges fractional costs whose post-halving bound depends on
         # the weights, so it is exempt from the integer-bank bounds).
+        # The range predicates are pure functions of the counter values
+        # and the bound, so a bank holding the values it held when last
+        # verified is not re-derived.
         prev_halvings = self._prev_halvings
-        for output, arbiter in switch.subblock_arbiters.items():
-            counters = getattr(arbiter, "counters", None)
-            if counters is None:
-                continue
+        verified_banks = self._verified_banks
+        for index, (output, counters) in enumerate(self._banks):
             counts = counters.counts()
             halvings = counters.halvings
-            integer_bank = all(isinstance(value, int) for value in counts)
-            if integer_bank and any(
-                value < 0 or value > counters.max_count for value in counts
-            ):
-                self._fail(
-                    switch, "clrg_counters", cycle,
-                    f"output {output} class counters {counts} outside "
-                    f"[0, {counters.max_count}]",
-                    resources=(output,),
-                )
+            max_count = counters.max_count
+            verified = verified_banks[index]
+            if (verified is not None and verified[0] == counts
+                    and verified[1] == max_count):
+                integer_bank = verified[2]
+            else:
+                integer_bank = all(map(int.__instancecheck__, counts))
+                if integer_bank and (
+                    min(counts) < 0 or max(counts) > max_count
+                ):
+                    self._fail(
+                        switch, "clrg_counters", cycle,
+                        f"output {output} class counters {counts} outside "
+                        f"[0, {max_count}]",
+                        resources=(output,),
+                    )
+                verified_banks[index] = (counts, max_count, integer_bank)
             before = prev_halvings.get(output, halvings)
             if halvings < before or halvings > before + 1:
                 self._fail(
@@ -458,7 +481,7 @@ class InvariantChecker:
                     resources=(output,),
                 )
             if integer_bank and halvings == before + 1:
-                bound = counters.max_count // 2 + 1
+                bound = max_count // 2 + 1
                 if max(counts) > bound:
                     self._fail(
                         switch, "clrg_counters", cycle,
@@ -475,28 +498,22 @@ class InvariantChecker:
         self._prev_connections = connections
 
     def _check_lrg_orders(self, switch, cycle: int) -> None:
-        def check_one(arbiter, label: str) -> None:
-            lrg = arbiter if hasattr(arbiter, "_rank") else getattr(
-                arbiter, "lrg", None
-            )
-            if lrg is None or not hasattr(lrg, "_rank"):
-                return  # round-robin / age sub-blocks carry no LRG state
+        # The order predicate is a pure function of the keys and the
+        # next stamp; a holder unchanged since it was last verified (most
+        # of them: a cycle updates only its winners) is skipped.
+        verified = self._verified_orders
+        for index, (lrg, label) in enumerate(self._rank_holders):
             ranks = lrg._rank
-            if len(set(ranks)) != len(ranks) or lrg._stamp <= max(ranks):
+            stamp = lrg._stamp
+            if verified[index] == (ranks, stamp):
+                continue
+            if len(set(ranks)) != len(ranks) or stamp <= max(ranks):
                 self._fail(
                     switch, "lrg_order", cycle,
                     f"{label} recency keys {list(ranks)} (next stamp "
-                    f"{lrg._stamp}) are not a valid total order",
+                    f"{stamp}) are not a valid total order",
                 )
-
-        for (layer, local), arbiter in switch.int_arbiters.items():
-            check_one(arbiter, f"intermediate arbiter L{layer}.{local}")
-        for (src, dst, channel), arbiter in switch.chan_arbiters.items():
-            check_one(arbiter, f"channel arbiter L{src}->L{dst}#{channel}")
-        for (src, dst), arbiter in switch.pair_arbiters.items():
-            check_one(arbiter, f"pair arbiter L{src}->L{dst}")
-        for output, arbiter in switch.subblock_arbiters.items():
-            check_one(arbiter, f"sub-block arbiter out{output}")
+            verified[index] = (list(ranks), stamp)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -516,3 +533,27 @@ class InvariantChecker:
             f"injected_flits={self.injected_flits}, "
             f"ejected_flits={self.ejected_flits})"
         )
+
+
+def _rank_holders(switch) -> List[Tuple[object, str]]:
+    """Every LRG recency-key holder of ``switch`` with its report label."""
+    labelled = [
+        *((arbiter, f"intermediate arbiter L{layer}.{local}")
+          for (layer, local), arbiter in switch.int_arbiters.items()),
+        *((arbiter, f"channel arbiter L{src}->L{dst}#{channel}")
+          for (src, dst, channel), arbiter in switch.chan_arbiters.items()),
+        *((arbiter, f"pair arbiter L{src}->L{dst}")
+          for (src, dst), arbiter in switch.pair_arbiters.items()),
+        *((arbiter, f"sub-block arbiter out{output}")
+          for output, arbiter in switch.subblock_arbiters.items()),
+    ]
+    holders: List[Tuple[object, str]] = []
+    for arbiter, label in labelled:
+        # An LRG arbiter holds its own keys, CLRG/WLRG hold them on
+        # ``lrg``; round-robin / age sub-blocks carry no LRG state.
+        lrg = arbiter if hasattr(arbiter, "_rank") else getattr(
+            arbiter, "lrg", None
+        )
+        if lrg is not None and hasattr(lrg, "_rank"):
+            holders.append((lrg, label))
+    return holders

@@ -24,7 +24,7 @@ stay bit-identical to unchecked runs.  :func:`checker_for` picks the
 right checker class for a config's arbitration scheme.
 """
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from repro.check.invariants import CHECK_CODES, InvariantViolation
 
@@ -196,10 +196,15 @@ class MatchingInvariantChecker:
                 )
         self._prev_connections = dict(connections)
 
-        # 4. VOQ occupancy rows match the actual queue lengths.
+        # 4. VOQ occupancy rows match the actual queue lengths: one list
+        # comparison per stage, the cells walked only to name the first
+        # mismatch.
         for stage in switch.stages:
-            for output, count in enumerate(stage.occupancy_row):
-                actual = len(stage.voqs[output])
+            row = stage.occupancy_row
+            lengths = list(map(len, stage.voqs))
+            if row == lengths:
+                continue
+            for output, (count, actual) in enumerate(zip(row, lengths)):
                 if count != actual:
                     self._fail(
                         switch, "voq_occupancy", cycle,

@@ -278,29 +278,31 @@ class VOQSwitch(SwitchModel):
         instead.  iSLIP only reads weights as request indicators, so for
         it the two weightings are identical.
         """
-        radix = self.radix
         connections = self.connections
         output_owner = self.output_owner
         stuck = self.stuck_inputs
         blocked = [
-            output_owner[out] is not None or out in cooling_outputs
-            for out in range(radix)
+            owner is not None or out in cooling_outputs
+            for out, owner in enumerate(output_owner)
         ]
+        zero_row = self._zero_row
+        # Age + 1 of a head flit created at cycle c is ``base - c``.
+        base = cycle + 1
         weights: List[List[int]] = []
         any_request = False
-        for inp in range(radix):
+        for stage in self.stages:
+            inp = stage.input_id
             if (
                 inp in connections
                 or inp in stuck
                 or inp in cooling_inputs
             ):
-                weights.append(self._zero_row)
+                weights.append(zero_row)
                 continue
-            voqs = self.stages[inp].voqs
             row = [
-                0 if blocked[out] or not voqs[out]
-                else cycle - voqs[out][0].created_cycle + 1
-                for out in range(radix)
+                0 if is_blocked or not voq
+                else base - voq[0].created_cycle
+                for is_blocked, voq in zip(blocked, stage.voqs)
             ]
             if not any_request and any(row):
                 any_request = True

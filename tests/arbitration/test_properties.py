@@ -371,6 +371,61 @@ class TestISLIPProperties:
         assert sorted(arb.grant_pointers) == list(range(n))
 
 
+@st.composite
+def single_request_runs(draw, max_ports=8, max_len=12):
+    """A port count and per-cycle matrices in which every input requests
+    exactly one output (one non-empty VOQ per input)."""
+    n = draw(st.integers(min_value=1, max_value=max_ports))
+    cycles = draw(st.integers(min_value=1, max_value=max_len))
+    matrices = []
+    for _ in range(cycles):
+        matrix = [[0] * n for _ in range(n)]
+        for row in matrix:
+            row[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
+        matrices.append(matrix)
+    return n, matrices
+
+
+class TestISLIPTinyTeraOracle:
+    """iSLIP-1 on single-request inputs is one round-robin per output.
+
+    With one request per input no input is granted twice, so every grant
+    is accepted in iteration 1 and moves its output's pointer one past
+    the winner: exactly a :class:`RoundRobinArbiter` per output (the
+    *Tiny Tera* construction).
+    """
+
+    @given(single_request_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_grants_and_pointers_equal_round_robin(self, case):
+        from repro.arbitration.round_robin import RoundRobinArbiter
+
+        n, matrices = case
+        islip = ISLIPArbiter(n, iterations=1)
+        oracle = [RoundRobinArbiter(n) for _ in range(n)]
+        for weights in matrices:
+            rounds = []
+            matching = islip.match(
+                weights,
+                observer=lambda it, stage, pairs: rounds.append(
+                    (it, stage, list(pairs))
+                ),
+            )
+            expected_grants = []
+            for out, arbiter in enumerate(oracle):
+                winner = arbiter.arbitrate(
+                    inp for inp in range(n) if weights[inp][out] > 0
+                )
+                if winner is not None:
+                    arbiter.update(winner)
+                    expected_grants.append((out, winner))
+            assert rounds[0] == (0, "grant", expected_grants)
+            assert sorted(matching.items()) == sorted(
+                (inp, out) for out, inp in expected_grants
+            )
+            assert islip.grant_pointers == [a.pointer for a in oracle]
+
+
 class TestMWMProperties:
     @given(weight_matrices())
     @settings(max_examples=200, deadline=None)

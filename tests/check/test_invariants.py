@@ -166,16 +166,20 @@ class TestCorruptedKernels:
         assert excinfo.value.check == "path_coherence"
 
     def test_clrg_counter_out_of_bounds_is_detected(self):
-        config = small_config(arbitration=ArbitrationScheme.CLRG)
-        checker = InvariantChecker()
-        switch = HiRiseSwitch(config, invariants=checker)
-        traffic = UniformRandomTraffic(8, 0.6, seed=3)
-        simulation = Simulation(switch, traffic, warmup_cycles=0)
-        simulation.run(measure_cycles=5)
-        switch.subblock_arbiters[0].counters._counts[1] = 99
-        with pytest.raises(InvariantViolation) as excinfo:
-            simulation.run(measure_cycles=2)
-        assert excinfo.value.check == "clrg_counters"
+        # Above the saturation value and below zero.
+        for value in (99, -1):
+            config = small_config(arbitration=ArbitrationScheme.CLRG)
+            checker = InvariantChecker()
+            switch = HiRiseSwitch(config, invariants=checker)
+            traffic = UniformRandomTraffic(8, 0.6, seed=3)
+            simulation = Simulation(switch, traffic, warmup_cycles=0)
+            simulation.run(measure_cycles=5)
+            switch.subblock_arbiters[0].counters._counts[1] = value
+            with pytest.raises(InvariantViolation) as excinfo:
+                simulation.run(measure_cycles=2)
+            assert excinfo.value.check == "clrg_counters"
+            assert excinfo.value.resources == (0,)
+            assert f"{value}" in str(excinfo.value)
 
     @pytest.mark.parametrize("kernel_cls", KERNELS)
     def test_broken_lrg_order_is_detected(self, kernel_cls):
@@ -188,6 +192,23 @@ class TestCorruptedKernels:
         with pytest.raises(InvariantViolation) as excinfo:
             simulation.run(measure_cycles=2)
         assert excinfo.value.check == "lrg_order"
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_lrg_order_broken_mid_run_is_detected(self, kernel_cls):
+        # Keys verified on earlier cycles must still be re-read: a
+        # corruption of an idle arbiter (no grant moves its stamp) that
+        # the checker has already passed is caught on the next cycle.
+        checker = InvariantChecker()
+        switch = kernel_cls(small_config(), invariants=checker)
+        traffic = UniformRandomTraffic(8, 0.0, seed=1)
+        simulation = Simulation(switch, traffic, warmup_cycles=0)
+        simulation.run(measure_cycles=10)
+        arbiter = next(iter(switch.chan_arbiters.values()))
+        arbiter._rank[0] = arbiter._rank[1]
+        with pytest.raises(InvariantViolation) as excinfo:
+            simulation.run(measure_cycles=2)
+        assert excinfo.value.check == "lrg_order"
+        assert "channel arbiter" in str(excinfo.value)
 
 
 class TestViolationStructure:

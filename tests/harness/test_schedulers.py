@@ -1,5 +1,6 @@
 """Tests of the scheduler-zoo comparison harness and VOQ sweep routing."""
 
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,43 @@ class TestCompareSchedulers:
             assert sum(1 for _ in source.packets_for_cycle(0)) >= 0
         with pytest.raises(ValueError, match="unknown traffic"):
             build_traffic("nope", 8, 0.2, 4, 1)
+
+
+def comparison_digest(comparison):
+    """sha256 of a comparison's simulated fields, floats at 12 digits."""
+
+    def canonical(value):
+        if isinstance(value, float):
+            return float(f"{value:.12g}")
+        if isinstance(value, dict):
+            return {str(k): canonical(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [canonical(v) for v in value]
+        return value
+
+    blob = json.dumps(
+        canonical(comparison), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestZooBitIdentity:
+    """Pinned digests: any change to a matching, a pointer or a tie-break
+    moves some cell's counts or latencies and so the digest."""
+
+    def test_radix8_comparison_digest(self, comparison):
+        assert comparison_digest(comparison) == (
+            "f8e1dbc7e1f4085ab19f19bc7054783f1b667181f2a757e76f63f94bab49fdc4"
+        )
+
+    def test_radix16_mwm_islip4_hotspot_digest(self):
+        comparison = compare_schedulers(
+            radix=16, seed=1, warmup_cycles=40, measure_cycles=200,
+            schedulers=("mwm", "islip4"), traffic=("hotspot",),
+        )
+        assert comparison_digest(comparison) == (
+            "eea7a1e55b8ebc32bbc25bb4a698b4e458cffc9ba5a6b484de9fc0cfc664582e"
+        )
 
 
 class TestVOQSweepRouting:
