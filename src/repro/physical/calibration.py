@@ -10,12 +10,16 @@ are obtained by non-negative least squares over those anchors, mirroring
 how the paper calibrated its SPICE models against Swizzle-Switch silicon.
 
 Residuals at the anchors are ~1-3% and are asserted in the test suite.
-Each fit imports ``scipy.optimize.nnls`` in its body, so scipy loads at
-the first fit rather than with the package.
+The anchors never change, so neither does the solution: the constants are
+pinned below as float literals, exactly the NNLS solution bit for bit, and
+``calibrated_delay``/``calibrated_energy``/``calibrated_area`` return them
+without loading scipy.  ``fit_delay_constants``/``fit_energy_constants``/
+``fit_area_constants`` are the derivation: each imports
+``scipy.optimize.nnls`` in its body and reruns the fit, and the test suite
+checks the pinned literals against them with ``float.hex``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List
 
 import numpy as np
@@ -122,9 +126,11 @@ def _delay_design_row(geometry: SwitchGeometry) -> List[float]:
     ]
 
 
-@lru_cache(maxsize=1)
-def calibrated_delay() -> DelayConstants:
-    """Fit the cycle-time constants to the five published frequencies."""
+def fit_delay_constants() -> DelayConstants:
+    """Fit the cycle-time constants to the five published frequencies.
+
+    The derivation of ``DELAY_CONSTANTS``; loads ``scipy.optimize``.
+    """
     from scipy.optimize import nnls
     geometries = _anchor_geometries()
     matrix = np.array([_delay_design_row(g) for g in geometries.values()])
@@ -139,9 +145,11 @@ def calibrated_delay() -> DelayConstants:
     return DelayConstants(*solution, clrg_extra_ns=clrg_extra)
 
 
-@lru_cache(maxsize=1)
-def calibrated_energy() -> EnergyConstants:
-    """Fit the energy constants to the five published energy points."""
+def fit_energy_constants() -> EnergyConstants:
+    """Fit the energy constants to the five published energy points.
+
+    The derivation of ``ENERGY_CONSTANTS``; loads ``scipy.optimize``.
+    """
     from scipy.optimize import nnls
     geometries = _anchor_geometries()
     matrix = np.array([_delay_design_row(g) for g in geometries.values()])
@@ -153,9 +161,11 @@ def calibrated_energy() -> EnergyConstants:
     return EnergyConstants(*solution, clrg_extra_pj=clrg_extra)
 
 
-@lru_cache(maxsize=1)
-def calibrated_area() -> AreaConstants:
-    """Fit the area constants to the five published area points."""
+def fit_area_constants() -> AreaConstants:
+    """Fit the area constants to the five published area points.
+
+    The derivation of ``AREA_CONSTANTS``; loads ``scipy.optimize``.
+    """
     from scipy.optimize import nnls
     geometries = _anchor_geometries()
     matrix = np.array(
@@ -167,3 +177,43 @@ def calibrated_area() -> AreaConstants:
     target = np.array([PAPER_AREA_MM2[name] for name in geometries])
     solution, _residual = nnls(matrix, target)
     return AreaConstants(*solution)
+
+
+# ----------------------------------------------------------------------
+# Pinned constants: the fits above, bit for bit
+# ----------------------------------------------------------------------
+DELAY_CONSTANTS = DelayConstants(
+    per_stage_ns=0.09717119410499316,
+    per_span_ns=0.0035598971900302158,
+    per_span_sq_ns=4.744120537981128e-06,
+    per_tsv_crossing_ns=0.013731805357900749,
+    clrg_extra_ns=0.008116883116883133,
+)
+
+ENERGY_CONSTANTS = EnergyConstants(
+    per_stage_pj=13.887851552600113,
+    per_span_pj=0.10026162590051932,
+    per_span_sq_pj=0.005404939671795491,
+    per_tsv_crossing_pj=0.6666666666666601,
+    clrg_extra_pj=2.0,
+)
+
+AREA_CONSTANTS = AreaConstants(
+    per_crosspoint_mm2=0.00016409811155158524,
+    per_tsv_mm2=3.7284541518993175e-06,
+)
+
+
+def calibrated_delay() -> DelayConstants:
+    """Cycle-time constants: ``fit_delay_constants()``, pinned."""
+    return DELAY_CONSTANTS
+
+
+def calibrated_energy() -> EnergyConstants:
+    """Energy constants: ``fit_energy_constants()``, pinned."""
+    return ENERGY_CONSTANTS
+
+
+def calibrated_area() -> AreaConstants:
+    """Area constants: ``fit_area_constants()``, pinned."""
+    return AREA_CONSTANTS

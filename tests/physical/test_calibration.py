@@ -4,8 +4,11 @@ These are the quantitative core of Tables I, IV and V: the analytical
 model, fitted once over the five published design points, must land within
 a small tolerance of *all* of them simultaneously (the system is
 over-determined, so this is a real consistency check of the model's form,
-not a tautology).
+not a tautology).  The constants are pinned literals; the exactness tests
+below rerun the NNLS fits they came from and demand every bit back.
 """
+
+import dataclasses
 
 import pytest
 
@@ -19,6 +22,9 @@ from repro.physical.calibration import (
     calibrated_area,
     calibrated_delay,
     calibrated_energy,
+    fit_area_constants,
+    fit_delay_constants,
+    fit_energy_constants,
 )
 
 TOLERANCE = 0.03  # 3% relative
@@ -102,3 +108,31 @@ class TestFittedConstants:
         energy_reduction = 1 - hirise.energy_pj / flat.energy_pj
         assert area_reduction == pytest.approx(0.33, abs=0.03)
         assert energy_reduction == pytest.approx(0.38, abs=0.03)
+
+
+class TestPinnedConstants:
+    """The pinned literals are the NNLS solution, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "pinned, fit",
+        [
+            (calibrated_delay, fit_delay_constants),
+            (calibrated_energy, fit_energy_constants),
+            (calibrated_area, fit_area_constants),
+        ],
+        ids=["delay", "energy", "area"],
+    )
+    def test_pinned_equals_fit_bit_for_bit(self, pinned, fit):
+        constants, fitted = pinned(), fit()
+        for field in dataclasses.fields(constants):
+            value = getattr(constants, field.name)
+            assert type(value) is float, field.name
+            assert value.hex() == float(getattr(fitted, field.name)).hex(), (
+                field.name
+            )
+
+    @pytest.mark.parametrize("name", ANCHORS)
+    def test_anchor_costs_are_plain_floats(self, name):
+        cost = anchor_cost(name)
+        for value in (cost.area_mm2, cost.frequency_ghz, cost.energy_pj):
+            assert type(value) is float

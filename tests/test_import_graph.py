@@ -2,8 +2,9 @@
 
 Importing the package or any entry point must load no scipy module, so
 a CLI call, a daemon or a sweep pays nothing for scipy until it builds
-a confidence interval (``scipy.special``) or fits a cost model
-(``scipy.optimize``).  Each case runs in a fresh interpreter, since
+a confidence interval (``scipy.special``).  The cost model never loads
+scipy: its constants are pinned, and only the fits that derive them
+(``scipy.optimize``) do.  Each case runs in a fresh interpreter, since
 ``sys.modules`` in the test process already holds whatever other tests
 imported.
 """
@@ -27,6 +28,8 @@ ENTRY_POINTS = [
     "repro.switches",
     "repro.traffic",
     "repro.harness",
+    "repro.manycore",
+    "repro.physical",
     "repro.service",
     "repro.__main__",
 ]
@@ -66,9 +69,33 @@ def test_first_interval_loads_special_not_stats():
     assert "scipy.stats" not in loaded
 
 
-def test_first_calibration_fit_loads_optimize():
+def test_fit_loads_optimize():
     loaded = scipy_modules_after("""
-        from repro.physical.calibration import calibrated_delay
-        calibrated_delay()
+        from repro.physical.calibration import fit_delay_constants
+        fit_delay_constants()
     """)
     assert "scipy.optimize" in loaded
+
+
+def test_cost_model_loads_no_scipy():
+    loaded = scipy_modules_after("""
+        from repro.core import HiRiseConfig
+        from repro.harness import (
+            fig9a_frequency_vs_radix, fig12_tsv_pitch, table4, table6,
+        )
+        from repro.manycore import MIXES
+        from repro.physical import Technology, cost_of
+
+        cost_of("2d")
+        cost_of("folded")
+        for channels in (4, 2, 1):
+            cost_of(HiRiseConfig(channel_multiplicity=channels,
+                                 arbitration="l2l_lrg"))
+        cost_of(HiRiseConfig())
+        cost_of(HiRiseConfig(), technology=Technology().with_tsv_pitch(1.6))
+        fig9a_frequency_vs_radix()
+        fig12_tsv_pitch()
+        table4(20, 40)
+        table6(network_cycles_baseline=20, mixes=MIXES[:1])
+    """)
+    assert not loaded, f"the cost model pulled in {sorted(loaded)[:5]}"
