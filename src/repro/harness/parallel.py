@@ -9,17 +9,21 @@ while guaranteeing:
   does (``base_seed`` for single-shot points, ``base_seed + i`` for the
   i-th replication), and results are reassembled in submission order, so
   ``workers=N`` returns bit-identical results to ``workers=1``;
-* **graceful degradation** — with ``workers=1``, a single task, an
-  unpicklable measurement, or a pool that fails to spawn (restricted
-  containers, daemonic parents), the tasks simply run serially;
-* **crash resilience** (opt-in, PR 4) — any of the ``task_timeout``,
-  ``max_retries``, ``backoff_base``, or ``checkpoint`` keywords routes
-  execution through a supervising scheduler that isolates worker
+* **graceful degradation** — with ``workers=1``, an unpicklable
+  measurement, or a pool that fails to spawn (restricted containers,
+  daemonic parents), the tasks simply run serially;
+* **one supervised executor** — every batch runs through
+  :func:`_execute_tasks` under a :class:`ResiliencePolicy`, and the
+  ``task_timeout``, ``max_retries``, ``backoff_base`` and ``checkpoint``
+  keywords set that policy.  With none of them a task gets one attempt:
+  its own exception propagates unchanged, and a worker crash raises
+  ``BrokenProcessPool``.  With any of them the scheduler isolates worker
   crashes (the pool is rebuilt, innocent in-flight tasks are
   resubmitted uncharged), enforces per-task wall-clock timeouts,
   retries failed tasks a bounded number of times with exponential
-  backoff, and journals every completed task to an append-only JSONL
-  checkpoint so an interrupted sweep resumes instead of recomputing.
+  backoff, journals every completed task to an append-only JSONL
+  checkpoint so an interrupted sweep resumes instead of recomputing,
+  and raises :class:`TaskFailure` once a task's budget is spent.
   Because every task is a pure function of ``(parameters, seed)``,
   retried/resumed results are bit-identical to an uninterrupted serial
   run.
@@ -39,7 +43,6 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -55,16 +58,14 @@ _Task = Tuple[Callable[..., float], Dict[str, object], int]
 CHECKPOINT_FORMAT = "repro.checkpoint/v1"
 
 
-def _run_measurement(task: _Task) -> float:
-    """Execute one ``(measurement, parameters, seed)`` task (pickled)."""
-    measurement, parameters, seed = task
-    return float(measurement(seed=seed, **parameters))
-
-
 def _run_measurement_timed(task: _Task) -> Tuple[float, float]:
-    """Like :func:`_run_measurement`, plus the task's wall-clock seconds."""
+    """Execute one ``(measurement, parameters, seed)`` task (pickled).
+
+    Returns the task's value and its wall-clock seconds.
+    """
+    measurement, parameters, seed = task
     start = time.perf_counter()
-    value = _run_measurement(task)
+    value = float(measurement(seed=seed, **parameters))
     return value, time.perf_counter() - start
 
 
@@ -193,138 +194,12 @@ def _task_fingerprint(task: _Task):
     return ("raw", id(measurement), key, seed)
 
 
-def _execute_tasks(
-    tasks: Sequence[_Task],
-    workers: int,
-    telemetry=None,
-) -> List[float]:
-    """Run tasks, in order, across ``workers`` processes (1 = serial).
-
-    Fleet-aware tasks are batched through the vectorized kernel first
-    (see :func:`_fleet_prepass`); the rest — and everything, for plain
-    measurements — runs exactly as before.  Falls back to the serial
-    path when parallelism cannot help (one task) or cannot work
-    (unpicklable tasks, pool spawn failure).  Exceptions raised by the
-    measurement itself always propagate.
-
-    When a :class:`repro.obs.SweepTelemetry` is given it receives one
-    heartbeat per completed task — in completion order on the pool path —
-    while the returned values stay in submission order (bit-identical to
-    the untelemetered run).
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if telemetry is not None:
-        return _execute_tasks_telemetered(tasks, workers, telemetry)
-    values, _walls, _lanes = _fleet_prepass(tasks)
-    pending = [index for index in range(len(tasks)) if values[index] is None]
-    if pending:
-        rest = _execute_tasks_plain([tasks[i] for i in pending], workers)
-        for index, value in zip(pending, rest):
-            values[index] = value
-    return [float(value) for value in values]
-
-
-def _execute_tasks_plain(
-    tasks: Sequence[_Task], workers: int
-) -> List[float]:
-    """The scalar dispatch path (serial or process pool), no prepass."""
-    if workers == 1 or len(tasks) <= 1:
-        return [_run_measurement(task) for task in tasks]
-    try:
-        pickle.dumps(tasks)
-    except Exception:
-        return [_run_measurement(task) for task in tasks]
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):
-        return [_run_measurement(task) for task in tasks]
-    try:
-        # map() preserves submission order regardless of completion order.
-        return list(pool.map(_run_measurement, tasks))
-    except (OSError, BrokenProcessPool):
-        return [_run_measurement(task) for task in tasks]
-    finally:
-        pool.shutdown()
-
-
-def _execute_tasks_telemetered(
-    tasks: Sequence[_Task],
-    workers: int,
-    telemetry,
-) -> List[float]:
-    """:func:`_execute_tasks` with per-task heartbeats.
-
-    Workers return ``(value, wall_seconds)``; the parent reports each
-    completion as its future resolves, so telemetry never runs inside a
-    task and cannot perturb results.
-    """
-    total = len(tasks)
-    telemetry.start(total)
-    values: List[Optional[float]] = [None] * total
-    fleet_values, fleet_walls, fleet_lanes = _fleet_prepass(tasks)
-    for index, value in enumerate(fleet_values):
-        if value is not None:
-            values[index] = value
-            _report(
-                telemetry, tasks[index], index, total, value,
-                fleet_walls[index], lanes=fleet_lanes[index],
-            )
-    pending = [index for index in range(total) if values[index] is None]
-
-    def serial() -> List[float]:
-        for index in pending:
-            if values[index] is not None:
-                continue  # finished on the pool before it broke
-            value, wall_s = _run_measurement_timed(tasks[index])
-            _report(telemetry, tasks[index], index, total, value, wall_s)
-            values[index] = value
-        return [float(value) for value in values]
-
-    if workers == 1 or len(pending) <= 1:
-        return serial()
-    try:
-        pickle.dumps([tasks[index] for index in pending])
-    except Exception:
-        return serial()
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):
-        return serial()
-    try:
-        futures = {
-            pool.submit(_run_measurement_timed, tasks[index]): index
-            for index in pending
-        }
-        for future in as_completed(futures):
-            index = futures[future]
-            value, wall_s = future.result()
-            values[index] = value
-            fleet_walls[index] = wall_s
-            _report(telemetry, tasks[index], index, total, value, wall_s)
-        return [float(value) for value in values]
-    except (OSError, BrokenProcessPool):
-        telemetry.start(total)  # the pool died: restart the channel
-        for index, value in enumerate(values):
-            if value is not None:
-                # Re-report everything already done (fleet-batched and
-                # pool completions) on the new channel; the serial pass
-                # reports the rest as it computes them.
-                _report(
-                    telemetry, tasks[index], index, total, value,
-                    fleet_walls[index] or 0.0, lanes=fleet_lanes[index],
-                )
-        return serial()
-    finally:
-        pool.shutdown()
-
-
 # ---------------------------------------------------------------------------
-# Crash-resilient execution (opt-in)
+# Supervised execution
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """How the resilient scheduler supervises a batch of tasks.
+    """How the executor supervises a batch of tasks.
 
     Attributes:
         task_timeout: Per-task wall-clock budget in seconds; a task
@@ -402,7 +277,7 @@ class ResiliencePolicy:
         """Jittered delay before retry ``attempt`` (1-based) of ``key``.
 
         Deterministic: the same ``(jitter_seed, key, attempt)`` always
-        yields the same delay, so resilient runs stay replayable; and
+        yields the same delay, so supervised runs stay replayable; and
         distinct keys de-synchronise, so a crowd of tasks failed by one
         crash does not retry as a crowd.
         """
@@ -544,27 +419,44 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-def _execute_tasks_resilient(
+#: The policy of a batch given no resilience keyword: one attempt, no
+#: timeout, checkpoint or breaker.
+_SINGLE_ATTEMPT = ResiliencePolicy(max_retries=0)
+
+
+def _execute_tasks(
     tasks: Sequence[_Task],
     workers: int,
-    policy: ResiliencePolicy,
+    policy: Optional[ResiliencePolicy] = None,
     telemetry=None,
 ) -> List[float]:
-    """Run tasks under supervision: timeouts, retries, crash isolation.
+    """Run tasks, in order, across ``workers`` processes (1 = serial).
 
-    Results are returned in submission order and — tasks being pure
-    functions of ``(parameters, seed)`` — are bit-identical to the
-    plain serial path no matter how many crashes, timeouts, retries, or
+    Fleet-aware tasks are batched through the vectorized kernel first
+    (see :func:`_fleet_prepass`); the rest run under supervision:
+    timeouts, retries and crash isolation as ``policy`` sets them.
+    Unpicklable tasks and a pool that fails to spawn run serially
+    in-process.  Results are returned in submission order and — tasks
+    being pure functions of ``(parameters, seed)`` — are bit-identical
+    to a serial run no matter how many crashes, timeouts, retries, or
     checkpoint resumes happened along the way.
 
+    When a :class:`repro.obs.SweepTelemetry` is given it receives one
+    heartbeat per completed task, in completion order.
+
     Raises:
-        TaskFailure: When one task fails ``policy.max_retries + 1``
-            times.
+        TaskFailure: When ``policy`` is given and one task fails
+            ``policy.max_retries + 1`` times.  With ``policy=None``
+            each task gets one attempt and its own exception propagates
+            unchanged (``BrokenProcessPool`` for a worker crash).
         CheckpointMismatch: When ``policy.checkpoint`` exists but
             journals a different task list.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    raw_errors = policy is None
+    if policy is None:
+        policy = _SINGLE_ATTEMPT
     total = len(tasks)
     values: List[Optional[float]] = [None] * total
     attempts = [0] * total
@@ -599,16 +491,17 @@ def _execute_tasks_resilient(
         _note_failure(telemetry, cause)
         attempts[index] += 1
         key = policy.breaker_key(index)
-        if (
+        # An opened breaker means this key keeps killing workers, and
+        # another retry would just crash another pool: fail now, retry
+        # budget notwithstanding.
+        opened = (
             policy.breaker is not None
             and isinstance(cause, BrokenProcessPool)
             and policy.breaker.record_crash(key)
-        ):
-            # The breaker opened: this key keeps killing workers, and
-            # another retry would just crash another pool.  Fail now,
-            # retry budget notwithstanding.
-            raise TaskFailure(index, tasks[index], attempts[index], cause)
-        if attempts[index] > policy.max_retries:
+        )
+        if opened or attempts[index] > policy.max_retries:
+            if raw_errors:
+                raise cause
             raise TaskFailure(index, tasks[index], attempts[index], cause)
         return policy.backoff_delay(attempts[index], key=key)
 
@@ -644,9 +537,7 @@ def _execute_tasks_resilient(
         backlog = deque(
             index for index in range(total) if values[index] is None
         )
-        if not backlog:
-            return [float(value) for value in values]
-        if workers == 1:
+        if workers == 1 or not backlog:
             return serial()
         try:
             pickle.dumps([tasks[index] for index in backlog])
@@ -675,13 +566,9 @@ def _execute_tasks_resilient(
                 while backlog and len(inflight) < workers:
                     submit(backlog.popleft())
 
-            def reschedule_inflight() -> None:
-                # Innocent in-flight casualties of a pool teardown go
-                # back in line without being charged an attempt.
-                for index in inflight.values():
-                    backlog.append(index)
-                inflight.clear()
-                deadlines.clear()
+            def retry_later(index: int, cause: BaseException) -> None:
+                due = time.monotonic() + charge(index, cause)
+                heapq.heappush(ready, (due, index))
 
             fill()
             while inflight or backlog or ready:
@@ -716,49 +603,34 @@ def _execute_tasks_resilient(
                             backlog.append(index)
                         else:
                             broken = True
-                            delay = charge(index, exc)
-                            heapq.heappush(
-                                ready, (time.monotonic() + delay, index)
-                            )
+                            retry_later(index, exc)
                     except Exception as exc:
-                        delay = charge(index, exc)
-                        heapq.heappush(
-                            ready, (time.monotonic() + delay, index)
-                        )
+                        retry_later(index, exc)
                     else:
                         record(index, value, wall_s)
-                if broken:
-                    reschedule_inflight()
+                now = time.monotonic()
+                expired = [] if broken else [
+                    future for future, deadline in deadlines.items()
+                    if deadline <= now and not future.done()
+                ]
+                # A hung worker cannot be interrupted piecemeal: charge
+                # the overdue tasks, then rebuild the whole pool.
+                for future in expired:
+                    index = inflight.pop(future)
+                    deadlines.pop(future)
+                    retry_later(index, TimeoutError(
+                        f"task exceeded {policy.task_timeout}s"
+                    ))
+                if broken or expired:
+                    # Innocent in-flight casualties of the teardown go
+                    # back in line without being charged an attempt.
+                    backlog.extend(inflight.values())
+                    inflight.clear()
+                    deadlines.clear()
                     _kill_pool(pool)
                     pool = _spawn_pool(workers)
                     if pool is None:
                         return serial()
-                    fill()
-                    continue
-                if deadlines:
-                    now = time.monotonic()
-                    expired = [
-                        future for future, deadline in deadlines.items()
-                        if deadline <= now and not future.done()
-                    ]
-                    if expired:
-                        # A hung worker cannot be interrupted piecemeal:
-                        # charge the overdue tasks, then rebuild the
-                        # whole pool.
-                        for future in expired:
-                            index = inflight.pop(future)
-                            deadlines.pop(future)
-                            delay = charge(index, TimeoutError(
-                                f"task exceeded {policy.task_timeout}s"
-                            ))
-                            heapq.heappush(
-                                ready, (time.monotonic() + delay, index)
-                            )
-                        reschedule_inflight()
-                        _kill_pool(pool)
-                        pool = _spawn_pool(workers)
-                        if pool is None:
-                            return serial()
                 fill()
             return [float(value) for value in values]
         finally:
@@ -776,24 +648,13 @@ def _resolve_policy(
     checkpoint: Optional[Union[str, Path]],
 ) -> Optional[ResiliencePolicy]:
     """Build a policy when any resilience keyword was given, else None."""
-    if (
-        task_timeout is None and max_retries is None
-        and backoff_base is None and checkpoint is None
-    ):
-        return None
-    policy = ResiliencePolicy(
-        task_timeout=task_timeout,
-        max_retries=(
-            max_retries if max_retries is not None
-            else ResiliencePolicy.max_retries
-        ),
-        backoff_base=(
-            backoff_base if backoff_base is not None
-            else ResiliencePolicy.backoff_base
-        ),
-        checkpoint=checkpoint,
-    )
-    return policy
+    given = {
+        name: value for name, value in (
+            ("task_timeout", task_timeout), ("max_retries", max_retries),
+            ("backoff_base", backoff_base), ("checkpoint", checkpoint),
+        ) if value is not None
+    }
+    return ResiliencePolicy(**given) if given else None
 
 
 def replicate(
@@ -816,10 +677,10 @@ def replicate(
     replications spread over ``workers`` processes.  Results are
     identical to the serial path for any worker count.  An optional
     :class:`repro.obs.SweepTelemetry` receives one heartbeat per
-    completed replication.  Passing any of ``task_timeout`` /
-    ``max_retries`` / ``backoff_base`` / ``checkpoint`` routes
-    execution through the crash-resilient scheduler (see
-    :class:`ResiliencePolicy`); results stay bit-identical.
+    completed replication.  ``task_timeout`` / ``max_retries`` /
+    ``backoff_base`` / ``checkpoint`` set the executor's
+    :class:`ResiliencePolicy` (see :func:`run_sweep`); results stay
+    bit-identical.
 
     Fleet-aware measurements (see
     :class:`repro.harness.measure.SimulationMeasurement`) are batched
@@ -855,13 +716,11 @@ def replicate(
             RuntimeWarning,
             stacklevel=2,
         )
-    policy = _resolve_policy(task_timeout, max_retries, backoff_base, checkpoint)
-    if policy is not None:
-        values = _execute_tasks_resilient(
-            unique_tasks, workers, policy, telemetry
-        )
-    else:
-        values = _execute_tasks(unique_tasks, workers, telemetry)
+    values = _execute_tasks(
+        unique_tasks, workers,
+        _resolve_policy(task_timeout, max_retries, backoff_base, checkpoint),
+        telemetry,
+    )
     return t_interval([values[position] for position in source], confidence)
 
 
@@ -878,33 +737,53 @@ def run_sweep(
     backoff_base: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
 ) -> List["SweepPoint"]:
-    """Parallel version of :func:`repro.harness.sweep.run_sweep`.
+    """Measure every grid point, optionally replicated over seeds.
 
     The full (point, replication) task list is flattened and spread over
     ``workers`` processes; the returned points are identical (values,
-    ordering, intervals) to the serial sweep for any worker count.  An
-    optional :class:`repro.obs.SweepTelemetry` receives one heartbeat per
-    completed (point, replication) task.  Passing any of
-    ``task_timeout`` / ``max_retries`` / ``backoff_base`` /
-    ``checkpoint`` routes execution through the crash-resilient
-    scheduler (see :class:`ResiliencePolicy`); results stay
-    bit-identical, and an interrupted sweep re-run with the same
-    ``checkpoint`` path resumes where it stopped.
+    ordering, intervals) for any worker count.
+
+    Args:
+        measurement: Called as ``measurement(seed=..., **parameters)``;
+            must return a scalar.  Must be picklable (a module-level
+            function) for ``workers > 1`` to actually parallelise.
+        grid: Parameter dictionaries (see
+            :func:`repro.harness.sweep.parameter_grid`).
+        replications: Independent seeds per point; with more than one, a
+            t-confidence interval accompanies each point.
+        workers: Processes to spread the (point, replication) tasks over.
+            Results are identical to the serial path for any value.
+        telemetry: Optional :class:`repro.obs.SweepTelemetry`; receives a
+            heartbeat per completed (point, replication) task, for any
+            worker count, without affecting the results.
+        task_timeout / max_retries / backoff_base / checkpoint: Set the
+            executor's :class:`ResiliencePolicy`: per-task timeouts,
+            bounded retries with exponential backoff, worker-crash
+            isolation, and JSONL checkpoint/resume (an interrupted sweep
+            re-run with the same ``checkpoint`` path resumes where it
+            stopped).  A task that spends its budget raises
+            :class:`TaskFailure`.  With none of them each task gets one
+            attempt: its own exception propagates, and a worker crash
+            raises ``BrokenProcessPool``.  Results stay bit-identical.
+
+    Raises:
+        ValueError: If ``replications`` or ``workers`` is not positive.
     """
     from repro.harness.sweep import SweepPoint
 
     if replications < 1:
         raise ValueError("need at least one replication")
+    grid = list(grid)
     tasks = [
         (measurement, dict(parameters), base_seed + index)
         for parameters in grid
         for index in range(replications)
     ]
-    policy = _resolve_policy(task_timeout, max_retries, backoff_base, checkpoint)
-    if policy is not None:
-        values = _execute_tasks_resilient(tasks, workers, policy, telemetry)
-    else:
-        values = _execute_tasks(tasks, workers, telemetry)
+    values = _execute_tasks(
+        tasks, workers,
+        _resolve_policy(task_timeout, max_retries, backoff_base, checkpoint),
+        telemetry,
+    )
     points: List[SweepPoint] = []
     for number, parameters in enumerate(grid):
         chunk = values[number * replications:(number + 1) * replications]

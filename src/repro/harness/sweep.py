@@ -4,15 +4,19 @@ The figure functions cover the paper's sweeps; this module provides the
 machinery for *new* studies: cross any parameter grid with any scalar
 measurement, optionally replicating each point over seeds to get
 confidence intervals, and render or export the result like any other
-harness product.
+harness product.  :func:`run_sweep` is
+:func:`repro.harness.parallel.run_sweep`, the one sweep entry point: every
+sweep, serial or parallel, runs through that module's supervised
+executor.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.confidence import ConfidenceInterval, replicate
+from repro.harness.parallel import run_sweep  # noqa: F401 (re-export)
+from repro.metrics.confidence import ConfidenceInterval
 
 
 @dataclass(frozen=True)
@@ -22,10 +26,6 @@ class SweepPoint:
     parameters: Dict[str, object]
     value: float
     interval: Optional[ConfidenceInterval] = None
-
-
-Measurement = Callable[..., float]
-"""Measurement callable: keyword parameters (+ ``seed``) -> scalar."""
 
 
 def parameter_grid(**axes: Sequence) -> List[Dict[str, object]]:
@@ -39,85 +39,6 @@ def parameter_grid(**axes: Sequence) -> List[Dict[str, object]]:
     names = list(axes)
     combinations = itertools.product(*(axes[name] for name in names))
     return [dict(zip(names, combo)) for combo in combinations]
-
-
-def run_sweep(
-    measurement: Measurement,
-    grid: Sequence[Dict[str, object]],
-    replications: int = 1,
-    confidence: float = 0.95,
-    base_seed: int = 0,
-    workers: int = 1,
-    telemetry=None,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    backoff_base: Optional[float] = None,
-    checkpoint=None,
-) -> List[SweepPoint]:
-    """Measure every grid point, optionally replicated over seeds.
-
-    Args:
-        measurement: Called as ``measurement(seed=..., **parameters)``;
-            must return a scalar.  Must be picklable (a module-level
-            function) for ``workers > 1`` to actually parallelise.
-        grid: Parameter dictionaries (see :func:`parameter_grid`).
-        replications: Independent seeds per point; with more than one, a
-            t-confidence interval accompanies each point.
-        workers: Processes to spread the (point, replication) tasks over.
-            Results are identical to the serial path for any value; see
-            :mod:`repro.harness.parallel`.
-        telemetry: Optional :class:`repro.obs.SweepTelemetry`; receives a
-            heartbeat per completed (point, replication) task, for any
-            worker count, without affecting the results.
-        task_timeout / max_retries / backoff_base / checkpoint: Passing
-            any of these routes execution through the crash-resilient
-            scheduler (:class:`repro.harness.parallel.ResiliencePolicy`):
-            per-task timeouts, bounded retries with exponential backoff,
-            worker-crash isolation, and JSONL checkpoint/resume.
-            Results stay bit-identical to the plain serial sweep.
-
-    Raises:
-        ValueError: If ``replications`` or ``workers`` is not positive.
-    """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    resilient = any(
-        option is not None
-        for option in (task_timeout, max_retries, backoff_base, checkpoint)
-    )
-    # Fleet-aware measurements go through the parallel dispatcher even
-    # serially: its prepass batches same-config tasks through the
-    # vectorized fleet kernel (bit-identical per lane, scalar fallback).
-    fleet_capable = hasattr(measurement, "fleet_plan")
-    if workers != 1 or telemetry is not None or resilient or fleet_capable:
-        from repro.harness import parallel
-        return parallel.run_sweep(
-            measurement, grid, replications=replications,
-            confidence=confidence, base_seed=base_seed, workers=workers,
-            telemetry=telemetry, task_timeout=task_timeout,
-            max_retries=max_retries, backoff_base=backoff_base,
-            checkpoint=checkpoint,
-        )
-    points: List[SweepPoint] = []
-    for parameters in grid:
-        if replications == 1:
-            value = float(measurement(seed=base_seed, **parameters))
-            points.append(SweepPoint(parameters=dict(parameters), value=value))
-        else:
-            interval = replicate(
-                lambda seed: float(measurement(seed=seed, **parameters)),
-                num_replications=replications,
-                confidence=confidence,
-                base_seed=base_seed,
-            )
-            points.append(
-                SweepPoint(
-                    parameters=dict(parameters),
-                    value=interval.mean,
-                    interval=interval,
-                )
-            )
-    return points
 
 
 def render_sweep(points: Sequence[SweepPoint], title: str) -> str:

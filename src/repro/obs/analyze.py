@@ -48,6 +48,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.metrics.fairness import fairness_summary, jain_index, max_min_ratio
 from repro.obs.trace import (
     CLRG_HALVE,
@@ -68,11 +70,6 @@ from repro.obs.trace import (
     SCHED_GRANT,
     resource_label,
 )
-
-try:  # pragma: no cover - exercised via the pure-python fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Schema tag written into (and required of) every audit summary.
 AUDIT_SCHEMA = "repro.audit/v1"
@@ -566,52 +563,6 @@ class TraceAnalyzer:
     # ------------------------------------------------------------------
     # Columnar ingestion (binary traces)
     # ------------------------------------------------------------------
-    def feed_row(self, cycle: int, kind: int, a: int = 0, b: int = 0,
-                 c: int = 0, d: int = 0) -> None:
-        """Consume one decoded binary event: integer columns, no dicts.
-
-        The integer twin of :meth:`feed` for
-        :class:`repro.obs.tracebin.TraceColumns` rows — same state
-        machine, same epoch/anomaly behaviour, but without building a
-        record dict per event.  The meta record must still be fed first
-        (via :meth:`feed`, normally ``columns.jsonl_meta()``).
-        """
-        if self._finished is not None:
-            raise RuntimeError("analyzer already finished")
-        name = EVENT_NAMES.get(kind)
-        if name is None:
-            raise ValueError(f"unknown event kind {kind}")
-        self._records += 1
-        if self._records == 1:
-            raise ValueError("trace must start with a meta record")
-        if cycle < 0:
-            raise ValueError(f"{name}: cycle must be a non-negative integer")
-        if self._first_cycle is None:
-            self._first_cycle = cycle
-            self._epoch_index = cycle // self.window
-        elif cycle < self._first_cycle:
-            self._first_cycle = cycle
-        if cycle > self._last_cycle:
-            self._last_cycle = cycle
-        while cycle // self.window > self._epoch_index:
-            self._close_epoch()
-        self._events += 1
-        self._counts[name] = self._counts.get(name, 0) + 1
-        if kind == COOL:
-            if 0 <= d < cycle:
-                self._res_busy[a] = self._res_busy.get(a, 0) + (cycle - d)
-        elif kind == CLRG_HALVE:
-            if b > self._halvings_by_output.get(a, 0):
-                self._halvings_by_output[a] = b
-        elif kind == SCHED_GRANT:
-            grants = self._sched_grants_by_iter
-            grants[a] = grants.get(a, 0) + 1
-        elif kind == SCHED_ACCEPT:
-            accepts = self._sched_accepts_by_iter
-            accepts[a] = accepts.get(a, 0) + 1
-        else:
-            self._seq_row(cycle, kind, a, b, c, d)
-
     def _seq_row(self, cycle: int, kind: int, a: int, b: int, c: int,
                  d: int) -> None:
         """The order-sensitive part of the per-event state machine.
@@ -694,9 +645,8 @@ class TraceAnalyzer:
     def consume_columns(self, columns) -> None:
         """Ingest a decoded binary trace (``TraceColumns``) in one pass.
 
-        Feeds the stream's meta record, then reduces the event columns —
-        vectorized per-window where numpy is available, row by row via
-        :meth:`feed_row` otherwise.  Produces state identical to feeding
+        Feeds the stream's meta record, then reduces the event columns
+        vectorized per window.  Produces state identical to feeding
         the equivalent JSONL records through :meth:`feed`.  Fleet traces
         carry a lane column and must be sliced per lane first
         (``columns.for_lane(lane)``).
@@ -711,21 +661,11 @@ class TraceAnalyzer:
         self.feed(columns.jsonl_meta())
         if not len(columns.kind):
             return
-        if _np is not None:
-            self._consume_rows_np(columns.cycle, columns.kind, columns.a,
-                                  columns.b, columns.c, columns.d)
-            return
-        feed_row = self.feed_row
-        for row in zip(columns.cycle, columns.kind, columns.a, columns.b,
-                       columns.c, columns.d):
-            # int() per field: the columns may still be numpy arrays
-            # (decoded elsewhere) and numpy scalars would poison the
-            # JSON-serialisable summary dicts.
-            feed_row(int(row[0]), int(row[1]), int(row[2]), int(row[3]),
-                     int(row[4]), int(row[5]))
+        self._consume_rows_np(columns.cycle, columns.kind, columns.a,
+                              columns.b, columns.c, columns.d)
 
     def _consume_rows_np(self, cyc, kind, a, b, c, d) -> None:
-        """Vectorized column ingestion (numpy available).
+        """Vectorized column ingestion.
 
         Bulk-reduces everything the window machinery never reads
         (counts, cycle span, ``cool`` busy sums, ``clrg_halve`` maxima)
@@ -735,7 +675,6 @@ class TraceAnalyzer:
         earlier cycles fold into the open window), and rows that never
         touch window state cannot change what a close observes.
         """
-        np = _np
         cyc = np.asarray(cyc, dtype=np.int64)
         kind = np.asarray(kind, dtype=np.int64)
         a = np.asarray(a, dtype=np.int64)

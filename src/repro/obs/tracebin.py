@@ -44,6 +44,8 @@ import os
 from array import array
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
     EJECT,
@@ -58,11 +60,6 @@ from repro.obs.trace import (
     resource_label,
     write_chrome_stream,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 #: Binary trace format tag (header ``format`` field).
 TRACEBIN_FORMAT = "repro.trace_bin/v1"
@@ -450,8 +447,8 @@ class BinaryTracer:
     def columns(self) -> "TraceColumns":
         """The retained events as a :class:`TraceColumns` view.
 
-        Zero-copy onto numpy when available; the analyzer's columnar
-        ingestion path consumes this directly.
+        Zero-copy onto numpy; the analyzer's columnar ingestion path
+        consumes this directly.
         """
         self.drain()
         return TraceColumns(
@@ -467,18 +464,14 @@ class BinaryTracer:
         self.drain()
         counts: Dict[str, int] = {}
         kinds = self._kinds
-        if _np is not None and len(kinds):
-            binned = _np.bincount(
-                _np.frombuffer(kinds, dtype=_np.int32),
-                minlength=len(EVENT_NAMES),
-            )
-            for kind, count in enumerate(binned):
-                if count:
-                    counts[EVENT_NAMES[kind]] = int(count)
+        if not len(kinds):
             return counts
-        for kind in kinds:
-            name = EVENT_NAMES[kind]
-            counts[name] = counts.get(name, 0) + 1
+        binned = np.bincount(
+            np.frombuffer(kinds, dtype=np.int32), minlength=len(EVENT_NAMES)
+        )
+        for kind, count in enumerate(binned):
+            if count:
+                counts[EVENT_NAMES[kind]] = int(count)
         return counts
 
     def halving_events(self) -> List[Tuple[int, int, int]]:
@@ -627,19 +620,19 @@ class BinaryTracerFactory:
 # Columns container (file reads and in-memory views share it)
 # ---------------------------------------------------------------------------
 def _as_np(column):
-    """numpy view of an array('i'/'q') column (zero-copy), or the array."""
-    if _np is None or not len(column):
+    """numpy view of an array('i'/'q') column (zero-copy); empty stays."""
+    if not len(column):
         return column
-    return _np.frombuffer(
-        column, dtype=_np.int64 if column.typecode == "q" else _np.int32
+    return np.frombuffer(
+        column, dtype=np.int64 if column.typecode == "q" else np.int32
     )
 
 
 class TraceColumns:
     """Decoded columnar event data: six parallel integer sequences.
 
-    ``cycle``/``kind``/``a``/``b``/``c``/``d`` are numpy arrays when
-    numpy is importable, ``array.array`` otherwise; ``lane`` is the
+    ``cycle``/``kind``/``a``/``b``/``c``/``d`` are numpy arrays (an
+    empty in-memory capture keeps its ``array.array``); ``lane`` is the
     optional per-lane column of fleet traces (``None`` for scalar
     traces).  This is the native input of
     :meth:`repro.obs.analyze.TraceAnalyzer.consume_columns`.
@@ -740,22 +733,12 @@ class TraceColumns:
         """The single-lane slice of a fleet trace (scalar-trace shaped)."""
         if self.lane is None:
             raise ValueError("trace has no lane column")
-        if _np is not None:
-            mask = _np.asarray(self.lane) == lane
-            return TraceColumns(
-                cycle=_np.asarray(self.cycle)[mask],
-                kind=_np.asarray(self.kind)[mask],
-                a=_np.asarray(self.a)[mask], b=_np.asarray(self.b)[mask],
-                c=_np.asarray(self.c)[mask], d=_np.asarray(self.d)[mask],
-                lane=None, meta=self.meta, dropped=self.dropped,
-                stride=self.stride, truncated=self.truncated,
-            )
-        keep = [i for i, entry in enumerate(self.lane) if entry == lane]
-        pick = lambda col, code: array(code, (col[i] for i in keep))
+        mask = np.asarray(self.lane) == lane
         return TraceColumns(
-            cycle=pick(self.cycle, "q"), kind=pick(self.kind, "i"),
-            a=pick(self.a, "i"), b=pick(self.b, "i"),
-            c=pick(self.c, "i"), d=pick(self.d, "i"),
+            cycle=np.asarray(self.cycle)[mask],
+            kind=np.asarray(self.kind)[mask],
+            a=np.asarray(self.a)[mask], b=np.asarray(self.b)[mask],
+            c=np.asarray(self.c)[mask], d=np.asarray(self.d)[mask],
             lane=None, meta=self.meta, dropped=self.dropped,
             stride=self.stride, truncated=self.truncated,
         )
@@ -862,7 +845,7 @@ class BinaryTraceWriter:
 
 def _column_bytes(column) -> bytes:
     """Little-endian bytes of one column (array.array or numpy)."""
-    if _np is not None and isinstance(column, _np.ndarray):
+    if isinstance(column, np.ndarray):
         return column.astype(column.dtype.newbyteorder("<"),
                              copy=False).tobytes()
     import sys
@@ -876,20 +859,11 @@ def _column_bytes(column) -> bytes:
 
 
 def _decode_column(buffer, offset: int, count: int, typecode: str):
-    """One column from raw bytes: numpy view if possible, else array."""
+    """One column from raw bytes, as a little-endian numpy view."""
     width = 8 if typecode == "q" else 4
-    end = offset + count * width
-    if _np is not None:
-        dtype = _np.dtype("<i8" if typecode == "q" else "<i4")
-        return _np.frombuffer(buffer, dtype=dtype, count=count,
-                              offset=offset), end
-    import sys
-
-    column = array(typecode)
-    column.frombytes(bytes(buffer[offset:end]))
-    if sys.byteorder == "big":  # pragma: no cover
-        column.byteswap()
-    return column, end
+    dtype = np.dtype("<i8" if typecode == "q" else "<i4")
+    column = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+    return column, offset + count * width
 
 
 def read_tracebin(path: Union[str, os.PathLike],
@@ -900,8 +874,8 @@ def read_tracebin(path: Union[str, os.PathLike],
     mid-write) yields every complete segment with ``truncated=True``.
     With ``strict=True`` any torn tail raises :class:`ValueError`.
 
-    Uses ``mmap`` + zero-copy numpy views when numpy is available, so a
-    multi-gigabyte trace opens without materialising it.
+    Uses ``mmap`` + zero-copy numpy views, so a multi-gigabyte trace
+    opens without materialising it.
     """
     import mmap
 
@@ -997,28 +971,17 @@ def read_tracebin(path: Union[str, os.PathLike],
 def _merge_segments(segments, typecodes):
     """Concatenate per-segment columns into whole-trace columns."""
     if not segments:
-        empty = [array(code) for code in typecodes]
-        if _np is not None:
-            empty = [
-                _np.asarray(column,
-                            dtype=_np.int64 if code == "q" else _np.int32)
-                for column, code in zip(empty, typecodes)
-            ]
-        return empty + [None] * (7 - len(empty))
-    if len(segments) == 1:
-        merged = list(segments[0])
-    elif _np is not None:
         merged = [
-            _np.concatenate([segment[index] for segment in segments])
+            np.empty(0, dtype=np.int64 if code == "q" else np.int32)
+            for code in typecodes
+        ]
+    elif len(segments) == 1:
+        merged = list(segments[0])
+    else:
+        merged = [
+            np.concatenate([segment[index] for segment in segments])
             for index in range(len(typecodes))
         ]
-    else:
-        merged = []
-        for index, code in enumerate(typecodes):
-            column = array(code)
-            for segment in segments:
-                column.extend(segment[index])
-            merged.append(column)
     return merged + [None] * (7 - len(merged))
 
 
@@ -1062,10 +1025,6 @@ class FleetTracer:
 
     def __init__(self, num_lanes: int,
                  capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "FleetTracer needs numpy (the fleet kernel's dependency)"
-            )
         if num_lanes < 1:
             raise ValueError("need at least one lane")
         if capacity is not None and capacity < 1:
@@ -1135,13 +1094,13 @@ class FleetTracer:
     def columns(self) -> TraceColumns:
         """All lanes merged as one lane-columned :class:`TraceColumns`."""
         n = self._events
-        cycle = _np.empty(n, dtype=_np.int64)
-        kind = _np.empty(n, dtype=_np.int32)
-        cola = _np.empty(n, dtype=_np.int32)
-        colb = _np.empty(n, dtype=_np.int32)
-        colc = _np.empty(n, dtype=_np.int32)
-        cold = _np.empty(n, dtype=_np.int32)
-        lane = _np.empty(n, dtype=_np.int32)
+        cycle = np.empty(n, dtype=np.int64)
+        kind = np.empty(n, dtype=np.int32)
+        cola = np.empty(n, dtype=np.int32)
+        colb = np.empty(n, dtype=np.int32)
+        colc = np.empty(n, dtype=np.int32)
+        cold = np.empty(n, dtype=np.int32)
+        lane = np.empty(n, dtype=np.int32)
         pos = 0
         for batch_cycle, lanes, kinds, a, b, c, d in self._batches:
             count = len(lanes)

@@ -2,7 +2,7 @@
 
 The service accepts simulation/sweep/audit/fuzz jobs over a
 newline-delimited JSON TCP protocol (``repro.service/v1``), executes
-them through the crash-resilient parallel executor, and serves every
+them through the supervised parallel executor, and serves every
 result from a content-addressed cache keyed by the job's normalized
 spec fingerprint.  A write-ahead journal makes admission durable: a
 ``kill -9`` mid-campaign loses nothing — the restarted daemon replays

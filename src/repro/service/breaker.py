@@ -6,7 +6,7 @@ process, a pool rebuild, and a slot another job could have used.  The
 breaker counts **consecutive** crashes per key — here, per job
 fingerprint, so the quarantine follows the *content* of the job across
 resubmissions and daemon restarts within a process lifetime — and opens
-at a threshold.  An open key fails fast: the resilient executor stops
+at a threshold.  An open key fails fast: the sweep executor stops
 retrying it (see ``ResiliencePolicy.breaker``) and the daemon rejects
 new submissions of the same fingerprint with a structured
 ``quarantined`` response.

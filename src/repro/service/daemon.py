@@ -13,9 +13,9 @@ process:
   without touching a worker; corrupt entries are quarantined and the
   job silently recomputed),
 - a :class:`~repro.service.breaker.CircuitBreaker` keyed by job
-  fingerprint, shared with the resilient executor so deterministic
+  fingerprint, shared with the sweep executor so deterministic
   worker-killers stop being retried *and* stop being admitted,
-- the crash-resilient parallel executor from
+- the supervised parallel executor from
   :mod:`repro.harness.parallel` doing the actual work in batches,
   with per-fingerprint jittered backoff.
 
@@ -44,7 +44,7 @@ from typing import Deque, Dict, List, Optional, Union
 from repro.harness.parallel import (
     ResiliencePolicy,
     TaskFailure,
-    _execute_tasks_resilient,
+    _execute_tasks,
 )
 from repro.service import protocol
 from repro.service.breaker import CircuitBreaker
@@ -64,7 +64,7 @@ _Job = Dict[str, object]
 class _BatchChannel:
     """Telemetry adapter: executor heartbeats → job state transitions.
 
-    The resilient executor reports completions and failures through
+    The executor reports completions and failures through
     the telemetry duck-type (``start``/``record``/``record_failure``);
     this adapter turns those into service-level bookkeeping, so a job
     becomes visible to ``result`` waiters the moment its worker
@@ -620,9 +620,7 @@ class SweepService:
         )
         channel = _BatchChannel(self, jobs)
         try:
-            _execute_tasks_resilient(
-                tasks, self.workers, policy, telemetry=channel
-            )
+            _execute_tasks(tasks, self.workers, policy, telemetry=channel)
         except TaskFailure as failure:
             self._job_failed(
                 jobs[failure.index], repr(failure.cause)

@@ -364,7 +364,7 @@ def execute_job_task(
 ) -> float:
     """The daemon's unit of scheduled work (module-level, picklable).
 
-    Runs in a worker process under the resilient executor: computes the
+    Runs in a worker process under the sweep executor: computes the
     payload and writes the content-addressed cache entry itself (atomic
     write-then-rename, so a crash mid-job leaves no partial entry and a
     duplicate worker is harmless).  The scalar return value feeds the

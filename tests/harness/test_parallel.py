@@ -8,10 +8,12 @@ rather than wall-clock speedup.
 import json
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.harness import parallel
+import repro.harness
+from repro.harness import parallel, sweep
 from repro.harness.parallel import (
     CHECKPOINT_FORMAT,
     CheckpointMismatch,
@@ -20,7 +22,7 @@ from repro.harness.parallel import (
     TaskFailure,
 )
 from repro.harness.sweep import parameter_grid, run_sweep
-from repro.metrics.confidence import replicate
+from repro.metrics.confidence import replicate, t_interval
 from repro.network.engine import Simulation
 from repro.switches import SwizzleSwitch2D
 from repro.traffic import UniformRandomTraffic
@@ -86,30 +88,43 @@ def crash_always_measurement(seed):
     os._exit(1)
 
 
+def value_error_measurement(seed):
+    """Module-level (so picklable) measurement that always raises."""
+    raise ValueError("bad parameter")
+
+
 class TestParallelSweep:
+    # References come from direct measurement calls: every run_sweep,
+    # serial or parallel, goes through the same executor, so comparing
+    # two sweeps with each other would prove nothing.
     def test_parallel_sweep_matches_serial(self):
         grid = parameter_grid(radix=[4, 8], load=[0.3, 0.9])
-        serial = run_sweep(throughput_measurement, grid, base_seed=3)
-        parallel_points = run_sweep(
-            throughput_measurement, grid, base_seed=3, workers=4
-        )
-        assert [p.value for p in parallel_points] == [
-            p.value for p in serial
-        ]
-        assert [p.parameters for p in parallel_points] == [
-            p.parameters for p in serial
-        ]
+        expected = [throughput_measurement(seed=3, **point) for point in grid]
+        for workers in (1, 4):
+            points = run_sweep(
+                throughput_measurement, grid, base_seed=3, workers=workers
+            )
+            assert [p.value for p in points] == expected
+            assert [p.parameters for p in points] == grid
 
     def test_parallel_sweep_with_replications_matches_serial(self):
         grid = parameter_grid(radix=[4], load=[0.5, 0.8])
-        serial = run_sweep(throughput_measurement, grid, replications=3)
-        fanned = run_sweep(
-            throughput_measurement, grid, replications=3, workers=2
-        )
-        for a, b in zip(serial, fanned):
-            assert a.value == b.value
-            assert a.interval.mean == b.interval.mean
-            assert a.interval.half_width == b.interval.half_width
+        expected = [
+            t_interval([
+                throughput_measurement(seed=seed, **point)
+                for seed in range(3)
+            ])
+            for point in grid
+        ]
+        for workers in (1, 2):
+            points = run_sweep(
+                throughput_measurement, grid, replications=3,
+                workers=workers,
+            )
+            for point, interval in zip(points, expected):
+                assert point.value == interval.mean
+                assert point.interval.mean == interval.mean
+                assert point.interval.half_width == interval.half_width
 
     def test_unpicklable_measurement_falls_back_to_serial(self):
         grid = parameter_grid(radix=[4, 8])
@@ -130,6 +145,26 @@ class TestParallelSweep:
 
         with pytest.raises(RuntimeError, match="measurement failed"):
             run_sweep(boom, [{}, {}], workers=2)
+
+
+class TestSingleAttemptContract:
+    """With no resilience keyword each task gets exactly one attempt."""
+
+    def test_pool_task_error_propagates_unwrapped(self):
+        # A module-level measurement really runs in the pool (a local
+        # function would only reach the serial fallback).
+        with pytest.raises(ValueError, match="bad parameter"):
+            run_sweep(value_error_measurement, [{}, {}], workers=2)
+
+    def test_worker_crash_raises_broken_pool(self):
+        # The crash is not rerun in the caller: a deterministic crasher
+        # would take the test process down with it.
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(crash_always_measurement, [{}, {}], workers=2)
+
+    def test_one_run_sweep(self):
+        assert sweep.run_sweep is parallel.run_sweep
+        assert repro.harness.run_sweep is parallel.run_sweep
 
 
 class TestParallelReplicate:
@@ -327,7 +362,7 @@ class TestBreakerHook:
     def test_successes_reach_the_breaker_keyed_by_breaker_keys(self):
         breaker = self._Recorder()
         tasks = [(seed_polynomial, {}, seed) for seed in range(3)]
-        values = parallel._execute_tasks_resilient(
+        values = parallel._execute_tasks(
             tasks, workers=1,
             policy=ResiliencePolicy(
                 breaker=breaker, breaker_keys=("x", "y", "z"),
@@ -341,7 +376,7 @@ class TestBreakerHook:
         token = str(tmp_path / "crash")
         breaker = self._Recorder()
         tasks = [(crash_once_measurement, {"token": token}, 0)]
-        parallel._execute_tasks_resilient(
+        parallel._execute_tasks(
             tasks, workers=2,
             policy=ResiliencePolicy(
                 max_retries=3, backoff_base=0.0,
@@ -355,7 +390,7 @@ class TestBreakerHook:
         breaker = self._Recorder(open_after=2)
         tasks = [(crash_always_measurement, {}, 0)]
         with pytest.raises(TaskFailure) as excinfo:
-            parallel._execute_tasks_resilient(
+            parallel._execute_tasks(
                 tasks, workers=2,
                 policy=ResiliencePolicy(
                     max_retries=50, backoff_base=0.0,
@@ -370,7 +405,7 @@ class TestBreakerHook:
         breaker = self._Recorder(open_after=1)
         tasks = [(always_fail_measurement, {}, 0)]
         with pytest.raises(TaskFailure) as excinfo:
-            parallel._execute_tasks_resilient(
+            parallel._execute_tasks(
                 tasks, workers=2,
                 policy=ResiliencePolicy(
                     max_retries=2, backoff_base=0.0,
@@ -415,7 +450,7 @@ class TestCheckpointResume:
         journal.append(0, seed_polynomial(0), 1, 0.0)
         journal.append(2, seed_polynomial(2), 1, 0.0)
         journal.close()
-        values = parallel._execute_tasks_resilient(
+        values = parallel._execute_tasks(
             tasks, workers=2, policy=ResiliencePolicy(checkpoint=path),
         )
         assert values == [seed_polynomial(seed) for seed in range(4)]
@@ -451,7 +486,7 @@ class TestCheckpointResume:
         journal.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"index": 1, "val')  # crashed mid-write
-        values = parallel._execute_tasks_resilient(
+        values = parallel._execute_tasks(
             tasks, workers=1, policy=ResiliencePolicy(checkpoint=path),
         )
         assert values == [seed_polynomial(seed) for seed in range(3)]

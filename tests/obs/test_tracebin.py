@@ -342,17 +342,6 @@ class TestAnalyzerEquality:
             from_jsonl, sort_keys=True
         )
 
-    def test_pure_python_columnar_path_identical(self, golden, monkeypatch):
-        import repro.obs.analyze as analyze_module
-
-        _, jsonl, binary = golden
-        expected = analyze_jsonl(str(jsonl)).summary()
-        monkeypatch.setattr(analyze_module, "_np", None)
-        fallback = analyze_module.analyze_tracebin(str(binary)).summary()
-        assert json.dumps(fallback, sort_keys=True) == json.dumps(
-            expected, sort_keys=True
-        )
-
 
 # ---------------------------------------------------------------------------
 # Factory and validation
