@@ -970,13 +970,6 @@ def main(argv=None) -> int:
             print(f"wrote {args.output}")
 
     if run_fleet:
-        try:
-            from repro.core.fleet import FLEET_AVAILABLE
-        except ImportError:
-            FLEET_AVAILABLE = False
-        if not FLEET_AVAILABLE:
-            print("fleet benchmark skipped: numpy not available")
-            return exit_code
         print(
             f"fleet benchmark ({FLEET_LANES} lanes x {fleet_cycles} "
             f"cycles x {trials} trials):"

@@ -13,9 +13,10 @@ Exercises the PR 4 robustness machinery end to end, the way CI wants it
    (the artifact CI uploads), sanity-checked for phase structure.
 3. **Crash-resilient sweep** — a sweep whose measurement kills its own
    worker process (`os._exit`) on first execution per seed, run with
-   retries, a per-task timeout, and a JSONL checkpoint, must complete
-   with values bit-identical to direct calls of the measurement — and
-   a resumed run must replay the checkpoint without recomputing.
+   retries, a per-task timeout, and a checkpoint (a result-cache
+   directory), must complete with values bit-identical to direct calls
+   of the measurement — and a resumed run must serve every task from the
+   checkpoint without recomputing.
 
 Usage:
     python scripts/fault_smoke.py                 # writes into ./fault-smoke
@@ -25,6 +26,7 @@ Usage:
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -121,7 +123,10 @@ def write_degradation(out_dir: Path) -> None:
 def check_resilient_sweep(out_dir: Path) -> None:
     token = str(out_dir / "crash-token")
     grid = parameter_grid(load=[0.4, 0.8], token=[token])
-    checkpoint = out_dir / "sweep-checkpoint.jsonl"
+    checkpoint = out_dir / "sweep-checkpoint"
+    # Start empty: a checkpoint left by an earlier run would serve every
+    # task, and no crash would be forced.
+    shutil.rmtree(checkpoint, ignore_errors=True)
     # A pool break fails every in-flight future and charges one of them
     # (the culprit is unknowable), so size the budget for an innocent
     # charge per crash round on top of each task's own crash.
@@ -141,7 +146,7 @@ def check_resilient_sweep(out_dir: Path) -> None:
     for got, want in zip(supervised, direct):
         assert got.value == want.mean, (got, want)
         assert got.interval.half_width == want.half_width
-    # Resume: every task must come from the journal, none recomputed
+    # Resume: every task must come from the checkpoint, none recomputed
     # (recomputation would crash again via a fresh token).
     for marker in crashed:
         marker.unlink()
@@ -151,7 +156,7 @@ def check_resilient_sweep(out_dir: Path) -> None:
     )
     assert [p.value for p in resumed] == [p.value for p in supervised]
     assert not list(Path(out_dir).glob("crash-token.*")), (
-        "checkpoint resume recomputed a journaled task"
+        "checkpoint resume recomputed a checkpointed task"
     )
     print(
         f"resilient sweep: {len(crashed)} forced worker crashes retried "

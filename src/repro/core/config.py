@@ -8,8 +8,8 @@ physical cost model agree on the geometry by construction.
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.network.port import PortConfig
 
@@ -391,3 +391,32 @@ class HiRiseConfig:
             f"[({rows}x{cols}), {self.subblocks_per_layer}."
             f"({self.subblock_inputs}x1)]x{self.layers}"
         )
+
+
+def _canonical(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_canonical(item) for item in value]
+    if is_dataclass(value):
+        return {
+            item.name: _canonical(getattr(value, item.name))
+            for item in fields(value)
+        }
+    return value
+
+
+#: Every :class:`HiRiseConfig` field, in declaration order: the one field
+#: list the config fingerprint and the service wire form derive from.
+CONFIG_FIELDS = tuple(f.name for f in fields(HiRiseConfig))
+
+
+def config_canonical(config: HiRiseConfig) -> Dict[str, object]:
+    """JSON form of every :data:`CONFIG_FIELDS` entry of ``config``.
+
+    Enums become their values, tuples lists and ``port_config`` a dict
+    of its own fields.  ``HiRiseConfig.__post_init__`` has already
+    normalised the inputs (sorted ``failed_channels``, enum coercion),
+    so equal configs map to equal dicts.
+    """
+    return {name: _canonical(getattr(config, name)) for name in CONFIG_FIELDS}

@@ -33,22 +33,13 @@ The mapping from scalar semantics to array ops:
 * the redundant phase-1/phase-2 busy/cooling re-checks of the scalar
   kernel are provable no-ops (nothing mutates between the request scan
   and the checks) and are omitted.
-
-numpy is an optional extra for this subsystem (``pip install
-repro[fleet]``): the module imports without numpy (``FLEET_AVAILABLE``
-is False) and every caller — harness routing, the fuzzer's ``--fleet``
-mode, the benchmarks — falls back to the scalar kernel when it is
-absent.
 """
 
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.channels import make_allocation
 from repro.core.config import ArbitrationScheme, HiRiseConfig
@@ -87,9 +78,6 @@ from repro.obs.trace import (
     VIA_BLOCK,
 )
 
-#: Whether the fleet kernel can run at all (numpy importable).
-FLEET_AVAILABLE = np is not None
-
 #: wkey encoding: phase-1 winners iterate ints, then channels, then
 #: pairs (dict-insertion order of the scalar kernel); within a kind the
 #: order is by first-requesting port, and pair winners additionally by
@@ -114,11 +102,7 @@ def fleet_supports(config: HiRiseConfig) -> bool:
     schemes (iSLIP / MWM), which run on ``repro.switches.VOQSwitch``
     rather than the Hi-Rise kernel family.
     """
-    return (
-        FLEET_AVAILABLE
-        and config.qos_weights is None
-        and not config.uses_voq
-    )
+    return config.qos_weights is None and not config.uses_voq
 
 
 def _group_starts(g_sorted):
@@ -204,7 +188,6 @@ class FleetKernel:
             no faults for that lane).
 
     Raises:
-        RuntimeError: If numpy is unavailable.
         ValueError: If the configuration is unsupported
             (see :func:`fleet_supports`) or ``num_lanes`` < 1.
     """
@@ -215,10 +198,6 @@ class FleetKernel:
         num_lanes: int,
         faults: Optional[Sequence[Optional[FaultSchedule]]] = None,
     ) -> None:
-        if np is None:
-            raise RuntimeError(
-                "the fleet kernel needs numpy (pip install repro[fleet])"
-            )
         if num_lanes < 1:
             raise ValueError("need at least one lane")
         if not fleet_supports(config):

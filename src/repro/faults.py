@@ -743,8 +743,8 @@ def verify_parity(
             with this many lanes (lane ``i`` seeded ``seed + i``, or
             ``traffic_factory`` per lane when given) and compare every
             lane against a scalar fast-kernel run; lane mismatches are
-            appended as ``"fleet lane i: …"`` entries.  Requires numpy
-            and a fleet-supported config
+            appended as ``"fleet lane i: …"`` entries.  Requires a
+            fleet-supported config
             (:func:`repro.core.fleet.fleet_supports`).
     """
     from repro.network.engine import Simulation

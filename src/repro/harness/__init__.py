@@ -33,14 +33,7 @@ from repro.harness.report import (
 )
 from repro.harness.export import export_rows_csv, export_series_csv
 from repro.harness.measure import METRICS, SimulationMeasurement
-from repro.harness.parallel import (
-    CHECKPOINT_FORMAT,
-    CheckpointMismatch,
-    ResiliencePolicy,
-    SweepCheckpoint,
-    TaskFailure,
-    replicate,
-)
+from repro.harness.parallel import ResiliencePolicy, TaskFailure, replicate
 from repro.harness.schedulers import (
     SCHEDULER_SPECS,
     SCHEDULERS_SCHEMA,
@@ -77,12 +70,9 @@ __all__ = [
     "render_table",
     "export_rows_csv",
     "export_series_csv",
-    "CHECKPOINT_FORMAT",
-    "CheckpointMismatch",
     "METRICS",
     "ResiliencePolicy",
     "SimulationMeasurement",
-    "SweepCheckpoint",
     "TaskFailure",
     "replicate",
     "SCHEDULERS_SCHEMA",

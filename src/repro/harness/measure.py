@@ -12,7 +12,7 @@ fleet kernel at close to one-run cost.
 
 The fleet path is an *optimisation, never a semantic change*: lane
 results are bit-identical to scalar runs, and any task the fleet cannot
-take — unsupported config, missing numpy, a tracer factory that is not
+take — unsupported config, a tracer factory that is not
 fleet-capable, or ``invariants=True`` — simply runs on the scalar
 kernel.  Fleet-capable tracer factories (those advertising
 ``fleet_capable = True``, like
@@ -22,7 +22,7 @@ are bit-identical to what the scalar tracer would have recorded.
 """
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.network.engine import DEFAULT_LATENCY_SAMPLE_LIMIT, Simulation
 
@@ -187,10 +187,10 @@ class SimulationMeasurement:
     def fleet_plan(self, seed: int = 0, **overrides):
         """This task as a LanePlan, or ``None`` if it must run scalar.
 
-        ``None`` means: numpy missing, the config is outside fleet
-        support, or the measurement carries per-run attachments the
-        batched kernel cannot host (an invariant checker, or a tracer
-        factory without ``fleet_capable = True``).  Fleet-capable
+        ``None`` means: the config is outside fleet support, or the
+        measurement carries per-run attachments the batched kernel
+        cannot host (an invariant checker, or a tracer factory without
+        ``fleet_capable = True``).  Fleet-capable
         tracer factories are carried on the plan — the fleet kernel
         emits each lane's binary event stream natively.
         """
@@ -243,26 +243,35 @@ class SimulationMeasurement:
             perf_factory=perf_factory,
         )
 
-    def task_fingerprint(self, seed: int = 0, **overrides) -> Tuple:
-        """Identity of this task's simulation — equal fingerprints mean
-        bit-identical results, which lets the dispatcher dedupe."""
+    def task_fingerprint(self, seed: int = 0, **overrides) -> Dict:
+        """JSON-able identity of this task's simulation.
+
+        Equal identities mean bit-identical results, which lets
+        :func:`repro.harness.parallel.task_fingerprint` dedupe and
+        checkpoint.  The traffic seed stands in for the task seed (a
+        pinned one makes every task identical).  Observers — the tracer
+        and perf factories and the invariant checker — are left out:
+        they never change a value.
+        """
+        from repro.obs.perf import config_fingerprint
+
         config, load, traffic_seed = self._resolve(seed, overrides)
-        return (
-            config,
-            "uniform",
-            load,
-            self.packet_flits,
-            traffic_seed,
-            id(self.faults) if self.faults is not None else None,
-            self.warmup_cycles,
-            self.measure_cycles,
-            self.drain,
-            self.latency_sample_limit,
-            self.metric,
-            id(self.tracer_factory) if self.tracer_factory else None,
-            self.invariants,
-            id(self.perf_factory) if self.perf_factory else None,
-        )
+        return {
+            "config": config_fingerprint(config),
+            "traffic": "uniform",
+            "load": float(load),
+            "packet_flits": self.packet_flits,
+            "traffic_seed": traffic_seed,
+            "faults": (
+                self.faults.to_records() if self.faults is not None
+                else None
+            ),
+            "warmup_cycles": self.warmup_cycles,
+            "measure_cycles": self.measure_cycles,
+            "drain": self.drain,
+            "latency_sample_limit": self.latency_sample_limit,
+            "metric": self.metric,
+        }
 
     # ------------------------------------------------------------------
     # Metric extraction (shared by both paths)

@@ -21,22 +21,29 @@ while guaranteeing:
   crashes (the pool is rebuilt, innocent in-flight tasks are
   resubmitted uncharged), enforces per-task wall-clock timeouts,
   retries failed tasks a bounded number of times with exponential
-  backoff, journals every completed task to an append-only JSONL
-  checkpoint so an interrupted sweep resumes instead of recomputing,
-  and raises :class:`TaskFailure` once a task's budget is spent.
-  Because every task is a pure function of ``(parameters, seed)``,
-  retried/resumed results are bit-identical to an uninterrupted serial
-  run.
+  backoff, and raises :class:`TaskFailure` once a task's budget is
+  spent;
+* **one task identity, one result store** — :func:`task_fingerprint`
+  names each task's computation (a sha256 of canonical JSON).
+  ``replicate`` dedupes on it, and a ``checkpoint`` is a
+  :class:`repro.service.cache.ResultCache` directory keyed by it: every
+  completed task is stored there, and a rerun — of the same sweep or of
+  any other sweep sharing tasks with it — serves those tasks from the
+  store instead of recomputing them.  A corrupt entry is quarantined and
+  its task recomputed.
 
-Measurement callables must be picklable (module-level functions, not
-lambdas or closures) to actually run in worker processes; anything else
-silently falls back to the serial path.
+Because every task is a pure function of ``(parameters, seed)``,
+retried and resumed results are bit-identical to an uninterrupted serial
+run.  Measurement callables must be picklable (module-level functions,
+not lambdas or closures) to actually run in worker processes; anything
+else silently falls back to the serial path.
 """
 
 import hashlib
 import heapq
 import json
 import pickle
+import sys
 import time
 import warnings
 from collections import deque
@@ -53,9 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.metrics.confidence import ConfidenceInterval, t_interval
 
 _Task = Tuple[Callable[..., float], Dict[str, object], int]
-
-#: Schema tag of the checkpoint JSONL header line.
-CHECKPOINT_FORMAT = "repro.checkpoint/v1"
 
 
 def _run_measurement_timed(task: _Task) -> Tuple[float, float]:
@@ -104,8 +108,8 @@ def _fleet_prepass(
     A task participates when its measurement exposes ``fleet_plan`` (see
     :class:`repro.harness.measure.SimulationMeasurement`) and that call
     returns a :class:`~repro.core.fleet.LanePlan` — i.e. the config is
-    fleet-supported, numpy is present, and any attachment is one the
-    batched kernel can host (fleet-capable binary tracers ride along;
+    fleet-supported and any attachment is one the batched kernel can
+    host (fleet-capable binary tracers ride along;
     invariant checkers and other tracers force scalar).  Plans are
     grouped by (config, windows, tracer factory, perf factory); every
     group of two or more lanes runs through one batched kernel, each
@@ -145,10 +149,8 @@ def _fleet_prepass(
         groups.setdefault(key, []).append((index, measurement, plan))
     if not groups:
         return values, walls, lanes
-    try:
-        from repro.core.fleet import run_fleet_plans
-    except Exception:
-        return values, walls, lanes
+    from repro.core.fleet import run_fleet_plans
+
     for group in groups.values():
         if len(group) < 2:
             continue  # a lone lane gains nothing over the scalar kernel
@@ -169,29 +171,51 @@ def _fleet_prepass(
     return values, walls, lanes
 
 
-def _task_fingerprint(task: _Task):
-    """Hashable identity of one task's *resolved* simulation.
+def _module_level(function) -> bool:
+    """Whether ``function`` is reachable as ``module.qualname`` (a
+    module-level function, not a lambda, closure or bound method)."""
+    target = sys.modules.get(getattr(function, "__module__", None))
+    for part in getattr(function, "__qualname__", "<none>").split("."):
+        target = getattr(target, part, None)
+    return target is function
 
-    Measurements exposing ``task_fingerprint`` (fleet-aware ones) resolve
-    overrides and traffic seeding, so two tasks that would run the exact
-    same simulation — the classic pinned-traffic-seed replication bug —
-    compare equal.  Plain callables fall back to (identity, parameters,
-    seed), under which distinct seeds never collide.
+
+def task_fingerprint(task: _Task) -> Optional[str]:
+    """The identity of one task's computation, or ``None`` if it has none.
+
+    A sha256 hex digest of canonical JSON.  A measurement exposing
+    ``task_fingerprint`` (see
+    :class:`repro.harness.measure.SimulationMeasurement`) describes its
+    *resolved* simulation, so two tasks that would run the exact same
+    simulation — the classic pinned-traffic-seed replication bug — share
+    a fingerprint.  A plain module-level function is identified by its
+    module, qualname, sorted parameters and seed.  Anything with no
+    stable identity — a lambda, a ``<locals>`` closure, a ``partial``,
+    an instance without the method, parameters with no JSON form — gets
+    ``None``: it is never deduped and cannot be checkpointed.
     """
     measurement, parameters, seed = task
     resolve = getattr(measurement, "task_fingerprint", None)
     if resolve is not None:
-        try:
-            fingerprint = ("resolved", resolve(seed=seed, **parameters))
-            hash(fingerprint)
-            return fingerprint
-        except Exception:
-            pass
+        kind = type(measurement)
+        identity = {
+            "measurement": f"{kind.__module__}.{kind.__qualname__}",
+            "task": resolve(seed=seed, **parameters),
+        }
+    elif _module_level(measurement):
+        identity = {
+            "measurement":
+                f"{measurement.__module__}.{measurement.__qualname__}",
+            "parameters": parameters,
+            "seed": seed,
+        }
+    else:
+        return None
     try:
-        key = repr(sorted(parameters.items()))
-    except Exception:
-        key = repr(parameters)
-    return ("raw", id(measurement), key, seed)
+        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError):  # a value with no JSON form
+        return None
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +254,11 @@ class ResiliencePolicy:
             Jitter shapes only the sleep schedule, never task inputs:
             results stay bit-identical to an unjittered run.
         jitter_seed: Seed folded into the jitter draw.
-        checkpoint: Optional path of an append-only JSONL journal of
-            completed tasks.  If the file already exists it must match
-            the task list's fingerprint, and its completed tasks are
-            not re-run (checkpoint/resume).
+        checkpoint: Optional :class:`repro.service.cache.ResultCache`
+            directory (created if missing).  Every completed task is
+            stored under its :func:`task_fingerprint`, and a task found
+            there is not re-run (checkpoint/resume).  Sweeps sharing a
+            directory share the tasks they have in common.
         breaker: Optional circuit breaker (duck-typed, e.g.
             :class:`repro.service.breaker.CircuitBreaker`) consulted on
             worker *crashes*: ``record_crash(key)`` is called per
@@ -311,91 +336,6 @@ class TaskFailure(RuntimeError):
         self.cause = cause
 
 
-class CheckpointMismatch(ValueError):
-    """An existing checkpoint journals a different task list."""
-
-
-def _fingerprint_tasks(tasks: Sequence[_Task]) -> str:
-    """Deterministic identity of a task list (order, callables, seeds)."""
-    digest = hashlib.sha256()
-    for measurement, parameters, seed in tasks:
-        name = (
-            f"{getattr(measurement, '__module__', '?')}."
-            f"{getattr(measurement, '__qualname__', '?')}"
-        )
-        digest.update(
-            f"{name}|{sorted(parameters.items())!r}|{seed}\n".encode()
-        )
-    return digest.hexdigest()
-
-
-class SweepCheckpoint:
-    """Append-only JSONL journal of completed sweep tasks.
-
-    Line 1 is a header (:data:`CHECKPOINT_FORMAT`, the task-list
-    fingerprint, the task count); every further line is one completed
-    task (``index``, ``value``, ``attempts``, ``wall_s``).  Each append
-    is flushed, so a crashed parent loses at most the line it was
-    writing — a torn trailing line is tolerated and dropped on resume.
-    """
-
-    def __init__(self, path: Union[str, Path], tasks: Sequence[_Task]) -> None:
-        self.path = Path(path)
-        self.fingerprint = _fingerprint_tasks(tasks)
-        self.total = len(tasks)
-        self.completed: Dict[int, Tuple[float, float]] = {}
-        had_header = self.path.exists() and self._load()
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if not had_header:
-            self._handle.write(json.dumps({
-                "format": CHECKPOINT_FORMAT,
-                "fingerprint": self.fingerprint,
-                "tasks": self.total,
-            }) + "\n")
-            self._handle.flush()
-
-    def _load(self) -> bool:
-        from repro.util.jsonl import read_jsonl
-
-        rows = [row for row in read_jsonl(self.path) if isinstance(row, dict)]
-        if not rows:
-            return False
-        header = rows[0]
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointMismatch(
-                f"{self.path}: not a {CHECKPOINT_FORMAT} checkpoint"
-            )
-        if (
-            header.get("fingerprint") != self.fingerprint
-            or header.get("tasks") != self.total
-        ):
-            raise CheckpointMismatch(
-                f"{self.path}: checkpoint was written for a different "
-                f"task list (delete it or pick another path)"
-            )
-        for row in rows[1:]:
-            index = row.get("index")
-            if isinstance(index, int) and 0 <= index < self.total:
-                self.completed[index] = (
-                    float(row.get("value", 0.0)),
-                    float(row.get("wall_s", 0.0)),
-                )
-        return True
-
-    def append(self, index: int, value: float, attempts: int, wall_s: float) -> None:
-        """Journal one completed task (flushed immediately)."""
-        self.completed[index] = (value, wall_s)
-        self._handle.write(json.dumps({
-            "index": index, "value": value,
-            "attempts": attempts, "wall_s": wall_s,
-        }) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        """Release the journal file handle."""
-        self._handle.close()
-
-
 def _spawn_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     try:
         return ProcessPoolExecutor(max_workers=workers)
@@ -449,8 +389,10 @@ def _execute_tasks(
             ``policy.max_retries + 1`` times.  With ``policy=None``
             each task gets one attempt and its own exception propagates
             unchanged (``BrokenProcessPool`` for a worker crash).
-        CheckpointMismatch: When ``policy.checkpoint`` exists but
-            journals a different task list.
+        ValueError: When ``policy.checkpoint`` is set and a task's
+            :func:`task_fingerprint` is ``None``; nothing has run yet.
+        NotADirectoryError: When ``policy.checkpoint`` names an
+            existing file, which is left untouched.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -460,24 +402,39 @@ def _execute_tasks(
     total = len(tasks)
     values: List[Optional[float]] = [None] * total
     attempts = [0] * total
-    checkpoint = (
-        SweepCheckpoint(policy.checkpoint, tasks)
-        if policy.checkpoint is not None else None
-    )
+    store, fingerprints = None, []
+    if policy.checkpoint is not None:
+        fingerprints = [task_fingerprint(task) for task in tasks]
+        if None in fingerprints:
+            raise ValueError(
+                f"task {fingerprints.index(None)} has no stable identity "
+                "(a lambda, closure, partial or non-JSON parameter) and "
+                "cannot be checkpointed"
+            )
+        if Path(policy.checkpoint).is_file():
+            raise NotADirectoryError(
+                f"checkpoint {policy.checkpoint} is a file; a checkpoint "
+                "is a result-cache directory"
+            )
+        from repro.service.cache import ResultCache
+
+        store = ResultCache(policy.checkpoint)
     if telemetry is not None:
         telemetry.start(total)
-    if checkpoint is not None:
-        for index, (value, wall_s) in sorted(checkpoint.completed.items()):
-            values[index] = value
+    for index, fingerprint in enumerate(fingerprints):
+        hit = store.get(fingerprint)
+        if hit is not None:
+            values[index] = hit["value"]
             if telemetry is not None:
-                _report(telemetry, tasks[index], index, total, value, wall_s)
+                _report(telemetry, tasks[index], index, total,
+                        hit["value"], hit["wall_s"])
 
     def record(
         index: int, value: float, wall_s: float, lanes: int = 1
     ) -> None:
         values[index] = value
-        if checkpoint is not None:
-            checkpoint.append(index, value, attempts[index] + 1, wall_s)
+        if store is not None:
+            store.put(fingerprints[index], {"value": value, "wall_s": wall_s})
         if policy.breaker is not None:
             policy.breaker.record_success(policy.breaker_key(index))
         if telemetry is not None:
@@ -506,7 +463,7 @@ def _execute_tasks(
         return policy.backoff_delay(attempts[index], key=key)
 
     # Fleet-batch whatever the checkpoint didn't already cover; batched
-    # lanes are journaled and reported exactly like scalar completions,
+    # lanes are stored and reported exactly like scalar completions,
     # so resume and telemetry cannot tell the paths apart.
     done_already = frozenset(
         index for index in range(total) if values[index] is not None
@@ -533,112 +490,108 @@ def _execute_tasks(
                     record(index, value, wall_s)
         return [float(value) for value in values]
 
+    backlog = deque(
+        index for index in range(total) if values[index] is None
+    )
+    if workers == 1 or not backlog:
+        return serial()
     try:
-        backlog = deque(
-            index for index in range(total) if values[index] is None
-        )
-        if workers == 1 or not backlog:
-            return serial()
-        try:
-            pickle.dumps([tasks[index] for index in backlog])
-        except Exception:
-            return serial()
-        pool = _spawn_pool(workers)
-        if pool is None:
-            return serial()
-        try:
-            inflight: Dict[object, int] = {}
-            deadlines: Dict[object, float] = {}
-            ready: List[Tuple[float, int]] = []  # (due time, index) heap
+        pickle.dumps([tasks[index] for index in backlog])
+    except Exception:
+        return serial()
+    pool = _spawn_pool(workers)
+    if pool is None:
+        return serial()
+    try:
+        inflight: Dict[object, int] = {}
+        deadlines: Dict[object, float] = {}
+        ready: List[Tuple[float, int]] = []  # (due time, index) heap
 
-            def submit(index: int) -> None:
-                future = pool.submit(_run_measurement_timed, tasks[index])
-                inflight[future] = index
-                if policy.task_timeout is not None:
-                    deadlines[future] = (
-                        time.monotonic() + policy.task_timeout
-                    )
-
-            def fill() -> None:
-                # Cap in-flight futures at the worker count so a
-                # submitted future is actually *running* — a per-future
-                # deadline on a queued task would expire spuriously.
-                while backlog and len(inflight) < workers:
-                    submit(backlog.popleft())
-
-            def retry_later(index: int, cause: BaseException) -> None:
-                due = time.monotonic() + charge(index, cause)
-                heapq.heappush(ready, (due, index))
-
-            fill()
-            while inflight or backlog or ready:
-                now = time.monotonic()
-                while ready and ready[0][0] <= now:
-                    backlog.append(heapq.heappop(ready)[1])
-                fill()
-                if not inflight:
-                    if ready:
-                        time.sleep(max(0.0, ready[0][0] - time.monotonic()))
-                    continue
-                timeout = None
-                if deadlines:
-                    timeout = max(0.0, min(deadlines.values()) - now)
-                if ready:
-                    due = max(0.0, ready[0][0] - now)
-                    timeout = due if timeout is None else min(timeout, due)
-                done, _ = wait(
-                    inflight, timeout=timeout, return_when=FIRST_COMPLETED
+        def submit(index: int) -> None:
+            future = pool.submit(_run_measurement_timed, tasks[index])
+            inflight[future] = index
+            if policy.task_timeout is not None:
+                deadlines[future] = (
+                    time.monotonic() + policy.task_timeout
                 )
-                broken = False
-                for future in done:
-                    index = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        value, wall_s = future.result()
-                    except BrokenProcessPool as exc:
-                        # One worker died; every sibling future fails
-                        # with the same error.  Charge only the first —
-                        # the rest are collateral.
-                        if broken:
-                            backlog.append(index)
-                        else:
-                            broken = True
-                            retry_later(index, exc)
-                    except Exception as exc:
-                        retry_later(index, exc)
+
+        def fill() -> None:
+            # Cap in-flight futures at the worker count so a
+            # submitted future is actually *running* — a per-future
+            # deadline on a queued task would expire spuriously.
+            while backlog and len(inflight) < workers:
+                submit(backlog.popleft())
+
+        def retry_later(index: int, cause: BaseException) -> None:
+            due = time.monotonic() + charge(index, cause)
+            heapq.heappush(ready, (due, index))
+
+        fill()
+        while inflight or backlog or ready:
+            now = time.monotonic()
+            while ready and ready[0][0] <= now:
+                backlog.append(heapq.heappop(ready)[1])
+            fill()
+            if not inflight:
+                if ready:
+                    time.sleep(max(0.0, ready[0][0] - time.monotonic()))
+                continue
+            timeout = None
+            if deadlines:
+                timeout = max(0.0, min(deadlines.values()) - now)
+            if ready:
+                due = max(0.0, ready[0][0] - now)
+                timeout = due if timeout is None else min(timeout, due)
+            done, _ = wait(
+                inflight, timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            broken = False
+            for future in done:
+                index = inflight.pop(future)
+                deadlines.pop(future, None)
+                try:
+                    value, wall_s = future.result()
+                except BrokenProcessPool as exc:
+                    # One worker died; every sibling future fails
+                    # with the same error.  Charge only the first —
+                    # the rest are collateral.
+                    if broken:
+                        backlog.append(index)
                     else:
-                        record(index, value, wall_s)
-                now = time.monotonic()
-                expired = [] if broken else [
-                    future for future, deadline in deadlines.items()
-                    if deadline <= now and not future.done()
-                ]
-                # A hung worker cannot be interrupted piecemeal: charge
-                # the overdue tasks, then rebuild the whole pool.
-                for future in expired:
-                    index = inflight.pop(future)
-                    deadlines.pop(future)
-                    retry_later(index, TimeoutError(
-                        f"task exceeded {policy.task_timeout}s"
-                    ))
-                if broken or expired:
-                    # Innocent in-flight casualties of the teardown go
-                    # back in line without being charged an attempt.
-                    backlog.extend(inflight.values())
-                    inflight.clear()
-                    deadlines.clear()
-                    _kill_pool(pool)
-                    pool = _spawn_pool(workers)
-                    if pool is None:
-                        return serial()
-                fill()
-            return [float(value) for value in values]
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                        broken = True
+                        retry_later(index, exc)
+                except Exception as exc:
+                    retry_later(index, exc)
+                else:
+                    record(index, value, wall_s)
+            now = time.monotonic()
+            expired = [] if broken else [
+                future for future, deadline in deadlines.items()
+                if deadline <= now and not future.done()
+            ]
+            # A hung worker cannot be interrupted piecemeal: charge
+            # the overdue tasks, then rebuild the whole pool.
+            for future in expired:
+                index = inflight.pop(future)
+                deadlines.pop(future)
+                retry_later(index, TimeoutError(
+                    f"task exceeded {policy.task_timeout}s"
+                ))
+            if broken or expired:
+                # Innocent in-flight casualties of the teardown go
+                # back in line without being charged an attempt.
+                backlog.extend(inflight.values())
+                inflight.clear()
+                deadlines.clear()
+                _kill_pool(pool)
+                pool = _spawn_pool(workers)
+                if pool is None:
+                    return serial()
+            fill()
+        return [float(value) for value in values]
     finally:
-        if checkpoint is not None:
-            checkpoint.close()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _resolve_policy(
@@ -702,7 +655,8 @@ def replicate(
     source: List[int] = []
     unique_tasks: List[_Task] = []
     for task in tasks:
-        fingerprint = _task_fingerprint(task)
+        # A task without an identity is its own key: never deduped.
+        fingerprint = task_fingerprint(task) or object()
         position = first_of.setdefault(fingerprint, len(unique_tasks))
         if position == len(unique_tasks):
             unique_tasks.append(task)
@@ -759,9 +713,11 @@ def run_sweep(
         task_timeout / max_retries / backoff_base / checkpoint: Set the
             executor's :class:`ResiliencePolicy`: per-task timeouts,
             bounded retries with exponential backoff, worker-crash
-            isolation, and JSONL checkpoint/resume (an interrupted sweep
-            re-run with the same ``checkpoint`` path resumes where it
-            stopped).  A task that spends its budget raises
+            isolation, and checkpoint/resume through a result-cache
+            directory (an interrupted sweep re-run with the same
+            ``checkpoint`` resumes where it stopped; another sweep
+            pointed at it reuses the tasks the two share).  A task that
+            spends its budget raises
             :class:`TaskFailure`.  With none of them each task gets one
             attempt: its own exception propagates, and a worker crash
             raises ``BrokenProcessPool``.  Results stay bit-identical.

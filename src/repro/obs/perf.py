@@ -225,32 +225,17 @@ class PerfCountersFactory:
 def config_fingerprint(config) -> str:
     """Order-normalised fingerprint of a :class:`HiRiseConfig`.
 
-    Hashes the canonical JSON of every architectural field.  Field
-    normalisation (sorted ``failed_channels``, enum coercion) already
-    happened in ``HiRiseConfig.__post_init__``, so two equal configs —
-    however their inputs were ordered — fingerprint identically.
+    Hashes :func:`repro.core.config.config_canonical`, the canonical
+    JSON of every config field.  Field normalisation (sorted
+    ``failed_channels``, enum coercion) already happened in
+    ``HiRiseConfig.__post_init__``, so two equal configs — however their
+    inputs were ordered — fingerprint identically.
     """
-    port = config.port_config
-    canonical = {
-        "radix": config.radix,
-        "layers": config.layers,
-        "channel_multiplicity": config.channel_multiplicity,
-        "allocation": config.allocation.value,
-        "arbitration": config.arbitration.value,
-        "num_classes": config.num_classes,
-        "port_config": {
-            name: getattr(port, name)
-            for name in sorted(getattr(port, "__dataclass_fields__", {}))
-        },
-        "qos_weights": (
-            list(config.qos_weights) if config.qos_weights is not None
-            else None
-        ),
-        "failed_channels": [list(entry) for entry in config.failed_channels],
-    }
-    digest = hashlib.sha256(
-        json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
-    )
+    from repro.core.config import config_canonical
+
+    digest = hashlib.sha256(json.dumps(
+        config_canonical(config), sort_keys=True, separators=(",", ":"),
+    ).encode())
     return digest.hexdigest()[:16]
 
 
@@ -465,7 +450,10 @@ def run_micro_benchmark(
     traffic_seed: int = 7,
     perf: Optional[PerfCounters] = None,
 ) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Time a short saturation run of the fast kernel on ``config``.
+    """Time a short saturation run of ``config``'s switch model.
+
+    The switch comes from :func:`repro.switches.make_switch`: the fast
+    Hi-Rise kernel, or the VOQ switch for iSLIP and MWM.
 
     Pre-stages uniform-random traffic (so RNG cost stays outside the
     timed region, mirroring ``scripts/bench_kernel.py``), runs
@@ -476,7 +464,7 @@ def run_micro_benchmark(
     """
     import gc
 
-    from repro.core.hirise import HiRiseSwitch
+    from repro.switches import make_switch
     from repro.traffic import UniformRandomTraffic
 
     if cycles < 1 or trials < 1:
@@ -496,8 +484,13 @@ def run_micro_benchmark(
                 list(traffic.packets_for_cycle(cycle))
                 for cycle in range(cycles)
             ]
-            switch = HiRiseSwitch(config, perf=perf)
-            inject_many = switch.inject_many
+            switch = make_switch(config, perf=perf)
+            # VOQ switches take packets one at a time.
+            inject_many = getattr(switch, "inject_many", None) or (
+                lambda packets, inject=switch.inject: [
+                    inject(packet) for packet in packets
+                ]
+            )
             step = switch.step
             start = time.perf_counter()
             for cycle in range(cycles):

@@ -1,7 +1,9 @@
 """Content-addressed result store with end-to-end integrity checks.
 
 One file per completed job, named by the job's
-:func:`~repro.service.jobs.job_fingerprint`.  Entries are written
+:func:`~repro.service.jobs.job_fingerprint` — or, when the directory is
+a sweep ``checkpoint``, per completed task, named by its
+:func:`~repro.harness.parallel.task_fingerprint`.  Entries are written
 **atomically** (temp file in the same directory, ``fsync``, then
 ``os.replace``), so a crash — of a worker, the daemon, or the whole
 host — can never leave a half-written entry under a valid name; at
@@ -16,8 +18,8 @@ post-mortem — and the read reports a miss, which makes the daemon
 recompute rather than ever serving a corrupt payload.
 
 Because entries are pure functions of the fingerprint, writes are
-idempotent: two workers racing on the same job write byte-identical
-temp files and either rename wins.
+idempotent: two workers racing on the same job write equivalent
+entries and either rename wins.
 """
 
 import hashlib
@@ -104,15 +106,16 @@ class ResultCache:
     def get(self, fingerprint: str) -> Optional[Dict[str, object]]:
         """The stored payload, or ``None`` on miss *or* quarantine.
 
-        A corrupt entry (unparseable, wrong format tag, fingerprint not
-        matching its filename, or payload digest mismatch) is renamed
-        aside and counted, then reported as a miss — the caller's only
-        correct reaction is to recompute, and the one thing this method
-        guarantees is that a payload it returns passed its digest.
+        A corrupt entry (not UTF-8, unparseable, wrong format tag,
+        fingerprint not matching its filename, or payload digest
+        mismatch) is renamed aside and counted, then reported as a
+        miss — the caller's only correct reaction is to recompute, and
+        the one thing this method guarantees is that a payload it
+        returns passed its digest.
         """
         path = self.path_for(fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
             self.misses += 1
@@ -127,10 +130,10 @@ class ResultCache:
         self.hits += 1
         return payload
 
-    def _verify(self, fingerprint: str, raw: str) -> Dict[str, object]:
+    def _verify(self, fingerprint: str, raw: bytes) -> Dict[str, object]:
         try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError as error:
+            entry = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise CorruptEntry(f"undecodable entry: {error}") from error
         if not isinstance(entry, dict):
             raise CorruptEntry("entry is not an object")

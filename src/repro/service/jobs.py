@@ -33,7 +33,8 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.core.config import HiRiseConfig
+from repro.core.config import CONFIG_FIELDS, HiRiseConfig, config_canonical
+from repro.network.port import PortConfig
 from repro.obs.perf import config_fingerprint
 
 #: Schema tag shared by the wire protocol, journal, and cache entries.
@@ -45,20 +46,17 @@ JOB_KINDS = ("simulate", "sweep", "audit", "fuzz", "chaos")
 #: Chaos modes (service fault drills).
 CHAOS_MODES = ("ok", "fail_once", "crash_once", "crash_always")
 
-_CONFIG_FIELDS = (
-    "radix", "layers", "channel_multiplicity", "allocation",
-    "arbitration", "num_classes", "qos_weights", "failed_channels",
-)
-
 
 def build_config(fields: Optional[Dict[str, object]]) -> HiRiseConfig:
     """A :class:`HiRiseConfig` from a spec's ``config`` sub-dict.
 
-    Unknown fields are rejected (a typo'd field silently meaning "the
-    default" would fingerprint two different intentions identically).
+    The inverse of :func:`~repro.core.config.config_canonical`, the
+    canonical wire form.  Unknown fields are rejected (a typo'd field
+    silently meaning "the default" would fingerprint two different
+    intentions identically).
     """
     fields = dict(fields or {})
-    unknown = set(fields) - set(_CONFIG_FIELDS)
+    unknown = set(fields) - set(CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"unknown config field(s): {sorted(unknown)}")
     if "qos_weights" in fields and fields["qos_weights"] is not None:
@@ -67,24 +65,9 @@ def build_config(fields: Optional[Dict[str, object]]) -> HiRiseConfig:
         fields["failed_channels"] = tuple(
             tuple(entry) for entry in fields["failed_channels"]
         )
+    if isinstance(fields.get("port_config"), dict):
+        fields["port_config"] = PortConfig(**fields["port_config"])
     return HiRiseConfig(**fields)
-
-
-def _config_wire(config: HiRiseConfig) -> Dict[str, object]:
-    """The canonical JSON form of a config (inverse of :func:`build_config`)."""
-    return {
-        "radix": config.radix,
-        "layers": config.layers,
-        "channel_multiplicity": config.channel_multiplicity,
-        "allocation": config.allocation.value,
-        "arbitration": config.arbitration.value,
-        "num_classes": config.num_classes,
-        "qos_weights": (
-            list(config.qos_weights)
-            if config.qos_weights is not None else None
-        ),
-        "failed_channels": [list(e) for e in config.failed_channels],
-    }
 
 
 def _take(spec: Dict[str, object], name: str, default, kind) -> object:
@@ -120,7 +103,7 @@ def normalize_spec(spec: Dict[str, object]) -> Dict[str, object]:
     normalized: Dict[str, object] = {"kind": kind}
     if kind in ("simulate", "sweep", "audit"):
         config = build_config(spec.get("config"))
-        normalized["config"] = _config_wire(config)
+        normalized["config"] = config_canonical(config)
         normalized["warmup"] = _take(spec, "warmup", 40, int)
         normalized["cycles"] = _take(spec, "cycles", 300, int)
         if normalized["cycles"] < 1 or normalized["warmup"] < 0:

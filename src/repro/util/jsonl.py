@@ -1,9 +1,10 @@
 """Append-only JSONL files with torn-line tolerance.
 
-Every durable artifact in this repo that survives crashes is an
-append-only JSONL file: the sweep checkpoint (``repro.checkpoint/v1``),
-the perf ledger (``repro.perf/v1``), JSONL trace exports, and the
-service job journal (``repro.service/v1``).  They all share the same
+The append-only durable artifacts in this repo are JSONL files: the
+perf ledger (``repro.perf/v1``), JSONL trace exports, and the service
+job journal (``repro.service/v1``).  Results themselves — service jobs
+and sweep checkpoints alike — live one atomic file per entry in
+:class:`repro.service.cache.ResultCache`.  The JSONL files share one
 failure model — a writer appends one flushed line per record, so a
 ``kill -9`` mid-append leaves at most one *torn* (truncated, hence
 undecodable) trailing line — and therefore the same reader: decode each

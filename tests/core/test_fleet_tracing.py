@@ -9,11 +9,8 @@ not, and decimation marching in lock-step on both sides.
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.config import HiRiseConfig
 from repro.core.fleet import (
-    FLEET_AVAILABLE,
     FleetSimulation,
     LanePlan,
     run_fleet_plans,
@@ -28,10 +25,6 @@ from repro.obs.tracebin import (
     read_tracebin,
 )
 from repro.traffic.uniform import UniformRandomTraffic
-
-pytestmark = pytest.mark.skipif(
-    not FLEET_AVAILABLE, reason="fleet kernel needs numpy"
-)
 
 
 def small_config(**overrides):

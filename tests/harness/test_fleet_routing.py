@@ -12,17 +12,10 @@ import warnings
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.config import HiRiseConfig
-from repro.core.fleet import FLEET_AVAILABLE
 from repro.harness.measure import METRICS, SimulationMeasurement
 from repro.harness.parallel import replicate
 from repro.harness.sweep import parameter_grid, run_sweep
-
-pytestmark = pytest.mark.skipif(
-    not FLEET_AVAILABLE, reason="fleet routing needs numpy"
-)
 
 CONFIG = HiRiseConfig(radix=8, layers=2, channel_multiplicity=2)
 GRID = parameter_grid(load=[0.4, 0.8])
@@ -181,18 +174,17 @@ def test_invariants_attachment_forces_scalar_but_same_values():
 
 def test_checkpoint_resume_bit_identical(tmp_path):
     measurement = make_measurement()
-    journal = tmp_path / "sweep.ckpt"
-    first = run_sweep(measurement, GRID, replications=3,
-                      checkpoint=journal)
-    assert journal.exists()
-    recorded = journal.read_text().strip().splitlines()
-    assert len(recorded) == 1 + len(GRID) * 3  # header + one per task
-    # Resume from a fully-journalled checkpoint: no task re-runs, the
-    # points are reconstructed bit-identically.
-    resumed = run_sweep(measurement, GRID, replications=3,
-                        checkpoint=journal)
+    store = tmp_path / "sweep"
+    first = run_sweep(measurement, GRID, replications=3, checkpoint=store)
+    recorded = {entry.name: entry.read_bytes() for entry in store.iterdir()}
+    assert len(recorded) == len(GRID) * 3  # one cache entry per task
+    # Resume from a complete checkpoint: no task re-runs (no entry is
+    # rewritten), the points are reconstructed bit-identically.
+    resumed = run_sweep(measurement, GRID, replications=3, checkpoint=store)
     assert [p.value for p in resumed] == [p.value for p in first]
-    assert journal.read_text().strip().splitlines() == recorded
+    assert {
+        entry.name: entry.read_bytes() for entry in store.iterdir()
+    } == recorded
     # And both equal the plain un-checkpointed sweep.
     plain = run_sweep(measurement, GRID, replications=3)
     assert [p.value for p in plain] == [p.value for p in first]

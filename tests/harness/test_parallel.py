@@ -5,7 +5,7 @@ The CI container may expose a single CPU, so these tests assert
 rather than wall-clock speedup.
 """
 
-import json
+import functools
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -13,17 +13,19 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import repro.harness
+from repro.core.config import HiRiseConfig
+from repro.faults import FaultSchedule, fail_channel
 from repro.harness import parallel, sweep
+from repro.harness.measure import SimulationMeasurement
 from repro.harness.parallel import (
-    CHECKPOINT_FORMAT,
-    CheckpointMismatch,
     ResiliencePolicy,
-    SweepCheckpoint,
     TaskFailure,
+    task_fingerprint,
 )
 from repro.harness.sweep import parameter_grid, run_sweep
 from repro.metrics.confidence import replicate, t_interval
 from repro.network.engine import Simulation
+from repro.service.cache import ResultCache
 from repro.switches import SwizzleSwitch2D
 from repro.traffic import UniformRandomTraffic
 
@@ -39,6 +41,16 @@ def throughput_measurement(seed, radix=8, load=0.6):
 def seed_polynomial(seed):
     """Cheap deterministic stand-in experiment."""
     return seed * seed + 0.5 * seed + 1.0
+
+
+#: Seeds :func:`counted_polynomial` ran in this process, in call order.
+CALLS = []
+
+
+def counted_polynomial(seed):
+    """seed_polynomial that logs every in-process run in CALLS."""
+    CALLS.append(seed)
+    return seed_polynomial(seed)
 
 
 def crash_once_measurement(seed, token=None):
@@ -418,81 +430,187 @@ class TestBreakerHook:
         assert breaker.crashes == []
 
 
+class TestTaskFingerprint:
+    def test_module_level_function_keys_on_parameters_and_seed(self):
+        fp = task_fingerprint(
+            (throughput_measurement, {"radix": 4, "load": 0.5}, 1)
+        )
+        assert len(fp) == 64
+        assert fp == task_fingerprint(
+            (throughput_measurement, {"load": 0.5, "radix": 4}, 1)
+        )
+        assert fp != task_fingerprint(
+            (throughput_measurement, {"radix": 4, "load": 0.5}, 2)
+        )
+        assert fp != task_fingerprint(
+            (throughput_measurement, {"radix": 8, "load": 0.5}, 1)
+        )
+        assert fp != task_fingerprint(
+            (seed_polynomial, {"radix": 4, "load": 0.5}, 1)
+        )
+
+    def test_no_stable_identity_is_none(self):
+        def closure(seed):
+            return float(seed)
+
+        class Bare:
+            def __call__(self, seed):
+                return float(seed)
+
+        for measurement in (
+            lambda seed: float(seed),
+            closure,
+            functools.partial(throughput_measurement, radix=4),
+            Bare(),
+        ):
+            assert task_fingerprint((measurement, {}, 0)) is None
+        # Parameters with no JSON form have no canonical identity either.
+        assert task_fingerprint((seed_polynomial, {"x": object()}, 0)) is None
+
+    def test_simulation_identity_ignores_observers(self):
+        from repro.obs.perf import PerfCountersFactory
+
+        config = HiRiseConfig(radix=8, layers=2, channel_multiplicity=2)
+        plain = SimulationMeasurement(config)
+        observed = SimulationMeasurement(
+            config, invariants=True, perf_factory=PerfCountersFactory(),
+        )
+        assert task_fingerprint((plain, {"load": 0.5}, 3)) == (
+            task_fingerprint((observed, {"load": 0.5}, 3))
+        )
+
+    def test_simulation_identity_covers_what_changes_a_value(self):
+        config = HiRiseConfig(radix=8, layers=2, channel_multiplicity=2)
+        faults = FaultSchedule([fail_channel(5, 0, 1, 0)])
+        base = task_fingerprint((SimulationMeasurement(config), {}, 3))
+        variants = [
+            (SimulationMeasurement(config), {}, 4),
+            (SimulationMeasurement(config), {"load": 0.5}, 3),
+            (SimulationMeasurement(config), {"channel_multiplicity": 1}, 3),
+            (SimulationMeasurement(config, metric="avg_latency"), {}, 3),
+            (SimulationMeasurement(config, measure_cycles=301), {}, 3),
+            (SimulationMeasurement(config, drain=True), {}, 3),
+            (SimulationMeasurement(config, faults=faults), {}, 3),
+        ]
+        fingerprints = {task_fingerprint(task) for task in variants}
+        assert base not in fingerprints
+        assert len(fingerprints) == len(variants)
+        # A pinned traffic seed makes the task seed irrelevant.
+        pinned = SimulationMeasurement(config, traffic_seed=7)
+        assert task_fingerprint((pinned, {}, 0)) == (
+            task_fingerprint((pinned, {}, 1))
+        )
+
+
 class TestCheckpointResume:
+    """A checkpoint is a ResultCache directory keyed by task fingerprint."""
+
+    @staticmethod
+    def entries(path):
+        return {entry.name: entry.read_bytes() for entry in path.iterdir()}
+
     def test_checkpoint_written_and_resumed(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
+        path = tmp_path / "sweep"
         grid = parameter_grid(radix=[4, 8])
         first = run_sweep(
             throughput_measurement, grid, base_seed=1, workers=2,
             checkpoint=path,
         )
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines() if line.strip()
+        store = ResultCache(path)
+        fingerprints = [
+            task_fingerprint((throughput_measurement, point, 1))
+            for point in grid
         ]
-        assert lines[0]["format"] == CHECKPOINT_FORMAT
-        assert lines[0]["tasks"] == 2
-        assert {row["index"] for row in lines[1:]} == {0, 1}
-        # Resuming replays the journal without recomputing: poison the
-        # measurement and the resumed run must still return the journaled
-        # values untouched.
+        assert store.fingerprints() == sorted(fingerprints)
+        assert [store.get(fp)["value"] for fp in fingerprints] == [
+            p.value for p in first
+        ]
+        # Resuming serves every task from the store: no entry is
+        # rewritten (a recomputation would store a fresh wall time).
+        written = self.entries(path)
         resumed = run_sweep(
             throughput_measurement, grid, base_seed=1, workers=2,
             checkpoint=path,
         )
         assert [p.value for p in resumed] == [p.value for p in first]
-        assert len(path.read_text().splitlines()) == len(lines)
+        assert self.entries(path) == written
 
     def test_partial_checkpoint_resumes_remaining_tasks(self, tmp_path):
-        path = tmp_path / "partial.jsonl"
+        path = tmp_path / "partial"
         tasks = [(seed_polynomial, {}, seed) for seed in range(4)]
-        journal = SweepCheckpoint(path, tasks)
-        journal.append(0, seed_polynomial(0), 1, 0.0)
-        journal.append(2, seed_polynomial(2), 1, 0.0)
-        journal.close()
+        store = ResultCache(path)
+        for seed in (0, 2):
+            store.put(task_fingerprint(tasks[seed]), {
+                "value": seed_polynomial(seed), "wall_s": 0.0,
+            })
         values = parallel._execute_tasks(
             tasks, workers=2, policy=ResiliencePolicy(checkpoint=path),
         )
         assert values == [seed_polynomial(seed) for seed in range(4)]
-        reloaded = SweepCheckpoint(path, tasks)
-        assert set(reloaded.completed) == {0, 1, 2, 3}
-        reloaded.close()
-
-    def test_mismatched_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "stale.jsonl"
-        run_sweep(
-            seed_polynomial, [{}], base_seed=0, checkpoint=path,
+        assert store.fingerprints() == sorted(
+            task_fingerprint(task) for task in tasks
         )
-        with pytest.raises(CheckpointMismatch, match="different"):
-            run_sweep(
-                seed_polynomial, [{}, {}], base_seed=0, checkpoint=path,
-            )
-        with pytest.raises(CheckpointMismatch, match="different"):
-            run_sweep(
-                seed_polynomial, [{}], base_seed=9, checkpoint=path,
-            )
+
+    def test_different_task_list_reuses_shared_tasks(self, tmp_path):
+        path = tmp_path / "shared"
+        run_sweep(
+            counted_polynomial, [{}], replications=2, base_seed=0,
+            checkpoint=path,
+        )
+        CALLS.clear()
+        points = run_sweep(
+            counted_polynomial, [{}], replications=3, base_seed=1,
+            checkpoint=path,
+        )
+        assert CALLS == [2, 3]  # seed 1 came from the first sweep
+        expected = t_interval([seed_polynomial(seed) for seed in (1, 2, 3)])
+        assert points[0].value == expected.mean
+        assert points[0].interval.half_width == expected.half_width
+
+    def test_measurements_never_share_entries(self, tmp_path):
+        # Two SimulationMeasurements differ only in their attributes; a
+        # store keyed on the callable's name alone served the first
+        # sweep's throughputs as the second sweep's latencies.
+        path = tmp_path / "mixed"
+        grid = parameter_grid(load=[0.3, 0.6])
+        windows = dict(warmup_cycles=10, measure_cycles=50)
+        first = SimulationMeasurement(
+            HiRiseConfig(radix=16, layers=4, channel_multiplicity=4),
+            metric="throughput", **windows,
+        )
+        second = SimulationMeasurement(
+            HiRiseConfig(radix=16, layers=4, channel_multiplicity=1),
+            metric="avg_latency", **windows,
+        )
+        run_sweep(first, grid, checkpoint=path)
+        points = run_sweep(second, grid, checkpoint=path)
+        assert [p.value for p in points] == [
+            second(seed=0, **point) for point in grid
+        ]
+
+    def test_unidentifiable_task_refused_up_front(self, tmp_path):
+        path = tmp_path / "refused"
+        ran = []
+
+        def closure(seed):
+            ran.append(seed)
+            return float(seed)
+
+        with pytest.raises(ValueError, match="no stable identity"):
+            run_sweep(closure, [{}], checkpoint=path)
+        assert ran == [] and not path.exists()
 
     def test_wrong_format_rejected(self, tmp_path):
+        # A file where the store directory belongs (say, a JSONL journal
+        # from an older release) is refused and left untouched.
         path = tmp_path / "alien.jsonl"
-        path.write_text(json.dumps({"format": "other/v1"}) + "\n")
-        with pytest.raises(CheckpointMismatch, match="not a"):
+        path.write_text('{"format": "other/v1"}\n')
+        with pytest.raises(NotADirectoryError):
             run_sweep(seed_polynomial, [{}], checkpoint=path)
-
-    def test_torn_trailing_line_is_dropped(self, tmp_path):
-        path = tmp_path / "torn.jsonl"
-        tasks = [(seed_polynomial, {}, seed) for seed in range(3)]
-        journal = SweepCheckpoint(path, tasks)
-        journal.append(0, seed_polynomial(0), 1, 0.0)
-        journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"index": 1, "val')  # crashed mid-write
-        values = parallel._execute_tasks(
-            tasks, workers=1, policy=ResiliencePolicy(checkpoint=path),
-        )
-        assert values == [seed_polynomial(seed) for seed in range(3)]
+        assert path.read_text() == '{"format": "other/v1"}\n'
 
     def test_replicate_supports_resilience_keywords(self, tmp_path):
-        path = tmp_path / "replicate.jsonl"
+        path = tmp_path / "replicate"
         supervised = parallel.replicate(
             seed_polynomial, num_replications=4, base_seed=2,
             workers=2, max_retries=1, checkpoint=path,
@@ -500,4 +618,51 @@ class TestCheckpointResume:
         plain = replicate(seed_polynomial, num_replications=4, base_seed=2)
         assert supervised.mean == plain.mean
         assert supervised.half_width == plain.half_width
-        assert path.exists()
+        assert len(ResultCache(path).fingerprints()) == 4
+
+
+class TestCheckpointCorruption:
+    """Every damaged entry is quarantined and only its task recomputed."""
+
+    TASKS = [(counted_polynomial, {}, seed) for seed in range(3)]
+    EXPECTED = [seed_polynomial(seed) for seed in range(3)]
+
+    def checkpoint(self, path):
+        CALLS.clear()
+        return parallel._execute_tasks(
+            self.TASKS, 1, ResiliencePolicy(checkpoint=path),
+        )
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        path = tmp_path / "store"
+        assert self.checkpoint(path) == self.EXPECTED
+        victim = path / task_fingerprint(self.TASKS[1])
+        return path, victim, victim.read_bytes()
+
+    def resume_with(self, path, victim, damaged):
+        victim.write_bytes(damaged)
+        for name in ResultCache(path).quarantined():
+            (path / name).unlink()
+        assert self.checkpoint(path) == self.EXPECTED, damaged
+        assert CALLS == [1], damaged
+        assert ResultCache(path).quarantined() == [
+            f"{victim.name}.corrupt-0"
+        ], damaged
+
+    def test_truncated_entry_recomputed_at_every_offset(self, store):
+        path, victim, pristine = store
+        for offset in range(len(pristine)):
+            self.resume_with(path, victim, pristine[:offset])
+
+    @pytest.mark.parametrize("field", [
+        b'"format":"', b'"fingerprint":"', b'"sha256":"', b'"value":',
+    ], ids=["format", "fingerprint", "sha256", "payload"])
+    def test_bit_flip_recomputed_in_every_field(self, store, field):
+        # "value" lives inside the payload; its first digit is flipped.
+        path, victim, pristine = store
+        position = pristine.index(field) + len(field)
+        for bit in range(8):
+            damaged = bytearray(pristine)
+            damaged[position] ^= 1 << bit
+            self.resume_with(path, victim, bytes(damaged))

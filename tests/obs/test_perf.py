@@ -126,6 +126,46 @@ class TestConfigFingerprint:
         other = HiRiseConfig(radix=16, layers=2, channel_multiplicity=2)
         assert config_fingerprint(CONFIG) != config_fingerprint(other)
 
+    def test_islip_iterations_change_the_fingerprint(self):
+        # iSLIP-1 and iSLIP-4 are different schedulers with different
+        # results; one fingerprint for both would mix their ledgers.
+        islip = dict(radix=16, layers=1, channel_multiplicity=1,
+                     arbitration="islip")
+        assert config_fingerprint(
+            HiRiseConfig(islip_iterations=1, **islip)
+        ) != config_fingerprint(HiRiseConfig(islip_iterations=4, **islip))
+
+    def test_every_config_field_is_canonical(self):
+        # A field missing from the canonical form would let two
+        # different configs share a fingerprint.
+        from dataclasses import fields, replace
+
+        from repro.core.config import config_canonical
+        from repro.network.port import PortConfig
+        from repro.service.jobs import build_config
+
+        names = {field.name for field in fields(HiRiseConfig)}
+        assert set(config_canonical(CONFIG)) == names
+        variants = {
+            "radix": 16,
+            "layers": 1,
+            "channel_multiplicity": 1,
+            "allocation": "priority",
+            "arbitration": "age",
+            "num_classes": 4,
+            "islip_iterations": 2,
+            "port_config": PortConfig(num_vcs=2),
+            "qos_weights": tuple(1.0 + i for i in range(8)),
+            "failed_channels": ((0, 1, 0),),
+        }
+        assert set(variants) == names
+        seen = {config_fingerprint(CONFIG)}
+        for name, value in variants.items():
+            other = replace(CONFIG, **{name: value})
+            seen.add(config_fingerprint(other))
+            assert build_config(config_canonical(other)) == other, name
+        assert len(seen) == 1 + len(variants)
+
     def test_host_info_is_json_serialisable(self):
         info = json.loads(json.dumps(host_info()))
         assert "platform" in info and "python" in info
@@ -369,6 +409,26 @@ class TestPerfCli:
 
     def test_no_record_and_no_ledger_exits_two(self):
         assert self.run_cli() == 2
+
+    def test_records_an_islip_row(self, tmp_path, capsys):
+        # VOQ schemes run on the switch make_switch builds for them.
+        ledger = str(tmp_path / "perf.jsonl")
+        islip = ["--radix", "16", "--layers", "1", "--channels", "1",
+                 "--arbitration", "islip", "--cycles", "40", "--trials", "1"]
+        from repro.__main__ import main
+
+        assert main(["perf", *islip, "--islip-iterations", "1",
+                     "--record", "--ledger", ledger]) == 0
+        (entry,) = read_ledger(ledger)
+        assert entry["fingerprint"] == config_fingerprint(HiRiseConfig(
+            radix=16, layers=1, channel_multiplicity=1, arbitration="islip",
+        ))
+        assert entry["metrics"]["cycles_per_sec"] > 0
+        capsys.readouterr()
+        # iSLIP-4 is a different config: iSLIP-1's row is not its history.
+        assert main(["perf", *islip, "--islip-iterations", "4",
+                     "--ledger", ledger, "--history"]) == 2
+        assert "no entries" in capsys.readouterr().err
 
     def test_history_and_phases_render(self, tmp_path, capsys):
         ledger = str(tmp_path / "perf.jsonl")

@@ -63,6 +63,17 @@ class TestFingerprint:
             {"kind": "simulate", "config": channels_two}
         )
 
+    def test_islip_iterations_is_a_spec_field(self):
+        islip = {"arbitration": "islip", "radix": 16, "layers": 1,
+                 "channel_multiplicity": 1}
+        one = {"kind": "simulate", "config": {**islip, "islip_iterations": 1}}
+        four = {"kind": "simulate", "config": {**islip, "islip_iterations": 4}}
+        assert normalize_spec(four)["config"]["islip_iterations"] == 4
+        assert job_fingerprint(one) != job_fingerprint(four)
+        assert job_fingerprint(one) == job_fingerprint(
+            {"kind": "simulate", "config": islip}
+        )
+
     def test_is_a_sha256_hexdigest(self):
         fingerprint = job_fingerprint({"kind": "chaos"})
         assert len(fingerprint) == 64

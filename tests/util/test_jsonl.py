@@ -90,12 +90,10 @@ class TestAppend:
 
 
 def test_consumers_share_the_reader(tmp_path):
-    """The three historical readers all route through this module."""
+    """The historical readers route through this module."""
     import inspect
 
-    from repro.harness import parallel
     from repro.obs import analyze, perf
 
-    assert "read_jsonl" in inspect.getsource(parallel.SweepCheckpoint._load)
     assert "read_jsonl" in inspect.getsource(perf.read_ledger)
     assert "iter_jsonl_strict" in inspect.getsource(analyze.iter_jsonl)
