@@ -386,28 +386,36 @@ class HiRiseSwitch(SwitchModel):
             # possible under dynamic faults) maps to the src layer's
             # diagonal sentinel id: permanently cooling, so the viability
             # check rejects it with zero extra hot-path branches.
-            dead_rid = [
-                cfg.channel_resource_id(layer, layer, 0)
-                for layer in range(layers)
-            ]
+            # (src_layer, dst_layer, nominal channel), packed like the
+            # L2LC ids -> the id a binned request for it contends for.
+            rid_of_nominal = [0] * (layers * layers * cmult)
+            for src in range(layers):
+                dead_rid = cfg.channel_resource_id(src, src, 0)
+                for dst in range(layers):
+                    if src == dst:
+                        continue
+                    for nominal in range(cmult):
+                        channel = self._healthy_channel_or_none(
+                            src, dst, nominal
+                        )
+                        rid_of_nominal[(src * layers + dst) * cmult + nominal] = (
+                            dead_rid if channel is None
+                            else cfg.channel_resource_id(src, dst, channel)
+                        )
+            channel_for = self.allocation.channel_for
             for port in range(cfg.radix):
                 src_layer = layer_of[port]
                 local_input = local_of[port]
                 rid_of_dst = []
                 for dst in range(cfg.radix):
-                    if layer_of[dst] == src_layer:
+                    dst_layer = layer_of[dst]
+                    if dst_layer == src_layer:
                         rid_of_dst.append(dst)
                     else:
-                        channel = self._healthy_channel_or_none(
-                            src_layer, layer_of[dst],
-                            self.allocation.channel_for(local_input, dst),
-                        )
-                        if channel is None:
-                            rid_of_dst.append(dead_rid[src_layer])
-                        else:
-                            rid_of_dst.append(cfg.channel_resource_id(
-                                src_layer, layer_of[dst], channel
-                            ))
+                        rid_of_dst.append(rid_of_nominal[
+                            (src_layer * layers + dst_layer) * cmult
+                            + channel_for(local_input, dst)
+                        ])
                 self._viability.append(
                     _BinnedViability(self, tuple(rid_of_dst))
                 )
@@ -667,7 +675,10 @@ class HiRiseSwitch(SwitchModel):
                     port._refill_blocked = False
                     flit.ejected_cycle = cycle
                     ejected.append(flit)
-                    if flit.seq == flit.num_flits - 1:  # tail: tear down
+                    seq = flit.seq
+                    if not seq:
+                        port._heads -= 1
+                    if seq == flit.num_flits - 1:  # tail: tear down
                         if not fifo:
                             vc._owner_packet = None
                         port.active_vc = None
@@ -702,6 +713,7 @@ class HiRiseSwitch(SwitchModel):
                         cand._owner_packet = front.packet_id
                         cand._fifo.append(front)
                         port._refill_vc = idx
+                        port._heads += 1
                         break
                 else:
                     port._refill_blocked = True
@@ -751,7 +763,10 @@ class HiRiseSwitch(SwitchModel):
             port._refill_blocked = False
             flit.ejected_cycle = cycle
             ejected.append(flit)
-            if flit.seq == flit.num_flits - 1:  # tail: tear down
+            seq = flit.seq
+            if not seq:
+                port._heads -= 1
+            if seq == flit.num_flits - 1:  # tail: tear down
                 if not fifo:
                     vc._owner_packet = None
                 port.active_vc = None
@@ -787,6 +802,7 @@ class HiRiseSwitch(SwitchModel):
                         cand._owner_packet = front.packet_id
                         cand._fifo.append(front)
                         port._refill_vc = idx
+                        port._heads += 1
                         break
                 else:
                     port._refill_blocked = True
@@ -862,8 +878,12 @@ class HiRiseSwitch(SwitchModel):
         pair_requests: Dict[int, List[Tuple[int, int]]] = {}
 
         # _arb_ports aliases self.ports until a stuck-input fault
-        # narrows it; stuck ports never present requests.
+        # narrows it; stuck ports never present requests.  A port with
+        # no head-fronted VC can neither request nor be blocked, so it
+        # costs one attribute read.
         for port in self._arb_ports:
+            if not port._heads:
+                continue
             port_id = port.port_id
             if in_cooling[port_id] or port.active_vc is not None:
                 continue

@@ -42,6 +42,8 @@ class CoreParams:
     def __post_init__(self) -> None:
         if self.width < 1 or self.miss_window < 1:
             raise ValueError("width and miss window must be >= 1")
+        if self.frequency_ghz <= 0:
+            raise ValueError("core frequency must be positive")
         if self.mshr_limit < self.miss_window:
             raise ValueError("MSHR limit must cover the miss window")
 

@@ -19,6 +19,22 @@ Message flows (request ids match replies to cores):
 * L2 hit -> data reply (4 flits) h -> c;
 * L2 miss -> request (1 flit) h -> its memory controller tile; after
   queued DRAM access, data reply (4 flits) mc -> c.
+
+A cycle costs what its busy tiles need.  Every core shares one
+``CoreParams``, so the retire budget per network cycle is a system
+constant.  A core takes one of three paths:
+
+* stalled (miss window full): skipped, as ``SyntheticCore.advance``
+  would retire nothing;
+* fast path, the next miss beyond this cycle's budget: the loop does
+  ``gap -= budget; retired += budget`` inline, the same floating-point
+  operations ``advance`` performs;
+* scalar path, a miss within the budget or an infinite gap: the loop
+  calls ``advance``, in ascending core id, so the per-core and system
+  RNGs draw in the same order as a loop that called it for every core.
+
+L2 banks whose in-flight head is not yet due (the FIFO is ordered by
+ready cycle) and idle memory controllers are skipped likewise.
 """
 
 import math
@@ -56,6 +72,8 @@ class SystemConfig:
         if not 0.0 <= self.writeback_fraction <= 1.0:
             raise ValueError("writeback fraction must be in [0, 1]")
 
+
+_INF = float("inf")
 
 # Message kinds carried in head-flit payloads.
 _REQ_L2 = 0
@@ -99,6 +117,13 @@ class ManyCoreSystem:
                    np.random.default_rng(cfg.seed * 2000003 + i))
             for i in range(cfg.num_cores)
         ]
+        self._bank_inflight = [bank._inflight for bank in self.banks]
+        # Every core shares cfg.core, so the per-cycle retire budget and
+        # the miss window are system constants.
+        self._budget = self.cores[0].instructions_per_network_cycle(
+            self.network_cycle_ns
+        )
+        self._miss_window = cfg.core.miss_window
         dram_cycles = max(1, math.ceil(cfg.dram_latency_ns / self.network_cycle_ns))
         service = cfg.mc_service_interval_ns / self.network_cycle_ns
         self.mcs = [
@@ -200,9 +225,12 @@ class ManyCoreSystem:
             for dst_tile, message in retries:
                 self._deliver(dst_tile, message)
 
-        # 4. L2 banks complete accesses.
-        for tile, bank in enumerate(self.banks):
-            for request, hit in bank.completions(cycle):
+        # 4. L2 banks complete accesses.  A bank's in-flight FIFO is in
+        # ready-cycle order, so a bank whose head is not due is skipped.
+        for tile, inflight in enumerate(self._bank_inflight):
+            if not inflight or inflight[0].ready_cycle > cycle:
+                continue
+            for request, hit in self.banks[tile].completions(cycle):
                 core_tile = request.core_id
                 if hit:
                     self._send(_REPLY, tile, core_tile, request.request_id,
@@ -213,16 +241,28 @@ class ManyCoreSystem:
                     self._send(_REQ_MEM, tile, mc_tile, request.request_id,
                                self.config.request_flits)
 
-        # 5. Memory controllers complete accesses.
+        # 5. Memory controllers complete accesses (an idle one has none).
         for mc_index, mc in enumerate(self.mcs):
+            if not mc._queue and not mc._inflight:
+                continue
             mc_tile = self.mc_tiles[mc_index]
             for request in mc.step(cycle):
                 self._send(_REPLY, mc_tile, request.core_id,
                            request.request_id, self.config.reply_flits)
 
-        # 6. Cores retire instructions and issue new misses.
+        # 6. Cores retire instructions and issue new misses: stalled cores
+        # are skipped, the fast path is inlined, and the scalar path
+        # calls advance in core order (see the module docstring).
+        budget = self._budget
+        window = self._miss_window
         for core in self.cores:
-            budget = core.instructions_per_network_cycle(self.network_cycle_ns)
+            if core.outstanding >= window:
+                continue
+            gap = core._gap
+            if budget < gap < _INF:
+                core._gap = gap - budget
+                core.retired_instructions += budget
+                continue
             misses = core.advance(budget)
             for _ in range(misses):
                 request_id = self._next_request

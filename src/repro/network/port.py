@@ -112,6 +112,11 @@ class InputPort:
         # VC that accepted the most recent head flit: the rest of that
         # packet can only enter the same VC, so body refills skip the scan.
         self._refill_vc = 0
+        # Number of VCs whose front flit is a head (seq 0).  A VC holds
+        # one packet at a time (a head needs a free, hence empty, VC), so
+        # the count rises when a head enters a VC and falls when a head
+        # is popped; arbitration skips a port whose count is 0.
+        self._heads = 0
 
     # ------------------------------------------------------------------
     # Injection side
@@ -151,6 +156,7 @@ class InputPort:
                     vc._owner_packet = flit.packet_id
                     vc._fifo.append(flit)
                     self._refill_vc = idx
+                    self._heads += 1
                     return
         else:
             # Body/tail flit: only its packet's owner VC may take it.
@@ -239,6 +245,8 @@ class InputPort:
         if self.active_vc is None:
             raise RuntimeError(f"port {self.port_id} has no active connection")
         flit = self.vcs[self.active_vc].pop()
+        if flit.seq == 0:
+            self._heads -= 1
         if flit.seq == flit.num_flits - 1:  # tail: release the connection
             self.active_vc = None
         # Popping freed buffer space (and possibly a VC): the source-queue

@@ -184,16 +184,11 @@ class VOQSwitch(SwitchModel):
 
     def step(self, cycle: int) -> List[Flit]:
         perf = self._perf
-        if perf is None:
-            return self._step(cycle)
-        perf.cycles_total += 1
-        if cycle % perf.stride:
-            return self._step(cycle)
-        perf.cycles_sampled += 1
-        t0 = time.perf_counter_ns()
-        ejected = self._step(cycle)
-        perf.add("step", time.perf_counter_ns() - t0, len(ejected))
-        return ejected
+        if perf is not None:
+            perf.cycles_total += 1
+            if not cycle % perf.stride:
+                return self._step_perf(cycle)
+        return self._step(cycle)
 
     def occupancy(self) -> int:
         return sum(stage.total_occupancy() for stage in self.stages)
@@ -208,6 +203,40 @@ class VOQSwitch(SwitchModel):
     # Cycle phases
     # ------------------------------------------------------------------
     def _step(self, cycle: int) -> List[Flit]:
+        self._begin_cycle(cycle)
+        ejected = self._transmit(cycle)
+        self._refill()
+        self._schedule(cycle, ejected)
+        self._end_cycle(cycle, ejected)
+        return ejected
+
+    def _step_perf(self, cycle: int) -> List[Flit]:
+        """Sampled perf cycle: time transmit, refill and the schedule.
+
+        The phase names are :meth:`repro.core.HiRiseSwitch._step_perf`'s,
+        with the whole ``_schedule`` call (weights, match, commit) as
+        ``arbitrate``.  A traced cycle runs the same phases, so its
+        capture is booked to the phase that emits it.
+        """
+        perf = self._perf
+        perf.cycles_sampled += 1
+        ns = time.perf_counter_ns
+        self._begin_cycle(cycle)
+        t1 = ns()
+        ejected = self._transmit(cycle)
+        t2 = ns()
+        self._refill()
+        t3 = ns()
+        matched = self._schedule(cycle, ejected)
+        t4 = ns()
+        perf.add("transmit", t2 - t1, len(ejected))
+        perf.add("refill", t3 - t2)
+        perf.add("arbitrate", t4 - t3, matched)
+        self._end_cycle(cycle, ejected)
+        return ejected
+
+    def _begin_cycle(self, cycle: int) -> None:
+        """Scheduled faults land before anything else in the cycle."""
         tracer = self._tracer
         if tracer is not None:
             tracer.cycle = cycle
@@ -216,18 +245,9 @@ class VOQSwitch(SwitchModel):
             due = cursor.take(cycle)
             if due:
                 apply_fault_events(self, due)
-        ejected = self._transmit(cycle)
-        stuck = self.stuck_inputs
-        for stage in self.stages:
-            if stage.input_id not in stuck:
-                stage.refill()
-        cooling_inputs = set()
-        cooling_outputs = set()
-        for flit in ejected:
-            if flit.is_tail:
-                cooling_inputs.add(flit.src)
-                cooling_outputs.add(flit.dst)
-        self._schedule(cycle, cooling_inputs, cooling_outputs)
+
+    def _end_cycle(self, cycle: int, ejected: List[Flit]) -> None:
+        tracer = self._tracer
         # Bound the tracer's pending raw entries, as the Hi-Rise kernels do.
         if tracer is not None and (
             len(tracer.timeline) >= tracer.drain_interval
@@ -235,7 +255,12 @@ class VOQSwitch(SwitchModel):
             tracer.drain()
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
-        return ejected
+
+    def _refill(self) -> None:
+        stuck = self.stuck_inputs
+        for stage in self.stages:
+            if stage.input_id not in stuck:
+                stage.refill()
 
     def _transmit(self, cycle: int) -> List[Flit]:
         ejected: List[Flit] = []
@@ -265,8 +290,12 @@ class VOQSwitch(SwitchModel):
             del self.connections[inp]
         return ejected
 
-    def _schedule(self, cycle, cooling_inputs, cooling_outputs) -> None:
-        """Match idle inputs to free outputs over head-of-line ages.
+    def _schedule(self, cycle: int, ejected: List[Flit]) -> int:
+        """Match idle inputs to free outputs; return the pairs matched.
+
+        A path whose tail left this cycle (in ``ejected``) cools: neither
+        its input nor its output is matched until the next cycle.
+        Weights are head-of-line ages.
 
         The weight of (input, output) is the age of the VOQ's head flit
         plus one — the oldest-cell-first weighting, which MWM turns into
@@ -278,6 +307,12 @@ class VOQSwitch(SwitchModel):
         instead.  iSLIP only reads weights as request indicators, so for
         it the two weightings are identical.
         """
+        cooling_inputs = set()
+        cooling_outputs = set()
+        for flit in ejected:
+            if flit.is_tail:
+                cooling_inputs.add(flit.src)
+                cooling_outputs.add(flit.dst)
         connections = self.connections
         output_owner = self.output_owner
         stuck = self.stuck_inputs
@@ -308,7 +343,7 @@ class VOQSwitch(SwitchModel):
                 any_request = True
             weights.append(row)
         if not any_request:
-            return
+            return 0
 
         tracer = self._tracer
         observer = None
@@ -338,3 +373,4 @@ class VOQSwitch(SwitchModel):
             if tracer is not None:
                 emit = tracer.emit
                 emit(P2_GRANT, out, inp, out, -1)
+        return len(matching)

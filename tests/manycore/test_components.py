@@ -65,6 +65,8 @@ class TestSyntheticCore:
             CoreParams(width=0)
         with pytest.raises(ValueError):
             CoreParams(miss_window=8, mshr_limit=4)
+        with pytest.raises(ValueError):
+            CoreParams(frequency_ghz=0.0)
 
 
 class TestL2Bank:

@@ -359,6 +359,43 @@ class TestMicroBenchmark:
         )
         assert perf.time_ns.get("inject", 0) > 0
 
+    @pytest.mark.parametrize("scheme", ["islip", "mwm"])
+    def test_voq_cycle_splits_into_phases(self, scheme):
+        voq = HiRiseConfig(radix=8, layers=1, channel_multiplicity=1,
+                           arbitration=scheme)
+        perf = PerfCounters(stride=4)
+        run_micro_benchmark(voq, cycles=40, trials=1, perf=perf)
+        assert perf.kernel == "VOQSwitch"
+        assert perf.cycles_sampled == 10
+        assert set(perf.time_ns) == {"transmit", "refill", "arbitrate"}
+        assert perf.ops["transmit"] > 0
+        assert perf.ops["arbitrate"] > 0
+
+    @pytest.mark.parametrize("scheme", ["islip", "mwm"])
+    def test_voq_run_with_perf_is_bit_identical(self, scheme):
+        from repro.network.engine import Simulation
+        from repro.obs.tracebin import BinaryTracer
+        from repro.switches import make_switch
+        from repro.traffic import UniformRandomTraffic
+
+        voq = HiRiseConfig(radix=8, layers=1, channel_multiplicity=1,
+                           arbitration=scheme)
+        hooks = [
+            {},
+            {"perf": PerfCounters(stride=1)},
+            {"perf": PerfCounters(stride=3)},
+            {"perf": PerfCounters(stride=2), "tracer": BinaryTracer()},
+        ]
+        results = [
+            Simulation(
+                make_switch(voq, **hook),
+                UniformRandomTraffic(8, load=0.8, seed=3),
+                warmup_cycles=20,
+            ).run(200)
+            for hook in hooks
+        ]
+        assert all(result == results[0] for result in results[1:])
+
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             run_micro_benchmark(CONFIG, cycles=0)

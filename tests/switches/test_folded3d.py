@@ -26,6 +26,11 @@ class TestGeometry:
 
 
 class TestBehaviourMatches2D:
+    def test_same_configuration_as_flat_switch(self):
+        """Table I simulates the crossbar once for both rows, which
+        holds because folding builds the flat switch's configuration."""
+        assert FoldedSwitch3D(64, layers=4).config == SwizzleSwitch2D(64).config
+
     def test_cycle_identical_to_flat_switch(self):
         """Folding redistributes ports over layers without changing the
         datapath or arbitration, so the folded switch must be
