@@ -127,6 +127,51 @@ class DrainStallError(InvariantViolation):
         self.occupancy = occupancy
 
 
+def count_injections(checker, switch) -> None:
+    """Wrap ``switch``'s injection entry points to feed a flit ledger.
+
+    ``inject``, ``inject_many`` (when the switch has it) and
+    ``inject_columns`` add what they queue to ``checker.injected_packets``
+    and ``checker.injected_flits``.  The checker binds after the tracer
+    and the perf counters, so it wraps their twins; every kernel a
+    checker verifies queues columns itself rather than through
+    ``inject``, so no packet is counted twice.
+    """
+    original_inject = switch.inject
+
+    def _counting_inject(packet, _original=original_inject):
+        _original(packet)
+        checker.injected_packets += 1
+        checker.injected_flits += packet.num_flits
+
+    switch.inject = _counting_inject
+
+    original_many = getattr(switch, "inject_many", None)
+    if original_many is not None:
+
+        def _counting_inject_many(packets, _original=original_many):
+            materialised = list(packets)
+            count = _original(materialised)
+            checker.injected_packets += count
+            checker.injected_flits += sum(
+                packet.num_flits for packet in materialised
+            )
+            return count
+
+        switch.inject_many = _counting_inject_many
+
+    original_columns = switch.inject_columns
+
+    def _counting_inject_columns(srcs, dsts, first, cycle, num_flits,
+                                 _original=original_columns):
+        _original(srcs, dsts, first, cycle, num_flits)
+        count = len(srcs)
+        checker.injected_packets += count
+        checker.injected_flits += count * num_flits
+
+    switch.inject_columns = _counting_inject_columns
+
+
 class InvariantChecker:
     """Per-cycle structural invariant verification for one switch.
 
@@ -185,28 +230,7 @@ class InvariantChecker:
         ]
         self._verified_banks = [None] * len(self._banks)
 
-        original_inject = switch.inject
-
-        def _counting_inject(packet, _original=original_inject):
-            _original(packet)
-            self.injected_packets += 1
-            self.injected_flits += packet.num_flits
-
-        switch.inject = _counting_inject
-
-        original_many = getattr(switch, "inject_many", None)
-        if original_many is not None:
-
-            def _counting_inject_many(packets, _original=original_many):
-                materialised = list(packets)
-                count = _original(materialised)
-                self.injected_packets += count
-                self.injected_flits += sum(
-                    packet.num_flits for packet in materialised
-                )
-                return count
-
-            switch.inject_many = _counting_inject_many
+        count_injections(self, switch)
 
     # ------------------------------------------------------------------
     # Failure path

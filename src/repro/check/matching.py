@@ -26,7 +26,11 @@ right checker class for a config's arbitration scheme.
 
 from typing import Dict, Sequence, Set, Tuple
 
-from repro.check.invariants import CHECK_CODES, InvariantViolation
+from repro.check.invariants import (
+    CHECK_CODES,
+    InvariantViolation,
+    count_injections,
+)
 
 __all__ = ["MatchingInvariantChecker", "checker_for"]
 
@@ -59,28 +63,7 @@ class MatchingInvariantChecker:
         self._switch = switch
         self.config = switch.config
 
-        original_inject = switch.inject
-
-        def _counting_inject(packet, _original=original_inject):
-            _original(packet)
-            self.injected_packets += 1
-            self.injected_flits += packet.num_flits
-
-        switch.inject = _counting_inject
-
-        original_many = getattr(switch, "inject_many", None)
-        if original_many is not None:
-
-            def _counting_inject_many(packets, _original=original_many):
-                materialised = list(packets)
-                count = _original(materialised)
-                self.injected_packets += count
-                self.injected_flits += sum(
-                    packet.num_flits for packet in materialised
-                )
-                return count
-
-            switch.inject_many = _counting_inject_many
+        count_injections(self, switch)
 
     # ------------------------------------------------------------------
     # Failure path (identical shape to InvariantChecker._fail)

@@ -40,7 +40,7 @@ kernel (:mod:`repro.core.reference`), enforced by
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arbitration.age import AgeArbiter
 from repro.arbitration.clrg import CLRGArbiter
@@ -52,8 +52,8 @@ from repro.core.config import ArbitrationScheme, HiRiseConfig
 from repro.faults import FaultCursor, FaultSchedule, apply_fault_events
 from repro.network.engine import SwitchModel
 from repro.network.flit import Flit
-from repro.network.packet import Packet
-from repro.network.port import InputPort
+from repro.network.packet import Packet, record_flits
+from repro.network.port import InputPort, queue_columns, queue_packet
 from repro.obs.trace import (
     CLRG_HALVE,
     REASON_CHANNEL_FAILED,
@@ -66,7 +66,6 @@ from repro.obs.tracebin import (
     _T_COOL,
     _T_EJECT,
     _T_INJECT,
-    _T_INJECT1,
     _T_P1,
     _T_P2,
     _T_VIA,
@@ -212,7 +211,7 @@ class HiRiseSwitch(SwitchModel):
         self.ports: List[InputPort] = [
             InputPort(i, cfg.port_config) for i in range(cfg.radix)
         ]
-        # Per-port source queues, pre-resolved: inject() appends directly.
+        # Per-port source queues, pre-resolved for the inject methods.
         self._queues = [port.source_queue for port in self.ports]
 
         ports_per_layer = cfg.ports_per_layer
@@ -279,13 +278,11 @@ class HiRiseSwitch(SwitchModel):
         self._tracer = tracer
         if tracer is not None:
             tracer.bind(self)
-            # Shadow the injection and commit methods on the instance:
-            # injections and phase-2 grants are captured without any
-            # check on the untraced path.  The traced step appends
-            # per-cycle references to the tracer's timeline, expanded
-            # to columns off the hot loop.
-            self.inject = self._inject_traced  # type: ignore[method-assign]
-            self.inject_many = self._inject_many_traced  # type: ignore[method-assign]
+            # Shadow the commit method on the instance: phase-2 grants
+            # are captured without any check on the untraced path.  The
+            # traced step (and inject_columns) append per-cycle
+            # references to the tracer's timeline, expanded to columns
+            # off the hot loop.
             self._p2_grants: List[Tuple[int, int, int]] = []
             self._establish = (  # type: ignore[method-assign]
                 self._establish_traced_clrg if self._is_clrg
@@ -300,18 +297,13 @@ class HiRiseSwitch(SwitchModel):
         # counters only read the monotonic clock, so attached runs stay
         # bit-identical.  step() hands one cycle in every perf.stride to
         # _step_perf, which times it phase by phase; the other cycles
-        # run untimed.  Injection is timed by shadowing the instance
-        # methods — unless a tracer already owns them, in which case
-        # injection stays traced and inject time is not attributed;
-        # the tracer's deferred column expansion is timed instead, as
-        # "trace_drain".
+        # run untimed.  perf.bind shadows the inject methods with twins
+        # timed as "inject"; with a tracer, its deferred column
+        # expansion is timed too, as "trace_drain".
         self._perf = perf
         if perf is not None:
             perf.bind(self)
-            if tracer is None:
-                self.inject = self._inject_perf  # type: ignore[method-assign]
-                self.inject_many = self._inject_many_perf  # type: ignore[method-assign]
-            else:
+            if tracer is not None:
                 tracer.perf = perf
 
         # Opt-in runtime invariant verification (repro.check): binds
@@ -525,36 +517,62 @@ class HiRiseSwitch(SwitchModel):
     # SwitchModel interface
     # ------------------------------------------------------------------
     def inject(self, packet: Packet) -> None:
-        src = packet.src
-        if not 0 <= src < self.num_ports:
-            raise ValueError(f"source port {src} out of range")
-        if not 0 <= packet.dst < self.num_ports:
-            raise ValueError(f"destination port {packet.dst} out of range")
-        # Inlined SourceQueue.append_packet (hot injection path).
-        queue = self._queues[src]
-        queue._packets.append(packet)
-        queue._pending_flits += packet.num_flits
+        queue_packet(self._queues, packet)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.inject(packet.created_cycle, packet.src, packet.dst,
+                          packet.num_flits, packet.packet_id)
 
     def inject_many(self, packets: Iterable[Packet]) -> int:
         """Inject a batch of packets; returns how many were injected.
 
         Equivalent to calling :meth:`inject` per packet, without the
-        per-packet call overhead (the injection side of the cycle kernel).
+        per-packet calls (``scripts/bench_kernel.py`` injects pre-built
+        packets this way); a traced switch captures the batch as one
+        timeline entry, which is sound because a packet is not mutated
+        after injection.
         """
+        if type(packets) is not list:
+            packets = list(packets)
         num_ports = self.num_ports
         queues = self._queues
-        count = 0
         for packet in packets:
             src = packet.src
+            dst = packet.dst
             if not 0 <= src < num_ports:
                 raise ValueError(f"source port {src} out of range")
-            if not 0 <= packet.dst < num_ports:
-                raise ValueError(f"destination port {packet.dst} out of range")
+            if not 0 <= dst < num_ports:
+                raise ValueError(f"destination port {dst} out of range")
+            # Inlined SourceQueue.append_packet.
+            num_flits = packet.num_flits
             queue = queues[src]
-            queue._packets.append(packet)
-            queue._pending_flits += packet.num_flits
-            count += 1
-        return count
+            queue._packets.append((packet.packet_id, dst,
+                                   packet.created_cycle, num_flits,
+                                   packet.payload))
+            queue._pending_flits += num_flits
+        if packets and self._tracer is not None:
+            self._tracer.timeline.append((_T_INJECT, packets))
+        return len(packets)
+
+    def inject_columns(
+        self,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        first: int,
+        cycle: int,
+        num_flits: int,
+    ) -> None:
+        """Queue one cycle's column injections as packet records.
+
+        The engine's injection path (see
+        :meth:`repro.network.engine.SwitchModel.inject_columns`): no
+        :class:`Packet` is built; a traced switch captures the columns
+        as one timeline entry.
+        """
+        queue_columns(self._queues, srcs, dsts, first, cycle, num_flits)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.inject_columns(cycle, srcs, dsts, num_flits, first)
 
     def step(self, cycle: int) -> List[Flit]:
         perf = self._perf
@@ -638,19 +656,6 @@ class HiRiseSwitch(SwitchModel):
             self._invariants.after_step(self, cycle, ejected)
         return ejected
 
-    def _inject_perf(self, packet: Packet) -> None:
-        perf = self._perf
-        start = time.perf_counter_ns()
-        HiRiseSwitch.inject(self, packet)
-        perf.add("inject", time.perf_counter_ns() - start, 1)
-
-    def _inject_many_perf(self, packets: Iterable[Packet]) -> int:
-        perf = self._perf
-        start = time.perf_counter_ns()
-        count = HiRiseSwitch.inject_many(self, packets)
-        perf.add("inject", time.perf_counter_ns() - start, count)
-        return count
-
     def _transmit_and_refill(self, cycle: int) -> List[Flit]:
         # Transmit and refill in one scan.  Both touch only per-port state
         # (transmit additionally tears down global path state, which no
@@ -701,7 +706,7 @@ class HiRiseSwitch(SwitchModel):
                 packets = queue._packets
                 if not packets:
                     continue
-                flits.extend(packets.popleft().to_flits())
+                flits.extend(record_flits(queue.src, packets.popleft()))
             front = flits[0]
             if front.seq == 0:
                 # Head flit: first free VC (a free VC is always empty).
@@ -791,7 +796,7 @@ class HiRiseSwitch(SwitchModel):
                 packets = queue._packets
                 if not packets:
                     continue
-                flits.extend(packets.popleft().to_flits())
+                flits.extend(record_flits(queue.src, packets.popleft()))
             front = flits[0]
             if front.seq == 0:
                 for idx, cand in enumerate(port.vcs):
@@ -1232,37 +1237,6 @@ class HiRiseSwitch(SwitchModel):
     # ------------------------------------------------------------------
     # Traced variants (deferred batch capture, repro.obs.tracebin)
     # ------------------------------------------------------------------
-    def _inject_traced(self, packet: Packet) -> None:
-        src = packet.src
-        if not 0 <= src < self.num_ports:
-            raise ValueError(f"source port {src} out of range")
-        if not 0 <= packet.dst < self.num_ports:
-            raise ValueError(f"destination port {packet.dst} out of range")
-        queue = self._queues[src]
-        queue._packets.append(packet)
-        queue._pending_flits += packet.num_flits
-        # Packet fields are immutable after injection, so capturing the
-        # object is enough; the tracer derives the inject event lazily.
-        self._tracer.timeline.append((_T_INJECT1, packet))
-
-    def _inject_many_traced(self, packets: Iterable[Packet]) -> int:
-        if type(packets) is not list:
-            packets = list(packets)
-        num_ports = self.num_ports
-        queues = self._queues
-        for packet in packets:
-            src = packet.src
-            if not 0 <= src < num_ports:
-                raise ValueError(f"source port {src} out of range")
-            if not 0 <= packet.dst < num_ports:
-                raise ValueError(f"destination port {packet.dst} out of range")
-            queue = queues[src]
-            queue._packets.append(packet)
-            queue._pending_flits += packet.num_flits
-        if packets:
-            self._tracer.timeline.append((_T_INJECT, packets))
-        return len(packets)
-
     def _step_traced(self, cycle: int) -> List[Flit]:
         """Traced step(): one timeline entry per event batch.
 

@@ -43,7 +43,7 @@ data moves end-to-end in one cycle per flit, exactly like the flat switch.
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arbitration.age import AgeArbiter
 from repro.arbitration.clrg import CLRGArbiter
@@ -56,7 +56,7 @@ from repro.faults import FaultCursor, FaultSchedule, apply_fault_events
 from repro.network.engine import SwitchModel
 from repro.network.flit import Flit
 from repro.network.packet import Packet
-from repro.network.port import InputPort
+from repro.network.port import InputPort, queue_columns, queue_packet
 from repro.obs.trace import (
     CLRG_HALVE,
     COOL,
@@ -131,6 +131,7 @@ class ReferenceHiRiseSwitch(SwitchModel):
         self.ports: List[InputPort] = [
             InputPort(i, cfg.port_config) for i in range(cfg.radix)
         ]
+        self._queues = [port.source_queue for port in self.ports]
 
         ports_per_layer = cfg.ports_per_layer
         # Phase-1 arbiters, all over local input indices.
@@ -195,7 +196,6 @@ class ReferenceHiRiseSwitch(SwitchModel):
         self._perf = perf
         if perf is not None:
             perf.bind(self)
-            self.inject = self._inject_perf  # type: ignore[method-assign]
 
         # Opt-in runtime invariant verification (repro.check), wired
         # after the tracer exactly like the fast kernel: the checker
@@ -273,22 +273,24 @@ class ReferenceHiRiseSwitch(SwitchModel):
     # SwitchModel interface
     # ------------------------------------------------------------------
     def inject(self, packet: Packet) -> None:
-        if not 0 <= packet.src < self.num_ports:
-            raise ValueError(f"source port {packet.src} out of range")
-        if not 0 <= packet.dst < self.num_ports:
-            raise ValueError(f"destination port {packet.dst} out of range")
-        self.ports[packet.src].enqueue_packet(packet)
+        queue_packet(self._queues, packet)
         if self._tracer is not None:
             self._tracer.inject(
                 packet.created_cycle, packet.src, packet.dst,
                 packet.num_flits, packet.packet_id,
             )
 
-    def _inject_perf(self, packet: Packet) -> None:
-        perf = self._perf
-        start = time.perf_counter_ns()
-        ReferenceHiRiseSwitch.inject(self, packet)
-        perf.add("inject", time.perf_counter_ns() - start, 1)
+    def inject_columns(
+        self,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        first: int,
+        cycle: int,
+        num_flits: int,
+    ) -> None:
+        queue_columns(self._queues, srcs, dsts, first, cycle, num_flits)
+        if self._tracer is not None:
+            self._tracer.inject_columns(cycle, srcs, dsts, num_flits, first)
 
     def step(self, cycle: int) -> List[Flit]:
         perf = self._perf

@@ -6,8 +6,8 @@ repository satisfies (2D Swizzle-Switch, 3D folded switch, Hi-Rise).  The
 the canonical loop:
 
     for each cycle:
-        generate packets          (traffic source)
-        enqueue at input ports    (switch.inject)
+        generate packets          (traffic.columns_for_cycle -> srcs, dsts)
+        enqueue at input ports    (switch.inject_columns)
         advance the switch        (switch.step -> ejected flits)
         record statistics
 
@@ -18,10 +18,10 @@ the standard methodology for measuring saturation throughput and latency.
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.network.flit import Flit
-from repro.network.packet import Packet
+from repro.network.packet import Packet, PacketFactory
 
 #: Consecutive no-progress drain cycles tolerated before the drain loop
 #: declares the switch wedged and raises.  Read at call time so tests can
@@ -37,20 +37,26 @@ DEFAULT_LATENCY_SAMPLE_LIMIT = 1 << 20
 
 
 class TrafficSource(Protocol):
-    """Anything that can generate packets for a given cycle.
+    """Anything that can generate packets for a given cycle, as columns.
 
-    Sources may also offer ``columns_for_cycle(cycle) -> (srcs, dsts)``,
-    the same injections as two parallel lists of ports, together with
-    the ``factory`` (:class:`~repro.network.packet.PacketFactory`) that
-    numbers their packets.  Every generator in :mod:`repro.traffic`
-    does, and ``packets_for_cycle`` wraps it.  The scalar engine needs
-    only ``packets_for_cycle``; the batched fleet kernel
-    (:class:`repro.core.fleet.FleetSimulation`) needs the columns and
-    injects them without building packets.
+    ``columns_for_cycle(cycle) -> (srcs, dsts)`` gives the cycle's
+    injections as two parallel lists of ports, and ``factory`` (a
+    :class:`~repro.network.packet.PacketFactory`) numbers them and sets
+    their length: the engine claims ``len(srcs)`` consecutive ids with
+    ``factory.reserve`` and hands the columns to
+    :meth:`SwitchModel.inject_columns`, so no
+    :class:`~repro.network.packet.Packet` is built.  Every generator in
+    :mod:`repro.traffic` has both (its ``packets_for_cycle`` wraps the
+    columns through ``factory.create``, giving the same packets), and
+    both engines — :class:`Simulation` and the batched
+    :class:`repro.core.fleet.FleetSimulation` — refuse a source without
+    them.
     """
 
-    def packets_for_cycle(self, cycle: int) -> Iterable[Packet]:
-        """Packets generated during ``cycle`` (possibly none)."""
+    factory: PacketFactory
+
+    def columns_for_cycle(self, cycle: int) -> Tuple[List[int], List[int]]:
+        """``(srcs, dsts)`` of the packets generated during ``cycle``."""
         ...
 
 
@@ -62,6 +68,27 @@ class SwitchModel(ABC):
     @abstractmethod
     def inject(self, packet: Packet) -> None:
         """Hand a generated packet to the source queue of its input port."""
+
+    def inject_columns(
+        self,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        first: int,
+        cycle: int,
+        num_flits: int,
+    ) -> None:
+        """Inject one cycle's packets given as columns.
+
+        Packet ``i`` goes from ``srcs[i]`` to ``dsts[i]`` with id
+        ``first + i``, ``num_flits`` flits and creation cycle ``cycle``.
+        The caller hands over fresh lists and does not mutate them
+        afterwards (a traced switch keeps references until its tracer
+        drains).  This default builds each :class:`Packet` and calls
+        :meth:`inject`; the cycle kernels queue the columns directly.
+        """
+        inject = self.inject
+        for offset, (src, dst) in enumerate(zip(srcs, dsts)):
+            inject(Packet(first + offset, src, dst, num_flits, cycle))
 
     @abstractmethod
     def step(self, cycle: int) -> List[Flit]:
@@ -260,6 +287,13 @@ class Simulation:
             raise ValueError("warm-up must be non-negative")
         if latency_sample_limit is not None and latency_sample_limit < 1:
             raise ValueError("latency sample limit must be >= 1 or None")
+        if not (hasattr(traffic, "columns_for_cycle")
+                and hasattr(traffic, "factory")):
+            raise TypeError(
+                f"the engine needs a column traffic source "
+                f"(columns_for_cycle and a PacketFactory factory); "
+                f"{type(traffic).__name__} has not"
+            )
         self.switch = switch
         self.traffic = traffic
         # Perf counters attached to the switch also time generation
@@ -359,29 +393,30 @@ class Simulation:
     def _tick(self, result: SimulationResult, measuring: bool, inject: bool) -> None:
         cycle = self._cycle
         if inject:
-            packets = self.traffic.packets_for_cycle(cycle)
+            traffic = self.traffic
             perf = self._perf
-            if perf is not None:
+            if perf is None:
+                srcs, dsts = traffic.columns_for_cycle(cycle)
+            else:
                 start = time.perf_counter_ns()
-                packets = list(packets)
+                srcs, dsts = traffic.columns_for_cycle(cycle)
                 perf.add("traffic", time.perf_counter_ns() - start,
-                         len(packets))
-            inject_many = getattr(self.switch, "inject_many", None)
-            if inject_many is not None:
-                count = inject_many(packets)
+                         len(srcs))
+            if srcs:
+                count = len(srcs)
+                factory = traffic.factory
+                self.switch.inject_columns(
+                    srcs, dsts, factory.reserve(count), cycle,
+                    factory.num_flits,
+                )
                 if measuring:
                     result.packets_injected += count
-            else:
-                for packet in packets:
-                    self.switch.inject(packet)
-                    if measuring:
-                        result.packets_injected += 1
         ejected = self.switch.step(cycle)
         if measuring:
             result.cycles += 1
             result.flits_ejected += len(ejected)
             for flit in ejected:
-                if flit.is_tail:
+                if flit.seq == flit.num_flits - 1:  # tail
                     result.packets_ejected += 1
                     latency = cycle - flit.created_cycle
                     result.record_latency(latency)

@@ -1,15 +1,39 @@
-"""Packet model and packet factory.
+"""Packet model, packet records and packet factory.
 
 A packet is the unit of arbitration: a head flit wins a path through the
 switch and the connection is held until the tail flit transfers.  The
 factory hands out monotonically increasing packet identifiers so every
 packet in a simulation is uniquely addressable in the statistics.
+
+Inside a switch a waiting packet is a plain *record* tuple
+``(packet_id, dst, created_cycle, num_flits, payload)`` whose source
+queue supplies ``src``; :func:`record_flits` expands one into flits.
+The engine injects traffic as ``(srcs, dsts)`` columns, so most packets
+never exist as :class:`Packet` objects at all.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.network.flit import Flit
+
+#: A packet waiting in a source queue:
+#: ``(packet_id, dst, created_cycle, num_flits, payload)``.
+PacketRecord = Tuple[int, int, int, int, object]
+
+
+def record_flits(src: int, record: PacketRecord) -> List[Flit]:
+    """Decompose a queued packet record into its flits (head first).
+
+    Only the head carries the payload, as in :meth:`Packet.to_flits`.
+    """
+    packet_id, dst, created, num_flits, payload = record
+    head = Flit(packet_id, src, dst, 0, num_flits, created,
+                None, None, payload)
+    return [head] + [
+        Flit(packet_id, src, dst, seq, num_flits, created)
+        for seq in range(1, num_flits)
+    ]
 
 
 @dataclass(slots=True)
@@ -42,19 +66,15 @@ class Packet:
         if self.src < 0 or self.dst < 0:
             raise ValueError("ports must be non-negative")
 
+    @property
+    def record(self) -> PacketRecord:
+        """The packet as a source-queue record (``src`` is the queue's)."""
+        return (self.packet_id, self.dst, self.created_cycle,
+                self.num_flits, self.payload)
+
     def to_flits(self) -> List[Flit]:
         """Decompose the packet into its flits (head first)."""
-        packet_id = self.packet_id
-        src = self.src
-        dst = self.dst
-        num_flits = self.num_flits
-        created = self.created_cycle
-        head = Flit(packet_id, src, dst, 0, num_flits, created,
-                    None, None, self.payload)
-        return [head] + [
-            Flit(packet_id, src, dst, seq, num_flits, created)
-            for seq in range(1, num_flits)
-        ]
+        return record_flits(self.src, self.record)
 
     @property
     def latency(self) -> int:
@@ -100,8 +120,8 @@ class PacketFactory:
     def reserve(self, count: int) -> int:
         """Claim ``count`` consecutive ids without building packets.
 
-        Returns the first id; the batched fleet kernel stamps column
-        injections with them, so ids match a scalar run of the source.
+        Returns the first id; the engines stamp column injections with
+        them, so the ids match those :meth:`create` would hand out.
         """
         first = self._next_id
         self._next_id = first + count

@@ -2,9 +2,10 @@
 
 Each switch input port owns:
 
-* an unbounded *source queue* (the network interface) holding packets the
-  traffic source generated but that have not yet obtained buffer space —
-  packet latency is measured from generation, so source queueing counts;
+* an unbounded *source queue* (the network interface) holding records of
+  the packets the traffic source generated but that have not yet obtained
+  buffer space — packet latency is measured from generation, so source
+  queueing counts;
 * ``num_vcs`` virtual channels of ``vc_depth`` flits each;
 * the port's *connection state*: a matrix-crossbar input drives a single
   input bus, so at most one packet streams from a port at a time and the
@@ -18,32 +19,36 @@ reuses the input data lines to index the requested output).
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence
 
 from repro.network.flit import Flit
-from repro.network.packet import Packet
+from repro.network.packet import Packet, PacketRecord, record_flits
 from repro.network.vc import VirtualChannel
 
 
 class SourceQueue:
-    """Unbounded network-interface queue with lazy flit expansion.
+    """Unbounded network-interface queue of packet records.
 
-    Packets wait here as whole :class:`Packet` objects; a packet's flits
-    are only materialised when it reaches the front of the queue and its
-    first flit is about to enter a virtual channel.  At saturation the
-    queue backs up by design (source queueing counts toward latency), so
-    deferring the per-flit object creation keeps memory proportional to
-    the number of *packets* waiting and moves the expansion cost off the
-    injection path entirely for packets still queued.
+    Packets wait here as plain ``(packet_id, dst, created_cycle,
+    num_flits, payload)`` records (see :mod:`repro.network.packet`); the
+    queue's ``src`` is the port they entered at.  A packet's flits are
+    only materialised (:func:`~repro.network.packet.record_flits`) when
+    it reaches the front of the queue and its first flit is about to
+    enter a virtual channel.  At saturation the queue backs up by design
+    (source queueing counts toward latency), so neither a
+    :class:`~repro.network.packet.Packet` nor its flits are ever built
+    for a packet still queued, and memory stays one small tuple per
+    waiting packet.
 
     ``len()`` reports the queue length in **flits**, matching the eager
     flit deque this replaces.
     """
 
-    __slots__ = ("_packets", "_flits", "_pending_flits")
+    __slots__ = ("src", "_packets", "_flits", "_pending_flits")
 
-    def __init__(self) -> None:
-        self._packets: Deque[Packet] = deque()
+    def __init__(self, src: int) -> None:
+        self.src = src
+        self._packets: Deque[PacketRecord] = deque()
         # Flits of the packet currently being streamed into a VC.
         self._flits: Deque[Flit] = deque()
         self._pending_flits = 0
@@ -52,8 +57,8 @@ class SourceQueue:
         return self._pending_flits
 
     def append_packet(self, packet: Packet) -> None:
-        """Enqueue a packet without materialising its flits yet."""
-        self._packets.append(packet)
+        """Enqueue a packet's record without materialising its flits."""
+        self._packets.append(packet.record)
         self._pending_flits += packet.num_flits
 
     def front(self) -> Optional[Flit]:
@@ -64,13 +69,69 @@ class SourceQueue:
         if not self._flits:
             if not self._packets:
                 return None
-            self._flits.extend(self._packets.popleft().to_flits())
+            self._flits.extend(
+                record_flits(self.src, self._packets.popleft())
+            )
         return self._flits[0]
 
     def popleft(self) -> Flit:
         """Remove and return the front flit (callers use front() first)."""
         self._pending_flits -= 1
         return self._flits.popleft()
+
+
+def queue_packet(queues: Sequence[SourceQueue], packet: Packet) -> None:
+    """Range-check ``packet``'s ports and append it to its source queue.
+
+    ``queues`` is a switch's source queues indexed by input port; their
+    count is the switch radix.
+
+    Raises:
+        ValueError: If the source or destination port is out of range.
+    """
+    num_ports = len(queues)
+    src = packet.src
+    if not 0 <= src < num_ports:
+        raise ValueError(f"source port {src} out of range")
+    if not 0 <= packet.dst < num_ports:
+        raise ValueError(f"destination port {packet.dst} out of range")
+    queues[src].append_packet(packet)
+
+
+def queue_columns(
+    queues: Sequence[SourceQueue],
+    srcs: Sequence[int],
+    dsts: Sequence[int],
+    first: int,
+    cycle: int,
+    num_flits: int,
+) -> None:
+    """Append one cycle's column injections to their source queues.
+
+    Packet ``i`` goes from ``srcs[i]`` to ``dsts[i]`` with id
+    ``first + i``, ``num_flits`` flits, creation cycle ``cycle`` and no
+    payload: the packet ``PacketFactory.create`` would have built.  The
+    whole column is range-checked before anything is queued.
+
+    Raises:
+        ValueError: If a port is out of range (the first offending
+            packet is named, with :func:`queue_packet`'s message).
+    """
+    if not srcs:
+        return
+    num_ports = len(queues)
+    if (min(srcs) < 0 or max(srcs) >= num_ports
+            or min(dsts) < 0 or max(dsts) >= num_ports):
+        for src, dst in zip(srcs, dsts):
+            if not 0 <= src < num_ports:
+                raise ValueError(f"source port {src} out of range")
+            if not 0 <= dst < num_ports:
+                raise ValueError(f"destination port {dst} out of range")
+    for packet_id, src, dst in zip(range(first, first + len(srcs)),
+                                   srcs, dsts):
+        queue = queues[src]
+        queue._packets.append((packet_id, dst, cycle, num_flits, None))
+        queue._pending_flits += num_flits
 
 
 @dataclass(frozen=True)
@@ -100,7 +161,7 @@ class InputPort:
         self.vcs: List[VirtualChannel] = [
             VirtualChannel(self.config.vc_depth) for _ in range(self.config.num_vcs)
         ]
-        self.source_queue = SourceQueue()
+        self.source_queue = SourceQueue(port_id)
         self._rr_next_vc = 0
         # Index of the VC streaming the packet that currently holds a
         # connection through the switch, or None when the port is idle.
@@ -122,7 +183,7 @@ class InputPort:
     # Injection side
     # ------------------------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> None:
-        """Append a freshly generated packet to the source queue.
+        """Append a freshly generated packet's record to the source queue.
 
         Flit objects are materialised lazily when the packet reaches the
         queue front (see :class:`SourceQueue`).
@@ -144,7 +205,7 @@ class InputPort:
             packets = queue._packets
             if not packets:
                 return
-            flits.extend(packets.popleft().to_flits())
+            flits.extend(record_flits(queue.src, packets.popleft()))
         flit = flits[0]
         if flit.seq == 0:
             # Head flit: first free VC (a free VC is always empty).

@@ -106,9 +106,47 @@ class PerfCounters:
         self.lanes = 1
 
     def bind(self, kernel: object) -> None:
-        """Record which kernel these counters are attached to."""
+        """Record which kernel these counters are attached to.
+
+        A scalar kernel's injection entry points (``inject``,
+        ``inject_many``, ``inject_columns``, whichever it has) are
+        shadowed on the instance by twins timed on every call as the
+        ``inject`` phase, with packets injected as ops.  The fleet
+        kernel times its own injection.
+        """
         self.kernel = type(kernel).__name__
         self.lanes = int(getattr(kernel, "num_lanes", 1))
+        clock = time.perf_counter_ns
+        add = self.add
+        inject = getattr(kernel, "inject", None)
+        if inject is not None:
+
+            def timed_inject(packet, _inject=inject):
+                start = clock()
+                _inject(packet)
+                add("inject", clock() - start, 1)
+
+            kernel.inject = timed_inject
+        inject_many = getattr(kernel, "inject_many", None)
+        if inject_many is not None:
+
+            def timed_inject_many(packets, _inject_many=inject_many):
+                start = clock()
+                count = _inject_many(packets)
+                add("inject", clock() - start, count)
+                return count
+
+            kernel.inject_many = timed_inject_many
+        inject_columns = getattr(kernel, "inject_columns", None)
+        if inject_columns is not None:
+
+            def timed_inject_columns(srcs, dsts, first, cycle, num_flits,
+                                     _inject_columns=inject_columns):
+                start = clock()
+                _inject_columns(srcs, dsts, first, cycle, num_flits)
+                add("inject", clock() - start, len(srcs))
+
+            kernel.inject_columns = timed_inject_columns
 
     def add(self, phase: str, elapsed_ns: int, ops: int = 0) -> None:
         """Fold one timed phase execution into the counters."""
@@ -455,8 +493,9 @@ def run_micro_benchmark(
     The switch comes from :func:`repro.switches.make_switch`: the fast
     Hi-Rise kernel, or the VOQ switch for iSLIP and MWM.
 
-    Pre-stages uniform-random traffic (so RNG cost stays outside the
-    timed region, mirroring ``scripts/bench_kernel.py``), runs
+    Pre-stages uniform-random traffic as the engine's columns plus
+    first packet ids (so RNG cost stays outside the timed region),
+    injects it through ``inject_columns``, runs
     ``trials`` identical trials with GC paused, and keeps the best.
     Returns ``(metrics, details)``: ``metrics`` is ledger-ready
     (cycles/sec plus the calibration-normalised score), ``details``
@@ -476,25 +515,22 @@ def run_micro_benchmark(
     gc.disable()
     try:
         for _ in range(trials):
-            # Fresh traffic per trial: packets are mutable once injected.
             traffic = UniformRandomTraffic(
                 config.radix, load=load, seed=traffic_seed
             )
-            staged = [
-                list(traffic.packets_for_cycle(cycle))
-                for cycle in range(cycles)
-            ]
+            reserve = traffic.factory.reserve
+            num_flits = traffic.factory.num_flits
+            staged = []
+            for cycle in range(cycles):
+                srcs, dsts = traffic.columns_for_cycle(cycle)
+                staged.append((srcs, dsts, reserve(len(srcs))))
             switch = make_switch(config, perf=perf)
-            # VOQ switches take packets one at a time.
-            inject_many = getattr(switch, "inject_many", None) or (
-                lambda packets, inject=switch.inject: [
-                    inject(packet) for packet in packets
-                ]
-            )
+            inject_columns = switch.inject_columns
             step = switch.step
             start = time.perf_counter()
             for cycle in range(cycles):
-                inject_many(staged[cycle])
+                srcs, dsts, first = staged[cycle]
+                inject_columns(srcs, dsts, first, cycle, num_flits)
                 step(cycle)
             best = min(best, time.perf_counter() - start)
     finally:

@@ -80,7 +80,7 @@ COLUMNS = ("cycle", "kind", "a", "b", "c", "d")
 # these; drain() replays them into flat event rows in emission order.
 _T_RAW = 0      # (tag, cycle, kind, a, b, c, d) — pre-expanded event
 _T_INJECT = 1   # (tag, [Packet, ...]) — batch injection, created_cycle order
-_T_INJECT1 = 2  # (tag, Packet) — single injection
+_T_COLUMNS = 2  # (tag, cycle, srcs, dsts, num_flits, first) — columns
 _T_EJECT = 3    # (tag, cycle, [Flit, ...]) — this cycle's ejected list
 _T_COOL = 4     # (tag, cycle, [(rid, src, out, granted), ...])
 _T_VIA = 5      # (tag, cycle, [(port, dst, reason), ...])
@@ -97,13 +97,14 @@ class BinaryTracer:
     """Columnar, deferred-capture switch tracer (binary-native).
 
     Two capture protocols feed one timeline.  Per-event ``emit`` /
-    ``inject`` calls serve the reference and VOQ kernels, the fault
-    engine and the drain loop.  The fast kernel instead appends tagged
-    per-cycle batches, the deferred capture that makes always-on
-    tracing affordable.  Every traced kernel drains the timeline once
-    it reaches :attr:`drain_interval` entries, so ``capacity`` bounds
-    memory during the run, not only at its end.  Reads go through
-    ``records`` / ``write_jsonl`` / ``write_chrome`` /
+    ``inject`` calls serve the reference and VOQ kernels, single-packet
+    injection, the fault engine and the drain loop.  The fast kernel
+    instead appends tagged per-cycle batches, the deferred capture that
+    makes always-on tracing affordable; every kernel's column injection
+    (:meth:`inject_columns`) is one such batch.  Every traced kernel
+    drains the timeline once it reaches :attr:`drain_interval` entries,
+    so ``capacity`` bounds memory during the run, not only at its end.
+    Reads go through ``records`` / ``write_jsonl`` / ``write_chrome`` /
     ``counts_by_kind`` / ``halving_events`` / ``events``.
 
     Args:
@@ -176,6 +177,18 @@ class BinaryTracer:
         self.timeline.append((_T_RAW, cycle, INJECT, src, dst,
                               num_flits, packet_id))
 
+    def inject_columns(self, cycle: int, srcs, dsts, num_flits: int,
+                       first: int) -> None:
+        """One cycle's column injection (packet ids ``first, first+1, ...``).
+
+        Keeps references to ``srcs``/``dsts``; the injecting engine
+        never mutates them, and :meth:`drain` expands them into one
+        ``inject`` event per packet.
+        """
+        if srcs:
+            self.timeline.append((_T_COLUMNS, cycle, srcs, dsts,
+                                  num_flits, first))
+
     # ------------------------------------------------------------------
     # Deferred expansion: timeline -> columns
     # ------------------------------------------------------------------
@@ -194,10 +207,11 @@ class BinaryTracer:
                 for p in entry[1]:
                     yield (p.created_cycle, INJECT, p.src, p.dst,
                            p.num_flits, p.packet_id)
-            elif tag == _T_INJECT1:
-                p = entry[1]
-                yield (p.created_cycle, INJECT, p.src, p.dst,
-                       p.num_flits, p.packet_id)
+            elif tag == _T_COLUMNS:
+                _, cycle, srcs, dsts, num_flits, first = entry
+                ids = range(first, first + len(srcs))
+                for packet_id, src, dst in zip(ids, srcs, dsts):
+                    yield (cycle, INJECT, src, dst, num_flits, packet_id)
             elif tag == _T_COOL:
                 cycle = entry[1]
                 for rid, src, out, granted in entry[2]:
@@ -291,6 +305,16 @@ class BinaryTracer:
                         colc.extend([p.num_flits for p in packets])
                         cold.extend([p.packet_id for p in packets])
                         counter += count
+                    elif tag == _T_COLUMNS:
+                        _, cycle, srcs, dsts, num_flits, first = entry
+                        count = len(srcs)
+                        cycles.extend([cycle] * count)
+                        kinds.extend([INJECT] * count)
+                        cola.extend(srcs)
+                        colb.extend(dsts)
+                        colc.extend([num_flits] * count)
+                        cold.extend(range(first, first + count))
+                        counter += count
                     elif tag == _T_P1:
                         cycle = entry[1]
                         winners = entry[2]
@@ -347,22 +371,13 @@ class BinaryTracer:
                             colc.extend(reasons)
                             cold.extend([0] * count)
                         counter += count
-                    elif tag == _T_RAW:
+                    else:  # _T_RAW
                         cycles.append(entry[1])
                         kinds.append(entry[2])
                         cola.append(entry[3])
                         colb.append(entry[4])
                         colc.append(entry[5])
                         cold.append(entry[6])
-                        counter += 1
-                    else:  # _T_INJECT1
-                        packet = entry[1]
-                        cycles.append(packet.created_cycle)
-                        kinds.append(INJECT)
-                        cola.append(packet.src)
-                        colb.append(packet.dst)
-                        colc.append(packet.num_flits)
-                        cold.append(packet.packet_id)
                         counter += 1
             else:
                 for row in self._rows(timeline):

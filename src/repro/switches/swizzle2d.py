@@ -46,6 +46,7 @@ class SwizzleSwitch2D(HiRiseSwitch):
     # Bound in the class body so per-class instrumentation that patches
     # ``SwizzleSwitch2D.__dict__`` finds the entry points here.
     inject = HiRiseSwitch.inject
+    inject_columns = HiRiseSwitch.inject_columns
     step = HiRiseSwitch.step
 
 

@@ -45,7 +45,7 @@ plus the VOQ-specific ``sched_grant``/``sched_accept`` rounds),
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import time
 
@@ -56,7 +56,7 @@ from repro.faults import FaultCursor, FaultSchedule, apply_fault_events
 from repro.network.engine import SwitchModel
 from repro.network.flit import Flit
 from repro.network.packet import Packet
-from repro.network.port import SourceQueue
+from repro.network.port import SourceQueue, queue_columns, queue_packet
 from repro.obs.trace import COOL, EJECT, P2_GRANT, SCHED_ACCEPT, SCHED_GRANT
 
 
@@ -72,7 +72,7 @@ class VOQStage:
 
     def __init__(self, input_id: int, num_outputs: int) -> None:
         self.input_id = input_id
-        self.source = SourceQueue()
+        self.source = SourceQueue(input_id)
         self.voqs: List[Deque[Flit]] = [deque() for _ in range(num_outputs)]
         #: Per-output VOQ length in flits; aliased by the switch into
         #: the scheduler's weight matrix (updated in place).
@@ -130,6 +130,7 @@ class VOQSwitch(SwitchModel):
         self.stages: List[VOQStage] = [
             VOQStage(i, radix) for i in range(radix)
         ]
+        self._queues = [stage.source for stage in self.stages]
         if config.arbitration is ArbitrationScheme.ISLIP:
             self.scheduler = ISLIPArbiter(radix, config.islip_iterations)
         else:
@@ -170,17 +171,24 @@ class VOQSwitch(SwitchModel):
     # SwitchModel interface
     # ------------------------------------------------------------------
     def inject(self, packet: Packet) -> None:
-        src = packet.src
-        if not 0 <= src < self.num_ports:
-            raise ValueError(f"source port {src} out of range")
-        if not 0 <= packet.dst < self.num_ports:
-            raise ValueError(f"destination port {packet.dst} out of range")
-        self.stages[src].source.append_packet(packet)
+        queue_packet(self._queues, packet)
         if self._tracer is not None:
             self._tracer.inject(
-                packet.created_cycle, src, packet.dst,
+                packet.created_cycle, packet.src, packet.dst,
                 packet.num_flits, packet.packet_id,
             )
+
+    def inject_columns(
+        self,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        first: int,
+        cycle: int,
+        num_flits: int,
+    ) -> None:
+        queue_columns(self._queues, srcs, dsts, first, cycle, num_flits)
+        if self._tracer is not None:
+            self._tracer.inject_columns(cycle, srcs, dsts, num_flits, first)
 
     def step(self, cycle: int) -> List[Flit]:
         perf = self._perf

@@ -1,10 +1,13 @@
 """Synthetic traffic patterns (Section V of the paper).
 
 All generators implement the ``TrafficSource`` protocol of
-:mod:`repro.network.engine`: ``packets_for_cycle(cycle)`` yields the packets
-generated during that cycle.  Injection rates are expressed in
-packets/input/cycle; the harness converts to the paper's packets/input/ns
-using the clock frequency of the switch under test.
+:mod:`repro.network.engine`: ``columns_for_cycle(cycle)`` gives the
+``(srcs, dsts)`` of the packets generated during that cycle and
+``factory`` numbers them; ``packets_for_cycle(cycle)`` yields the same
+packets as :class:`~repro.network.packet.Packet` objects.  Injection
+rates are expressed in packets/input/cycle; the harness converts to the
+paper's packets/input/ns using the clock frequency of the switch under
+test.
 
 Patterns:
 

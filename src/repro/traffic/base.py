@@ -489,7 +489,7 @@ class SyntheticTraffic(ABC):
         return srcs, dsts
 
     def packets_for_cycle(self, cycle: int) -> Iterator[Packet]:
-        """Packets generated during ``cycle`` (the TrafficSource protocol)."""
+        """Packets generated during ``cycle``, built from the columns."""
         srcs, dsts = self.columns_for_cycle(cycle)
         create = self.factory.create
         for src, dst in zip(srcs, dsts):

@@ -44,7 +44,7 @@ class TraceTraffic:
         return [src for src, _ in pairs], [dst for _, dst in pairs]
 
     def packets_for_cycle(self, cycle: int) -> Iterator[Packet]:
-        """Packets replayed at ``cycle`` (the TrafficSource protocol)."""
+        """Packets replayed at ``cycle``, built from the columns."""
         srcs, dsts = self.columns_for_cycle(cycle)
         create = self.factory.create
         for src, dst in zip(srcs, dsts):

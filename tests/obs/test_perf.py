@@ -367,7 +367,9 @@ class TestMicroBenchmark:
         run_micro_benchmark(voq, cycles=40, trials=1, perf=perf)
         assert perf.kernel == "VOQSwitch"
         assert perf.cycles_sampled == 10
-        assert set(perf.time_ns) == {"transmit", "refill", "arbitrate"}
+        assert set(perf.time_ns) == {
+            "inject", "transmit", "refill", "arbitrate"
+        }
         assert perf.ops["transmit"] > 0
         assert perf.ops["arbitrate"] > 0
 
@@ -395,6 +397,31 @@ class TestMicroBenchmark:
             for hook in hooks
         ]
         assert all(result == results[0] for result in results[1:])
+
+    @pytest.mark.parametrize("scheme", ["islip", "mwm"])
+    def test_voq_books_injection_as_inject(self, scheme):
+        """Like a Hi-Rise row, a VOQ row times injection as ``inject``
+        (every call, counted in packets); the run stays bit-identical."""
+        from repro.network.engine import Simulation
+        from repro.switches import make_switch
+        from repro.traffic import UniformRandomTraffic
+
+        voq = HiRiseConfig(radix=8, layers=1, channel_multiplicity=1,
+                           arbitration=scheme)
+
+        def run(perf):
+            return Simulation(
+                make_switch(voq, perf=perf),
+                UniformRandomTraffic(8, load=0.6, seed=4),
+            ).run(120)
+
+        perf = PerfCounters(stride=4)
+        assert run(perf) == run(None)
+        assert perf.time_ns["inject"] > 0
+        assert perf.ops["inject"] == perf.ops["traffic"] > 0
+        assert list(perf.phase_fractions())[:3] == [
+            "traffic", "inject", "transmit"
+        ]
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
@@ -466,6 +493,19 @@ class TestPerfCli:
         assert main(["perf", *islip, "--islip-iterations", "4",
                      "--ledger", ledger, "--history"]) == 2
         assert "no entries" in capsys.readouterr().err
+
+    def test_islip_phase_table_lists_inject(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        assert main([
+            "perf", "--radix", "16", "--layers", "1", "--channels", "1",
+            "--arbitration", "islip", "--islip-iterations", "1",
+            "--cycles", "40", "--trials", "1", "--record", "--phases",
+            "--ledger", str(tmp_path / "perf.jsonl"),
+        ]) == 0
+        rows = capsys.readouterr().out.split("phase breakdown", 1)[1]
+        phases = [line.split()[0] for line in rows.splitlines()[1:]]
+        assert phases == ["inject", "transmit", "refill", "arbitrate"]
 
     def test_history_and_phases_render(self, tmp_path, capsys):
         ledger = str(tmp_path / "perf.jsonl")
