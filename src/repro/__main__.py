@@ -12,8 +12,8 @@ Commands:
 * ``trace``    — run a traced simulation (binary columnar capture by
   default) and export the cycle-level event trace (binary
   ``repro.trace_bin/v1``, JSONL and/or Chrome ``trace_event``
-  timeline); ``--inspect`` filters/summarises an existing JSONL trace,
-  ``--convert`` exports views of an existing binary trace;
+  timeline); ``--inspect`` filters, summarises and exports an existing
+  trace of either format;
 * ``audit``    — stream a trace (JSONL or binary, sniffed by magic)
   through the fairness/starvation audit analyzer and emit JSON +
   markdown reports, optionally diffing against a baseline summary
@@ -249,17 +249,14 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _print_trace_summary(summary, rate=None, stride=None,
-                         dropped=None) -> None:
+def _print_trace_summary(summary, rate, stride, dropped) -> None:
     from repro.obs import resource_label
 
     meta = summary["meta"]
     print(f"{summary['events']} events")
     if rate is not None:
         print(f"  rate: {rate:,.0f} events/sec")
-    if stride is not None or dropped is not None:
-        print(f"  decimation: stride {stride if stride is not None else 1}, "
-              f"{dropped or 0} events dropped")
+    print(f"  decimation: stride {stride}, {dropped} events dropped")
     for name in sorted(summary["counts_by_kind"]):
         print(f"  {name:<12} {summary['counts_by_kind'][name]}")
     radix = meta.get("radix", 0)
@@ -280,111 +277,67 @@ def _print_trace_summary(summary, rate=None, stride=None,
             print(f"  port {port:<3} {entry['injected']:>8} {entry['ejected']:>8}")
 
 
+def _lane_view(columns, lane):
+    """The ``--lane`` slice of a fleet trace; a scalar trace as it is."""
+    if columns.lane is not None:
+        if lane is None:
+            raise ValueError(f"fleet trace with lanes {columns.lanes()}; "
+                             f"pick one with --lane")
+        return columns.for_lane(lane)
+    if lane is not None:
+        raise ValueError("--lane needs a fleet trace")
+    return columns
+
+
+def _trace_views(args, columns, rate, print_records=False) -> None:
+    """Serve the trace views of ``columns`` that ``args`` asks for.
+
+    ``--lane`` picks a fleet trace's lane and ``--kind``/``--port``
+    filter; then ``--summary`` prints totals and ``--jsonl``/``--chrome``
+    write exports (re-validated with ``--validate``).  With
+    ``print_records`` and no view named, the JSONL records go to stdout.
+    """
+    from repro.obs import validate_chrome_path, validate_jsonl_path
+
+    columns = _lane_view(columns, args.lane).select(
+        kinds=args.kind or None, ports=args.port or None
+    )
+    if args.summary:
+        _print_trace_summary(columns.summary(), rate=rate,
+                             stride=columns.stride, dropped=columns.dropped)
+    if args.jsonl:
+        written = columns.write_jsonl(args.jsonl)
+        if args.validate:
+            validate_jsonl_path(args.jsonl)
+        print(f"wrote {written} records to {args.jsonl}")
+    if args.chrome:
+        events = columns.write_chrome(args.chrome)
+        if args.validate:
+            validate_chrome_path(args.chrome)
+        print(f"wrote {events} trace events to {args.chrome}")
+    if print_records and not (args.summary or args.jsonl or args.chrome):
+        columns.write_jsonl(sys.stdout)
+
+
 def _inspect_trace(args) -> int:
-    import json
-
-    from repro.obs import filter_records, iter_jsonl, summarize_records
-
-    try:
-        records = filter_records(
-            iter_jsonl(args.inspect),
-            kinds=args.kind or None,
-            ports=args.port or None,
-        )
-        if args.summary:
-            import time
-
-            start = time.perf_counter()
-            summary = summarize_records(records)
-            elapsed = time.perf_counter() - start
-            meta = summary["meta"]
-            _print_trace_summary(
-                summary,
-                rate=summary["events"] / elapsed if elapsed > 0 else None,
-                stride=meta.get("stride"),
-                dropped=meta.get("dropped"),
-            )
-        elif args.jsonl:
-            count = -1  # don't count the meta record
-            with open(args.jsonl, "w", encoding="utf-8") as handle:
-                for count, record in enumerate(records):
-                    handle.write(json.dumps(record) + "\n")
-            print(f"wrote {count + 1} records to {args.jsonl}")
-        else:
-            for record in records:
-                print(json.dumps(record))
-    except (OSError, ValueError) as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _convert_trace(args) -> int:
-    """Export views (--jsonl/--chrome/--summary) of a binary trace."""
-    import json
+    """Views of an existing trace file, JSONL or binary."""
     import time
 
-    from repro.obs import (
-        filter_records, read_tracebin, summarize_records,
-        validate_chrome_path, validate_jsonl_path,
-    )
+    from repro.obs import read_trace
 
     try:
-        columns = read_tracebin(args.convert)
-    except (OSError, ValueError) as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
-    if args.lane is not None:
-        if columns.lane is None:
-            print("trace: scalar trace has no lane column",
-                  file=sys.stderr)
-            return 2
-        columns = columns.for_lane(args.lane)
-    elif columns.lane is not None:
-        print(f"trace: fleet trace with lanes {columns.lanes()}; "
-              f"pick one with --lane", file=sys.stderr)
-        return 2
-    if columns.truncated:
-        print("trace: warning: torn trace file, recovered "
-              f"{len(columns)} events", file=sys.stderr)
-    print(f"loaded {len(columns)} events from {args.convert} "
-          f"(stride {columns.stride}, {columns.dropped} dropped)")
-    try:
-        if args.summary:
-            records = filter_records(
-                columns.records(), kinds=args.kind or None,
-                ports=args.port or None,
-            )
-            start = time.perf_counter()
-            summary = summarize_records(records)
-            elapsed = time.perf_counter() - start
-            _print_trace_summary(
-                summary,
-                rate=summary["events"] / elapsed if elapsed > 0 else None,
-                stride=columns.stride, dropped=columns.dropped,
-            )
-        filtered = args.kind or args.port
-        if args.jsonl:
-            if filtered:
-                records = filter_records(
-                    columns.records(), kinds=args.kind or None,
-                    ports=args.port or None,
-                )
-                count = -1
-                with open(args.jsonl, "w", encoding="utf-8") as handle:
-                    for count, record in enumerate(records):
-                        handle.write(json.dumps(record) + "\n")
-                written = count + 1
-            else:
-                written = columns.write_jsonl(args.jsonl)
-            if args.validate:
-                validate_jsonl_path(args.jsonl)
-            print(f"wrote {written} records to {args.jsonl}")
-        if args.chrome:
-            events = columns.write_chrome(args.chrome)
-            if args.validate:
-                validate_chrome_path(args.chrome)
-            print(f"wrote {events} trace events to {args.chrome}")
+        start = time.perf_counter()
+        columns = read_trace(args.inspect)
+        elapsed = time.perf_counter() - start
+        if columns.truncated:
+            print("trace: warning: torn trace file, recovered "
+                  f"{len(columns)} events", file=sys.stderr)
+        print(f"loaded {len(columns)} events from {args.inspect} "
+              f"(stride {columns.stride}, {columns.dropped} dropped)",
+              file=sys.stderr)
+        _trace_views(args, columns,
+                     rate=len(columns) / elapsed if elapsed > 0 else None,
+                     print_records=True)
     except (OSError, ValueError) as error:
         print(f"trace: {error}", file=sys.stderr)
         return 2
@@ -394,15 +347,10 @@ def _convert_trace(args) -> int:
 def cmd_trace(args) -> int:
     import time
 
-    from repro.obs import (
-        BinaryTracer, filter_records, summarize_records,
-        validate_chrome_path, validate_jsonl_path,
-    )
+    from repro.obs import BinaryTracer
 
     if args.inspect:
         return _inspect_trace(args)
-    if args.convert:
-        return _convert_trace(args)
     tracer = (
         BinaryTracer(capacity=args.capacity)
         if args.capacity is not None else BinaryTracer()
@@ -420,7 +368,7 @@ def cmd_trace(args) -> int:
     elapsed = time.perf_counter() - start
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
     print(f"traced {args.cycles} cycles ({args.traffic}, load {args.load}): "
-          f"{len(tracer.events)} events{dropped}, "
+          f"{len(tracer)} events{dropped}, "
           f"{result.packets_ejected} packets delivered")
     counts = tracer.counts_by_kind()
     for name in sorted(counts):
@@ -429,45 +377,16 @@ def cmd_trace(args) -> int:
     if halvings:
         print(f"  CLRG halvings: {len(halvings)} "
               f"(first at cycle {halvings[0][0]})")
-    filtered = args.kind or args.port
-    if args.summary:
-        records = filter_records(
-            tracer.records(), kinds=args.kind or None,
-            ports=args.port or None,
-        )
-        _print_trace_summary(
-            summarize_records(records),
-            rate=len(tracer.events) / elapsed if elapsed > 0 else None,
-            stride=tracer.stride,
-            dropped=tracer.dropped,
-        )
     if args.binary:
         written = tracer.save(args.binary)
         print(f"wrote {written} events to {args.binary} "
               f"(repro.trace_bin/v1)")
-    if args.jsonl:
-        if filtered:
-            import json
-
-            records = filter_records(
-                tracer.records(), kinds=args.kind or None,
-                ports=args.port or None,
-            )
-            count = -1
-            with open(args.jsonl, "w", encoding="utf-8") as handle:
-                for count, record in enumerate(records):
-                    handle.write(json.dumps(record) + "\n")
-            records_written = count + 1
-        else:
-            records_written = tracer.write_jsonl(args.jsonl)
-        if args.validate:
-            validate_jsonl_path(args.jsonl)
-        print(f"wrote {records_written} records to {args.jsonl}")
-    if args.chrome:
-        events = tracer.write_chrome(args.chrome)
-        if args.validate:
-            validate_chrome_path(args.chrome)
-        print(f"wrote {events} trace events to {args.chrome}")
+    try:
+        _trace_views(args, tracer.columns(),
+                     rate=len(tracer) / elapsed if elapsed > 0 else None)
+    except (OSError, ValueError) as error:
+        print(f"trace: {error}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -488,14 +407,10 @@ def cmd_audit(args) -> int:
     )
     try:
         if sniff_tracebin(args.trace):
-            columns = read_tracebin(args.trace)
-            if args.lane is not None:
-                columns = columns.for_lane(args.lane)
+            columns = _lane_view(read_tracebin(args.trace), args.lane)
             report = analyze_columns(columns, **options)
         elif args.lane is not None:
-            print("audit: --lane needs a binary fleet trace",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--lane needs a fleet trace")
         else:
             report = analyze_jsonl(args.trace, **options)
     except (OSError, ValueError) as error:
@@ -1025,15 +940,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--chrome", help="write the Chrome trace here")
     trace.add_argument("--validate", action="store_true",
                        help="validate written traces against the schema")
-    trace.add_argument("--inspect", metavar="JSONL",
-                       help="filter/summarise an existing JSONL trace "
-                            "instead of running a simulation")
-    trace.add_argument("--convert", metavar="TRACEBIN",
-                       help="export views (--jsonl/--chrome/--summary) of "
-                            "an existing binary trace instead of running "
-                            "a simulation")
+    trace.add_argument("--inspect", metavar="TRACE",
+                       help="views (records, --summary/--jsonl/--chrome) "
+                            "of an existing JSONL or repro.trace_bin/v1 "
+                            "trace instead of running a simulation")
     trace.add_argument("--lane", type=int, default=None,
-                       help="with --convert on a fleet trace: select "
+                       help="with --inspect on a fleet trace: select "
                             "this lane's stream")
     trace.add_argument("--kind", action="append", default=[],
                        help="keep only this event kind (repeatable)")

@@ -11,7 +11,9 @@ Three layers, all opt-in and all zero-cost when unused:
   decimation, ``repro.trace_bin/v1`` files), its picklable
   :class:`BinaryTracerFactory`, and :class:`FleetTracer`, the
   multi-lane buffer the batched fleet kernel emits into natively.
-  JSONL and Chrome timelines are export views of the binary columns.
+  :class:`TraceColumns` is the one form a trace is read, filtered,
+  summarised and exported in (:func:`read_trace` reads a JSONL or
+  binary file), and JSONL and Chrome timelines are export views of it.
 * :mod:`repro.obs.stats` — a gem5-style :class:`StatsRegistry` of
   hierarchically named scalar/vector/distribution/formula statistics
   that simulation results, probes, and the many-core trackers export
@@ -26,10 +28,9 @@ Three layers, all opt-in and all zero-cost when unused:
 * :mod:`repro.obs.snapshot` — point-in-time occupancy/ownership
   snapshots (embedded in drain-stall errors).
 * :mod:`repro.obs.analyze` — single-pass, bounded-memory
-  :class:`TraceAnalyzer` turning trace streams into audited
+  :class:`TraceAnalyzer` reducing trace columns into audited
   :class:`AuditReport` fairness/starvation/utilization reports, plus
-  baseline diffing (:func:`compare_audits`) and JSONL inspection
-  helpers.
+  baseline diffing (:func:`compare_audits`).
 """
 
 from repro.obs.analyze import (
@@ -45,9 +46,7 @@ from repro.obs.analyze import (
     analyze_tracebin,
     analyze_tracer,
     compare_audits,
-    filter_records,
     iter_jsonl,
-    summarize_records,
     validate_audit_summary,
 )
 from repro.obs.perf import (
@@ -96,6 +95,7 @@ from repro.obs.tracebin import (
     BinaryTraceWriter,
     FleetTracer,
     TraceColumns,
+    read_trace,
     read_tracebin,
     sniff_tracebin,
 )
@@ -114,10 +114,8 @@ __all__ = [
     "analyze_tracebin",
     "analyze_tracer",
     "compare_audits",
-    "filter_records",
     "iter_jsonl",
     "resource_label",
-    "summarize_records",
     "validate_audit_summary",
     "BinaryTraceWriter",
     "BinaryTracer",
@@ -148,6 +146,7 @@ __all__ = [
     "iter_chrome_events",
     "make_ledger_entry",
     "read_ledger",
+    "read_trace",
     "read_tracebin",
     "render_prometheus",
     "render_snapshot",

@@ -29,13 +29,15 @@ measured property:
   how many channels were down — the measured graceful-degradation
   curve.
 
-The analyzer is **single-pass and bounded-memory**: it consumes any
-record iterator (a JSONL file streamed line by line, or
-``tracer.records()``) or decoded binary columns exactly once, keeps
-only O(ports + resources) running state plus a capped,
-deterministically decimated epoch list and a capped anomaly list —
-never the events themselves — so traces far larger than memory audit
-fine.
+The analyzer is **single-pass and bounded-memory**, and it reads one
+form: :class:`repro.obs.tracebin.TraceColumns`.  Binary files and
+in-memory tracers are columns already; a JSONL file (or any record
+stream) is parsed into column chunks by
+:func:`repro.obs.tracebin.record_chunks`.  The reducer takes the chunks
+one after another, keeps only O(ports + resources) running state plus a
+capped, deterministically decimated epoch list and a capped anomaly
+list — never the events themselves — so traces far larger than memory
+audit fine.
 
 The report's :meth:`AuditReport.summary` dict is the stable machine
 schema (:data:`AUDIT_SCHEMA`, checked by :func:`validate_audit_summary`)
@@ -43,14 +45,13 @@ and :func:`compare_audits` diffs two summaries with tolerances — the
 beginning of run-to-run regression detection (`repro audit --against`).
 """
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.metrics.fairness import fairness_summary, jain_index, max_min_ratio
+from repro.metrics.fairness import jain_index, max_min_ratio
 from repro.obs.trace import (
     CLRG_HALVE,
     COOL,
@@ -70,6 +71,7 @@ from repro.obs.trace import (
     SCHED_GRANT,
     resource_label,
 )
+from repro.obs.tracebin import _totals, read_tracebin, record_chunks
 
 #: Schema tag written into (and required of) every audit summary.
 AUDIT_SCHEMA = "repro.audit/v1"
@@ -91,9 +93,6 @@ DEFAULT_MAX_ANOMALIES = 256
 #: How many busiest resources the summary lists.
 DEFAULT_TOP_RESOURCES = 8
 
-#: Record fields that name switch ports (for ``--port`` filtering).
-PORT_FIELDS = ("src", "dst", "input", "output")
-
 
 def iter_jsonl(path) -> Iterator[Dict[str, object]]:
     """Stream records from a JSONL trace file, one line at a time.
@@ -106,97 +105,6 @@ def iter_jsonl(path) -> Iterator[Dict[str, object]]:
     from repro.util.jsonl import iter_jsonl_strict
 
     return iter_jsonl_strict(path)
-
-
-def filter_records(
-    records: Iterable[Dict[str, object]],
-    kinds: Optional[Sequence[str]] = None,
-    ports: Optional[Sequence[int]] = None,
-) -> Iterator[Dict[str, object]]:
-    """Filter a record stream by event kind and/or touched port.
-
-    ``kinds`` keeps only the named event kinds; ``ports`` keeps events
-    any of whose port-valued fields (:data:`PORT_FIELDS`) equals one of
-    the given ports.  The meta record always passes, so a filtered dump
-    is still a valid (schema-wise) trace.
-
-    Raises:
-        ValueError: On an event kind the schema does not define.
-    """
-    kind_set = None
-    if kinds is not None:
-        kind_set = set(kinds)
-        unknown = kind_set - set(EVENT_NAMES.values())
-        if unknown:
-            raise ValueError(f"unknown event kind(s): {sorted(unknown)}")
-    port_set = set(ports) if ports is not None else None
-    for record in records:
-        event = record.get("event")
-        if event == "meta":
-            yield record
-            continue
-        if kind_set is not None and event not in kind_set:
-            continue
-        if port_set is not None and not any(
-            record.get(fld) in port_set for fld in PORT_FIELDS
-        ):
-            continue
-        yield record
-
-
-def summarize_records(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
-    """One-pass summary of a record stream: counts and per-resource totals.
-
-    Returns a dict with ``events``, ``counts_by_kind``, per-resource
-    ``resources`` (``grants`` from ``p2_grant``, ``busy_cycles`` from
-    ``cool`` hold intervals), per-port ``ports`` (``injected`` packets at
-    the source, ``ejected`` flits at the destination), and the ``meta``
-    record's fields — enough to inspect a large JSONL trace without
-    external tooling.
-    """
-    counts: Dict[str, int] = {}
-    resources: Dict[int, Dict[str, int]] = {}
-    port_totals: Dict[int, Dict[str, int]] = {}
-    meta: Dict[str, object] = {}
-    events = 0
-
-    def res_entry(rid: int) -> Dict[str, int]:
-        entry = resources.get(rid)
-        if entry is None:
-            entry = resources[rid] = {"grants": 0, "busy_cycles": 0}
-        return entry
-
-    def port_entry(port: int) -> Dict[str, int]:
-        entry = port_totals.get(port)
-        if entry is None:
-            entry = port_totals[port] = {"injected": 0, "ejected": 0}
-        return entry
-
-    for record in records:
-        event = record.get("event")
-        if event == "meta":
-            meta = {k: v for k, v in record.items() if k != "event"}
-            continue
-        events += 1
-        counts[event] = counts.get(event, 0) + 1
-        if event == "p2_grant":
-            res_entry(record["resource"])["grants"] += 1
-        elif event == "cool":
-            granted = record.get("granted", -1)
-            cycle = record.get("cycle", 0)
-            if isinstance(granted, int) and 0 <= granted < cycle:
-                res_entry(record["resource"])["busy_cycles"] += cycle - granted
-        elif event == "inject":
-            port_entry(record["src"])["injected"] += 1
-        elif event == "eject":
-            port_entry(record["dst"])["ejected"] += 1
-    return {
-        "events": events,
-        "counts_by_kind": counts,
-        "resources": resources,
-        "ports": port_totals,
-        "meta": meta,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +146,7 @@ class Epoch:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (one entry of ``summary()['epochs']``)."""
-        return {
-            "index": self.index,
-            "start_cycle": self.start_cycle,
-            "end_cycle": self.end_cycle,
-            "grants": self.grants,
-            "ejected_flits": self.ejected_flits,
-            "active_inputs": self.active_inputs,
-            "jain": self.jain,
-            "max_min": self.max_min,
-            "mean_class": self.mean_class,
-            "utilization": self.utilization,
-            "failed_channels": self.failed_channels,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -263,20 +159,22 @@ class Anomaly:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (one entry of ``summary()['anomalies']``)."""
-        return {"kind": self.kind, "cycle": self.cycle, "detail": self.detail}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # The streaming analyzer
 # ---------------------------------------------------------------------------
 class TraceAnalyzer:
-    """Single-pass, bounded-memory consumer of switch trace records.
+    """Single-pass, bounded-memory reducer of trace event columns.
 
-    Feed it self-describing event records (the JSONL schema —
-    ``tracer.records()`` yields the same dicts) in stream order via
-    :meth:`feed`, then call :meth:`finish` for the
+    Start it with the stream's meta record (:meth:`start`), hand it the
+    events as :class:`repro.obs.tracebin.TraceColumns` chunks in stream
+    order (:meth:`consume`), then call :meth:`finish` for the
     :class:`AuditReport`; or use the :func:`analyze_records` /
-    :func:`analyze_jsonl` / :func:`analyze_tracer` convenience wrappers.
+    :func:`analyze_jsonl` / :func:`analyze_columns` /
+    :func:`analyze_tracer` / :func:`analyze_tracebin` wrappers.  How the
+    events are cut into chunks does not change the report.
 
     Args:
         window: Fairness-epoch length in cycles.
@@ -337,6 +235,9 @@ class TraceAnalyzer:
         self._counts: Dict[str, int] = {}
         self._first_cycle: Optional[int] = None
         self._last_cycle = 0
+        # Running maximum of cycle // window over every row so far (the
+        # window a stray earlier cycle folds into).
+        self._seen_epoch = 0
         self._dropped_events = 0
         self._finished: Optional[AuditReport] = None
 
@@ -422,156 +323,35 @@ class TraceAnalyzer:
         self._win_active.extend(b"\x00" * grow)
         self._ports = count
 
-    def feed(self, record: Dict[str, object]) -> None:
-        """Consume one record (meta first, events in stream order)."""
+    def start(self, meta: Dict[str, object]) -> None:
+        """Begin the stream with its meta record (kept as the report's)."""
         if self._finished is not None:
             raise RuntimeError("analyzer already finished")
-        self._records += 1
-        event = record.get("event")
-        if event == "meta":
-            self.meta.update(
-                (key, value) for key, value in record.items() if key != "event"
-            )
-            radix = record.get("radix")
-            if isinstance(radix, int) and radix > 0:
-                self._ensure_ports(radix)
-            dropped = record.get("dropped")
-            if isinstance(dropped, int) and dropped > 0:
-                self._dropped_events += dropped
-            return
-        if self._records == 1:
-            raise ValueError("trace must start with a meta record")
-        cycle = record.get("cycle")
-        if not isinstance(cycle, int) or cycle < 0:
-            raise ValueError(f"{event}: cycle must be a non-negative integer")
-        if self._first_cycle is None:
-            self._first_cycle = cycle
-            self._epoch_index = cycle // self.window
-        elif cycle < self._first_cycle:
-            self._first_cycle = cycle
-        if cycle > self._last_cycle:
-            self._last_cycle = cycle
-        # Close every window the stream has fully moved past.  (Records
-        # arrive in non-decreasing cycle order from both exporters; a
-        # stray earlier cycle is folded into the open window.)
-        while cycle // self.window > self._epoch_index:
-            self._close_epoch()
-        self._events += 1
-        self._counts[event] = self._counts.get(event, 0) + 1
-
-        if event == "inject":
-            src = record["src"]
-            self._ensure_ports(src + 1)
-            flits = record.get("num_flits", 0)
-            self._packets_injected += 1
-            self._flits_injected += flits
-            if self._backlog[src] == 0 and self._gap_start[src] is None:
-                self._gap_start[src] = cycle
-            self._backlog[src] += flits
-            self._win_active[src] = 1
-            self._ever_active[src] = 1
-        elif event == "eject":
-            src = record["src"]
-            self._ensure_ports(max(src, record.get("dst", 0)) + 1)
-            self._flits_ejected += 1
-            self._win_ejected += 1
-            if record.get("tail"):
-                self._packets_ejected += 1
-            if self._backlog[src] > 0:
-                self._backlog[src] -= 1
-                if self._backlog[src] == 0:
-                    # Fully served: the wait ended at the grant that was
-                    # already recorded, so just stop the clock.
-                    self._gap_start[src] = None
-            self._win_active[src] = 1
-        elif event == "p2_grant":
-            rid = record["resource"]
-            inp = record["input"]
-            self._ensure_ports(inp + 1)
-            self._service[inp] += 1
-            self._win_grants[inp] += 1
-            self._win_active[inp] = 1
-            self._ever_active[inp] = 1
-            self._res_grants[rid] = self._res_grants.get(rid, 0) + 1
-            self._record_gap(inp, cycle)
-            # Still backlogged after this grant: the next inter-grant
-            # interval starts accruing now.
-            self._gap_start[inp] = cycle if self._backlog[inp] > 0 else None
-            cls = record.get("cls", -1)
-            if isinstance(cls, int) and cls >= 0:
-                self._class_grants[cls] = self._class_grants.get(cls, 0) + 1
-                self._win_class_sum += cls
-                self._win_class_n += 1
-        elif event == "p2_block":
-            inp = record["input"]
-            self._ensure_ports(inp + 1)
-            self._p2_blocks[inp] += 1
-            self._win_active[inp] = 1
-            self._ever_active[inp] = 1
-        elif event == "cool":
-            granted = record.get("granted", -1)
-            if isinstance(granted, int) and 0 <= granted < cycle:
-                rid = record["resource"]
-                self._res_busy[rid] = (
-                    self._res_busy.get(rid, 0) + cycle - granted
-                )
-        elif event == "clrg_halve":
-            output = record["output"]
-            halvings = record.get("halvings", 0)
-            if halvings > self._halvings_by_output.get(output, 0):
-                self._halvings_by_output[output] = halvings
-        elif event == "sched_grant":
-            iteration = record.get("iteration", 0)
-            grants = self._sched_grants_by_iter
-            grants[iteration] = grants.get(iteration, 0) + 1
-        elif event == "sched_accept":
-            iteration = record.get("iteration", 0)
-            accepts = self._sched_accepts_by_iter
-            accepts[iteration] = accepts.get(iteration, 0) + 1
-        elif event == "drain_stall":
-            self._add_anomaly("drain_stall", cycle, {
-                "idle_cycles": record.get("idle_cycles", 0),
-                "occupancy": record.get("occupancy", 0),
-            })
-        elif event == "fault_inject":
-            fault = record.get("fault", -1)
-            target = record.get("target", -1)
-            self._fault_events += 1
-            if fault == FAULT_CHANNEL:
-                self._failed_channel_ids.add(target)
-                if len(self._failed_channel_ids) > self._max_failed_channels:
-                    self._max_failed_channels = len(self._failed_channel_ids)
-            elif fault == FAULT_INPUT:
-                self._stuck_input_ids.add(target)
-            elif fault == FAULT_CLRG:
-                self._clrg_corruptions += 1
-            self._add_anomaly("fault", cycle, {
-                "fault": FAULT_NAMES.get(fault, str(fault)),
-                "target": target,
-                "aux": record.get("aux", 0),
-            })
-        elif event == "fault_repair":
-            fault = record.get("fault", -1)
-            target = record.get("target", -1)
-            self._repair_events += 1
-            if fault == FAULT_CHANNEL:
-                self._failed_channel_ids.discard(target)
-            elif fault == FAULT_INPUT:
-                self._stuck_input_ids.discard(target)
-        # p1_grant / via_block contribute to counts_by_kind only.
+        if self._records:
+            raise ValueError("trace has a second meta record")
+        self._records = 1
+        self.meta = {
+            key: value for key, value in meta.items() if key != "event"
+        }
+        radix = meta.get("radix")
+        if isinstance(radix, int) and radix > 0:
+            self._ensure_ports(radix)
+        dropped = meta.get("dropped")
+        if isinstance(dropped, int) and dropped > 0:
+            self._dropped_events += dropped
 
     # ------------------------------------------------------------------
-    # Columnar ingestion (binary traces)
+    # Reducing column chunks
     # ------------------------------------------------------------------
     def _seq_row(self, cycle: int, kind: int, a: int, b: int, c: int,
                  d: int) -> None:
         """The order-sensitive part of the per-event state machine.
 
         Handles the kinds that touch backlog/gap/window accumulators or
-        emit anomalies; counts-only kinds (``p1_grant``, ``via_block``,
-        ``invariant``) fall through as no-ops.  Mirrors :meth:`feed`'s
-        dispatch with the :data:`repro.obs.trace.EVENT_FIELDS` slot
-        mapping applied.
+        emit anomalies, reading the payload slots named by
+        :data:`repro.obs.trace.EVENT_FIELDS`; counts-only kinds
+        (``p1_grant``, ``via_block``, ``invariant``) fall through as
+        no-ops.
         """
         if kind == EJECT:
             src = a
@@ -642,45 +422,36 @@ class TraceAnalyzer:
             elif a == FAULT_INPUT:
                 self._stuck_input_ids.discard(b)
 
-    def consume_columns(self, columns) -> None:
-        """Ingest a decoded binary trace (``TraceColumns``) in one pass.
+    def consume(self, columns) -> None:
+        """Reduce one chunk of event columns, in stream order.
 
-        Feeds the stream's meta record, then reduces the event columns
-        vectorized per window.  Produces state identical to feeding
-        the equivalent JSONL records through :meth:`feed`.  Fleet traces
-        carry a lane column and must be sliced per lane first
-        (``columns.for_lane(lane)``).
+        Bulk-reduces everything the window machinery never reads
+        (counts, cycle span, ``cool`` busy sums, ``clrg_halve`` maxima)
+        and walks only the order-sensitive kinds row by row.  Each row's
+        window is the running maximum of ``cycle // window`` over the
+        whole stream so far (a stray earlier cycle folds into the open
+        window), and rows that never touch window state cannot change
+        what a close observes, so closes wait for the next sequential
+        row.  Fleet traces carry a lane column and must be sliced per
+        lane first (``columns.for_lane(lane)``).
         """
         if self._finished is not None:
             raise RuntimeError("analyzer already finished")
-        if getattr(columns, "lane", None) is not None:
+        if not self._records:
+            raise ValueError("trace must start with a meta record")
+        if columns.lane is not None:
             raise ValueError(
                 "fleet trace has a lane column; analyze one lane at a "
                 "time via columns.for_lane(lane)"
             )
-        self.feed(columns.jsonl_meta())
         if not len(columns.kind):
             return
-        self._consume_rows_np(columns.cycle, columns.kind, columns.a,
-                              columns.b, columns.c, columns.d)
-
-    def _consume_rows_np(self, cyc, kind, a, b, c, d) -> None:
-        """Vectorized column ingestion.
-
-        Bulk-reduces everything the window machinery never reads
-        (counts, cycle span, ``cool`` busy sums, ``clrg_halve`` maxima)
-        and walks only the order-sensitive kinds row by row, closing
-        epochs exactly where :meth:`feed` would: each row's effective
-        window is the running maximum of ``cycle // window`` (stray
-        earlier cycles fold into the open window), and rows that never
-        touch window state cannot change what a close observes.
-        """
-        cyc = np.asarray(cyc, dtype=np.int64)
-        kind = np.asarray(kind, dtype=np.int64)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        d = np.asarray(d, dtype=np.int64)
+        cyc, kind, a, b, c, d = (
+            np.asarray(column, dtype=np.int64) for column in (
+                columns.cycle, columns.kind, columns.a, columns.b,
+                columns.c, columns.d,
+            )
+        )
         n = int(kind.shape[0])
         if int(kind.min()) < 0 or int(kind.max()) >= len(EVENT_NAMES):
             raise ValueError("unknown event kind in columns")
@@ -690,11 +461,8 @@ class TraceAnalyzer:
             raise ValueError(f"{name}: cycle must be a non-negative integer")
 
         counts = self._counts
-        binned = np.bincount(kind, minlength=len(EVENT_NAMES)).tolist()
-        for code, count in enumerate(binned):
-            if count:
-                name = EVENT_NAMES[code]
-                counts[name] = counts.get(name, 0) + count
+        for name, count in columns.counts_by_kind().items():
+            counts[name] = counts.get(name, 0) + count
         self._records += n
         self._events += n
         if self._first_cycle is None:
@@ -708,21 +476,12 @@ class TraceAnalyzer:
             self._last_cycle = high
 
         # Epoch-insensitive reductions: _close_epoch never reads the
-        # per-resource busy sums or the halving maxima.
-        cool_rows = np.flatnonzero(kind == COOL)
-        if len(cool_rows):
-            granted = d[cool_rows]
-            at = cyc[cool_rows]
-            valid = (granted >= 0) & (granted < at)
-            if valid.any():
-                uniq, inverse = np.unique(
-                    a[cool_rows][valid], return_inverse=True
-                )
-                busy = np.zeros(len(uniq), dtype=np.int64)
-                np.add.at(busy, inverse, (at - granted)[valid])
-                res_busy = self._res_busy
-                for rid, extra in zip(uniq.tolist(), busy.tolist()):
-                    res_busy[rid] = res_busy.get(rid, 0) + extra
+        # per-resource busy sums, the halving maxima or the scheduler
+        # round counts.
+        held = (kind == COOL) & (d >= 0) & (d < cyc)
+        res_busy = self._res_busy
+        for rid, extra in _totals(a[held], (cyc - d)[held]).items():
+            res_busy[rid] = res_busy.get(rid, 0) + extra
         halve_rows = np.flatnonzero(kind == CLRG_HALVE)
         if len(halve_rows):
             uniq, inverse = np.unique(a[halve_rows], return_inverse=True)
@@ -736,11 +495,8 @@ class TraceAnalyzer:
             (SCHED_GRANT, self._sched_grants_by_iter),
             (SCHED_ACCEPT, self._sched_accepts_by_iter),
         ):
-            rows = np.flatnonzero(kind == code)
-            if len(rows):
-                uniq, per = np.unique(a[rows], return_counts=True)
-                for iteration, count in zip(uniq.tolist(), per.tolist()):
-                    bucket[iteration] = bucket.get(iteration, 0) + count
+            for iteration, count in _totals(a[kind == code]).items():
+                bucket[iteration] = bucket.get(iteration, 0) + count
 
         # Order-sensitive kinds: backlog/gap/window accumulators and
         # anomaly emission must interleave with epoch closes exactly as
@@ -752,11 +508,12 @@ class TraceAnalyzer:
             | (kind == P2_BLOCK) | (kind == DRAIN_STALL)
             | (kind == FAULT_INJECT) | (kind == FAULT_REPAIR)
         )
+        seen = np.maximum.accumulate(
+            np.maximum(cyc // self.window, self._seen_epoch)
+        )
+        self._seen_epoch = int(seen[-1])
         if len(seq_rows):
-            epochs = np.maximum(
-                np.maximum.accumulate(cyc // self.window)[seq_rows],
-                self._epoch_index,
-            )
+            epochs = np.maximum(seen[seq_rows], self._epoch_index)
             seq_row = self._seq_row
             close = self._close_epoch
             for cycle, code, ai, bi, ci, di, epoch in zip(
@@ -969,37 +726,39 @@ class TraceAnalyzer:
         return self._finished
 
 
+def _analyze(meta, chunks, options) -> "AuditReport":
+    analyzer = TraceAnalyzer(**options)
+    analyzer.start(meta)
+    for chunk in chunks:
+        analyzer.consume(chunk)
+    return analyzer.finish()
+
+
 def analyze_records(
     records: Iterable[Dict[str, object]], **options
 ) -> "AuditReport":
-    """Run a :class:`TraceAnalyzer` over a record iterable (one pass)."""
-    analyzer = TraceAnalyzer(**options)
-    for record in records:
-        analyzer.feed(record)
-    return analyzer.finish()
+    """Audit a record stream (meta first), parsed into column chunks."""
+    meta, chunks = record_chunks(records)
+    return _analyze(meta, chunks, options)
 
 
 def analyze_jsonl(path, **options) -> "AuditReport":
-    """Audit a JSONL trace file, streaming it line by line."""
+    """Audit a JSONL trace file, one column chunk at a time."""
     return analyze_records(iter_jsonl(path), **options)
 
 
+def analyze_columns(columns, **options) -> "AuditReport":
+    """Audit decoded trace columns (``TraceColumns``)."""
+    return _analyze(columns.jsonl_meta(), [columns], options)
+
+
 def analyze_tracer(tracer, **options) -> "AuditReport":
-    """Audit an in-memory :class:`repro.obs.BinaryTracer` (columnar)."""
+    """Audit an in-memory :class:`repro.obs.BinaryTracer`."""
     return analyze_columns(tracer.columns(), **options)
 
 
-def analyze_columns(columns, **options) -> "AuditReport":
-    """Audit decoded binary trace columns (``TraceColumns``)."""
-    analyzer = TraceAnalyzer(**options)
-    analyzer.consume_columns(columns)
-    return analyzer.finish()
-
-
 def analyze_tracebin(path, **options) -> "AuditReport":
-    """Audit a ``repro.trace_bin/v1`` file via the columnar path."""
-    from repro.obs.tracebin import read_tracebin
-
+    """Audit a ``repro.trace_bin/v1`` file."""
     return analyze_columns(read_tracebin(path), **options)
 
 

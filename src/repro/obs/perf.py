@@ -62,6 +62,11 @@ PHASES = (
     "step",
 )
 
+#: Phases the kernels time on sampled cycles only (one in ``stride``);
+#: the others are timed on every call.
+SAMPLED_PHASES = frozenset(("transmit", "refill", "arbitrate", "commit",
+                            "step"))
+
 
 class PerfCounters:
     """Phase-attributed wall-time and op counts for one kernel run.
@@ -69,9 +74,11 @@ class PerfCounters:
     The kernel calls :meth:`add` only on *sampled* cycles (every
     ``stride``-th), so totals are estimates of the sampled share, not of
     the whole run; :meth:`phase_fractions` is the meaningful output —
-    the relative split of a cycle's wall-time across phases.  Traffic,
+    the relative split of the run's wall-time across phases.  Traffic,
     pack, inject and trace-drain are timed on every call (they happen
-    outside the kernel's cycle step or rarely enough not to matter).
+    outside the kernel's cycle step or rarely enough not to matter), so
+    :meth:`phase_fractions` scales the sampled phases up to the whole
+    run before it compares them.
 
     Attributes:
         stride: Sampling stride (1 = time every cycle).
@@ -163,14 +170,26 @@ class PerfCounters:
         return sum(self.time_ns.values())
 
     def phase_fractions(self) -> Dict[str, float]:
-        """Each phase's share of the attributed wall-time (sums to 1)."""
-        total = self.sampled_ns
-        if not total:
-            return {}
-        return {
-            phase: self.time_ns[phase] / total
+        """Each phase's share of the run's estimated wall-time (sums to 1).
+
+        Phases timed only on sampled cycles (:data:`SAMPLED_PHASES`) are
+        scaled up by ``cycles_total / cycles_sampled`` first, so they
+        compare with the phases timed on every call.
+        """
+        scale = (
+            self.cycles_total / self.cycles_sampled
+            if self.cycles_sampled else 1.0
+        )
+        estimated = {
+            phase: self.time_ns[phase] * (
+                scale if phase in SAMPLED_PHASES else 1.0
+            )
             for phase in self._ordered_phases()
         }
+        total = sum(estimated.values())
+        if not total:
+            return {}
+        return {phase: ns / total for phase, ns in estimated.items()}
 
     def _ordered_phases(self) -> List[str]:
         known = [phase for phase in PHASES if phase in self.time_ns]
@@ -220,7 +239,7 @@ class PerfCounters:
             )
             registry.scalar(
                 f"{prefix}.{phase}.frac",
-                f"{phase} share of attributed wall-time",
+                f"{phase} share of the run's estimated wall-time",
                 fractions.get(phase, 0.0),
             )
 

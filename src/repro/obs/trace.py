@@ -28,7 +28,7 @@ capture shares:
 """
 
 import json
-from typing import IO, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Trace format version, written into the JSONL meta record.
 TRACE_VERSION = 1
@@ -140,6 +140,11 @@ REASON_RESOURCE_COOLING = 3
 REASON_CHANNEL_FAILED = 4
 
 _NAME_TO_KIND = {name: kind for kind, name in EVENT_NAMES.items()}
+#: Zero fill for the payload slots a kind leaves unused.
+_PADDING = (0,) * 6
+
+#: Record fields that name switch ports (what ``--port`` matches).
+PORT_FIELDS = ("src", "dst", "input", "output")
 
 #: Default bound on a tracer's retained events (decimated beyond it).
 DEFAULT_CAPACITY = 1 << 20
@@ -174,11 +179,12 @@ def resource_label(
 def iter_chrome_events(events, resource_name) -> Iterator[Dict[str, object]]:
     """Generate Chrome ``trace_event`` dicts from raw event tuples.
 
-    Shared by the binary tracer, decoded trace columns, and the
-    ``--convert`` CLI path.  Streaming: per-cycle ejected-flit counter
-    samples flush as soon as the eject cycle advances (eject cycles are
-    non-decreasing in every kernel's stream), so the only state held
-    across the sweep is the open-path table and the resource-name set.
+    The Chrome export of :class:`repro.obs.tracebin.TraceColumns`, and
+    so of every tracer and trace file.  Streaming: per-cycle
+    ejected-flit counter samples flush as soon as the eject cycle
+    advances (eject cycles are non-decreasing in every kernel's
+    stream), so the only state held across the sweep is the open-path
+    table and the resource-name set.
 
     Args:
         events: Iterable of ``(cycle, kind, a, b, c, d)`` tuples.
@@ -283,29 +289,40 @@ def write_chrome_stream(destination: Union[str, IO[str]],
 # ---------------------------------------------------------------------------
 # Schema validation (used by tests, the CLI, and the CI smoke job)
 # ---------------------------------------------------------------------------
-def validate_record(record: Dict[str, object]) -> None:
+def validate_record(record: Dict[str, object]) -> Optional[List[int]]:
     """Validate one JSONL event record against the schema.
 
+    Returns the event as its ``[cycle, kind, a, b, c, d]`` column row
+    (payload slots the kind does not use are 0), or ``None`` for the
+    meta record.
+
     Raises:
-        ValueError: On a missing/unknown event name, a missing field, or
-            a non-integer cycle/field value.
+        ValueError: On a record that is not an object, a missing/unknown
+            event name, a missing field, or a non-integer cycle/field
+            value.
     """
+    if not isinstance(record, dict):
+        raise ValueError(f"trace record is not an object: {record!r}")
     event = record.get("event")
     if event == "meta":
         version = record.get("version")
         if not isinstance(version, int):
             raise ValueError("meta record missing integer 'version'")
-        return
+        return None
     kind = _NAME_TO_KIND.get(event)
     if kind is None:
         raise ValueError(f"unknown event name: {event!r}")
     cycle = record.get("cycle")
     if not isinstance(cycle, int) or cycle < 0:
         raise ValueError(f"{event}: cycle must be a non-negative integer")
+    row = [cycle, kind]
     for field in EVENT_FIELDS[kind]:
         value = record.get(field)
         if not isinstance(value, int):
             raise ValueError(f"{event}: field {field!r} missing or not an int")
+        row.append(value)
+    row.extend(_PADDING[len(row):])
+    return row
 
 
 def validate_records(records: Iterable[Dict[str, object]]) -> int:
@@ -328,10 +345,9 @@ def validate_records(records: Iterable[Dict[str, object]]) -> int:
 
 def validate_jsonl_path(path) -> int:
     """Validate a JSONL trace file; returns the record count."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return validate_records(
-            json.loads(line) for line in handle if line.strip()
-        )
+    from repro.util.jsonl import iter_jsonl_strict
+
+    return validate_records(iter_jsonl_strict(path))
 
 
 def validate_chrome(trace: Dict[str, object]) -> int:

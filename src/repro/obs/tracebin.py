@@ -34,19 +34,27 @@ The on-disk format (:data:`TRACEBIN_FORMAT`)::
 
 All integers are little-endian.  A torn file (killed writer) parses up
 to its last complete segment; :func:`read_tracebin` is tolerant by
-default and strict on request.  JSONL and Chrome ``trace_event`` remain
-available as export views (:meth:`BinaryTracer.records`,
-:meth:`BinaryTracer.write_chrome`, ``repro trace --convert``).
+default and strict on request.
+
+:class:`TraceColumns` is the one form every trace is read, filtered,
+summarised, audited and exported in.  A JSONL trace (or any record
+stream) becomes columns through :func:`record_chunks`, a chunk of
+:data:`RECORD_CHUNK` events at a time (:func:`columns_from_records`
+keeps them as one); :func:`read_trace` reads either file format whole.  JSONL and Chrome ``trace_event`` are export views
+of the columns (:meth:`TraceColumns.write_jsonl`,
+:meth:`TraceColumns.write_chrome`, ``repro trace --inspect``).
 """
 
 import json
 import os
 from array import array
-from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs.trace import (
+    CLRG_HALVE,
+    COOL,
     DEFAULT_CAPACITY,
     EJECT,
     EVENT_FIELDS,
@@ -55,9 +63,12 @@ from repro.obs.trace import (
     P1_GRANT,
     P2_BLOCK,
     P2_GRANT,
+    PORT_FIELDS,
     TRACE_VERSION,
+    VIA_BLOCK,
     iter_chrome_events,
     resource_label,
+    validate_record,
     write_chrome_stream,
 )
 
@@ -69,9 +80,6 @@ SEGMENT_MAGIC = b"SGMT"
 FOOTER_MAGIC = b"FTR0"
 #: Binary format version (bumped on layout changes).
 TRACEBIN_VERSION = 1
-
-#: Default file extension (CI artifacts, CLI defaults).
-TRACEBIN_SUFFIX = ".tracebin"
 
 #: Column order of every segment; ``cycle`` is int64, the rest int32.
 COLUMNS = ("cycle", "kind", "a", "b", "c", "d")
@@ -86,6 +94,9 @@ _T_COOL = 4     # (tag, cycle, [(rid, src, out, granted), ...])
 _T_VIA = 5      # (tag, cycle, [(port, dst, reason), ...])
 _T_P1 = 6       # (tag, cycle, {rid: _LocalWin}) — insertion order
 _T_P2 = 7       # (tag, cycle, {rid: _LocalWin}, [(in, out, cls), ...])
+
+#: Events per column chunk when a record stream is parsed into columns.
+RECORD_CHUNK = 1 << 16
 
 #: How many timeline entries accumulate before the traced step asks the
 #: tracer to drain (encode + decimate/spill).  ~6 entries/cycle at
@@ -192,58 +203,6 @@ class BinaryTracer:
     # ------------------------------------------------------------------
     # Deferred expansion: timeline -> columns
     # ------------------------------------------------------------------
-    def _rows(self, timeline) -> Iterator[Tuple[int, int, int, int, int, int]]:
-        """Replay tagged timeline entries as flat event rows, in order."""
-        for entry in timeline:
-            tag = entry[0]
-            if tag == _T_RAW:
-                yield entry[1:]
-            elif tag == _T_EJECT:
-                cycle = entry[1]
-                for flit in entry[2]:
-                    yield (cycle, EJECT, flit.src, flit.dst, flit.seq,
-                           1 if flit.seq == flit.num_flits - 1 else 0)
-            elif tag == _T_INJECT:
-                for p in entry[1]:
-                    yield (p.created_cycle, INJECT, p.src, p.dst,
-                           p.num_flits, p.packet_id)
-            elif tag == _T_COLUMNS:
-                _, cycle, srcs, dsts, num_flits, first = entry
-                ids = range(first, first + len(srcs))
-                for packet_id, src, dst in zip(ids, srcs, dsts):
-                    yield (cycle, INJECT, src, dst, num_flits, packet_id)
-            elif tag == _T_COOL:
-                cycle = entry[1]
-                for rid, src, out, granted in entry[2]:
-                    yield (cycle, 6, rid, src, out, granted)  # COOL
-            elif tag == _T_VIA:
-                cycle = entry[1]
-                for port, dst, reason in entry[2]:
-                    yield (cycle, 5, port, dst, reason, 0)  # VIA_BLOCK
-            elif tag == _T_P1:
-                cycle = entry[1]
-                for rid, win in entry[2].items():
-                    yield (cycle, P1_GRANT, rid, win.input_port,
-                           win.dst_output, win.weight)
-            else:  # _T_P2
-                # Phase-2 grants were captured by the traced `_establish`
-                # in sub-block order; the scalar stream interleaves
-                # grants and blocks in phase-1 winner order, so merge.
-                cycle = entry[1]
-                granted = {
-                    input_port: (out, cls)
-                    for input_port, out, cls in entry[3]
-                }
-                for rid, win in entry[2].items():
-                    input_port = win.input_port
-                    grant = granted.get(input_port)
-                    if grant is not None:
-                        yield (cycle, P2_GRANT, rid, input_port,
-                               grant[0], grant[1])
-                    else:
-                        yield (cycle, P2_BLOCK, rid, input_port,
-                               win.dst_output, 0)
-
     def drain(self) -> None:
         """Encode the captured timeline into the columns.
 
@@ -273,122 +232,118 @@ class BinaryTracer:
             cycles = self._cycles
             kinds = self._kinds
             cola, colb, colc, cold = self._a, self._b, self._c, self._d
-            counter = self._counter
-            stride = self._stride
-            if stride == 1:
-                # Full-fidelity fast path: expand each batch column-wise
-                # (one comprehension per column) instead of row-by-row —
-                # the per-event constant is what bounds drain throughput.
-                for entry in timeline:
-                    tag = entry[0]
-                    if tag == _T_EJECT:
-                        cycle = entry[1]
-                        flits = entry[2]
-                        count = len(flits)
-                        cycles.extend([cycle] * count)
-                        kinds.extend([EJECT] * count)
-                        cola.extend([f.src for f in flits])
-                        colb.extend([f.dst for f in flits])
-                        colc.extend([f.seq for f in flits])
-                        cold.extend([
-                            1 if f.seq == f.num_flits - 1 else 0
-                            for f in flits
-                        ])
-                        counter += count
-                    elif tag == _T_INJECT:
-                        packets = entry[1]
-                        count = len(packets)
-                        cycles.extend([p.created_cycle for p in packets])
-                        kinds.extend([INJECT] * count)
-                        cola.extend([p.src for p in packets])
-                        colb.extend([p.dst for p in packets])
-                        colc.extend([p.num_flits for p in packets])
-                        cold.extend([p.packet_id for p in packets])
-                        counter += count
-                    elif tag == _T_COLUMNS:
-                        _, cycle, srcs, dsts, num_flits, first = entry
-                        count = len(srcs)
-                        cycles.extend([cycle] * count)
-                        kinds.extend([INJECT] * count)
-                        cola.extend(srcs)
-                        colb.extend(dsts)
-                        colc.extend([num_flits] * count)
-                        cold.extend(range(first, first + count))
-                        counter += count
-                    elif tag == _T_P1:
-                        cycle = entry[1]
-                        winners = entry[2]
-                        count = len(winners)
-                        wins = winners.values()
-                        cycles.extend([cycle] * count)
-                        kinds.extend([P1_GRANT] * count)
-                        cola.extend(winners.keys())
-                        colb.extend([w.input_port for w in wins])
-                        colc.extend([w.dst_output for w in wins])
-                        cold.extend([w.weight for w in wins])
-                        counter += count
-                    elif tag == _T_P2:
-                        cycle = entry[1]
-                        granted = {
-                            input_port: (out, cls)
-                            for input_port, out, cls in entry[3]
-                        }
-                        lookup = granted.get
-                        for rid, win in entry[2].items():
-                            input_port = win.input_port
-                            grant = lookup(input_port)
-                            cycles.append(cycle)
-                            if grant is not None:
-                                kinds.append(P2_GRANT)
-                                cola.append(rid)
-                                colb.append(input_port)
-                                colc.append(grant[0])
-                                cold.append(grant[1])
-                            else:
-                                kinds.append(P2_BLOCK)
-                                cola.append(rid)
-                                colb.append(input_port)
-                                colc.append(win.dst_output)
-                                cold.append(0)
-                            counter += 1
-                    elif tag == _T_COOL or tag == _T_VIA:
-                        cycle = entry[1]
-                        batch = entry[2]
-                        count = len(batch)
-                        cycles.extend([cycle] * count)
-                        if tag == _T_COOL:
-                            kinds.extend([6] * count)  # COOL
-                            rids, srcs, outs, grants = zip(*batch)
-                            cola.extend(rids)
-                            colb.extend(srcs)
-                            colc.extend(outs)
-                            cold.extend(grants)
+            counter = base = self._counter
+            start = len(kinds)
+            # Expand each batch column-wise (one comprehension per
+            # column) instead of row by row: the per-event constant is
+            # what bounds drain throughput.
+            for entry in timeline:
+                tag = entry[0]
+                if tag == _T_EJECT:
+                    cycle = entry[1]
+                    flits = entry[2]
+                    count = len(flits)
+                    cycles.extend([cycle] * count)
+                    kinds.extend([EJECT] * count)
+                    cola.extend([f.src for f in flits])
+                    colb.extend([f.dst for f in flits])
+                    colc.extend([f.seq for f in flits])
+                    cold.extend([
+                        1 if f.seq == f.num_flits - 1 else 0
+                        for f in flits
+                    ])
+                    counter += count
+                elif tag == _T_INJECT:
+                    packets = entry[1]
+                    count = len(packets)
+                    cycles.extend([p.created_cycle for p in packets])
+                    kinds.extend([INJECT] * count)
+                    cola.extend([p.src for p in packets])
+                    colb.extend([p.dst for p in packets])
+                    colc.extend([p.num_flits for p in packets])
+                    cold.extend([p.packet_id for p in packets])
+                    counter += count
+                elif tag == _T_COLUMNS:
+                    _, cycle, srcs, dsts, num_flits, first = entry
+                    count = len(srcs)
+                    cycles.extend([cycle] * count)
+                    kinds.extend([INJECT] * count)
+                    cola.extend(srcs)
+                    colb.extend(dsts)
+                    colc.extend([num_flits] * count)
+                    cold.extend(range(first, first + count))
+                    counter += count
+                elif tag == _T_P1:
+                    cycle = entry[1]
+                    winners = entry[2]
+                    count = len(winners)
+                    wins = winners.values()
+                    cycles.extend([cycle] * count)
+                    kinds.extend([P1_GRANT] * count)
+                    cola.extend(winners.keys())
+                    colb.extend([w.input_port for w in wins])
+                    colc.extend([w.dst_output for w in wins])
+                    cold.extend([w.weight for w in wins])
+                    counter += count
+                elif tag == _T_P2:
+                    cycle = entry[1]
+                    granted = {
+                        input_port: (out, cls)
+                        for input_port, out, cls in entry[3]
+                    }
+                    lookup = granted.get
+                    for rid, win in entry[2].items():
+                        input_port = win.input_port
+                        grant = lookup(input_port)
+                        cycles.append(cycle)
+                        if grant is not None:
+                            kinds.append(P2_GRANT)
+                            cola.append(rid)
+                            colb.append(input_port)
+                            colc.append(grant[0])
+                            cold.append(grant[1])
                         else:
-                            kinds.extend([5] * count)  # VIA_BLOCK
-                            ports, dsts, reasons = zip(*batch)
-                            cola.extend(ports)
-                            colb.extend(dsts)
-                            colc.extend(reasons)
-                            cold.extend([0] * count)
-                        counter += count
-                    else:  # _T_RAW
-                        cycles.append(entry[1])
-                        kinds.append(entry[2])
-                        cola.append(entry[3])
-                        colb.append(entry[4])
-                        colc.append(entry[5])
-                        cold.append(entry[6])
+                            kinds.append(P2_BLOCK)
+                            cola.append(rid)
+                            colb.append(input_port)
+                            colc.append(win.dst_output)
+                            cold.append(0)
                         counter += 1
-            else:
-                for row in self._rows(timeline):
-                    if counter % stride == 0:
-                        cycles.append(row[0])
-                        kinds.append(row[1])
-                        cola.append(row[2])
-                        colb.append(row[3])
-                        colc.append(row[4])
-                        cold.append(row[5])
+                elif tag == _T_COOL or tag == _T_VIA:
+                    cycle = entry[1]
+                    batch = entry[2]
+                    count = len(batch)
+                    cycles.extend([cycle] * count)
+                    if tag == _T_COOL:
+                        kinds.extend([COOL] * count)
+                        rids, srcs, outs, grants = zip(*batch)
+                        cola.extend(rids)
+                        colb.extend(srcs)
+                        colc.extend(outs)
+                        cold.extend(grants)
+                    else:
+                        kinds.extend([VIA_BLOCK] * count)
+                        ports, dsts, reasons = zip(*batch)
+                        cola.extend(ports)
+                        colb.extend(dsts)
+                        colc.extend(reasons)
+                        cold.extend([0] * count)
+                    counter += count
+                else:  # _T_RAW
+                    cycles.append(entry[1])
+                    kinds.append(entry[2])
+                    cola.append(entry[3])
+                    colb.append(entry[4])
+                    colc.append(entry[5])
+                    cold.append(entry[6])
                     counter += 1
+            stride = self._stride
+            if stride > 1:
+                # Keep only the appended rows whose global event counter
+                # is a multiple of the stride.
+                keep = slice(-base % stride, None, stride)
+                for column in (cycles, kinds, cola, colb, colc, cold):
+                    column[start:] = column[start:][keep]
             self._counter = counter
         capacity = self.capacity
         if capacity is None or len(self._kinds) <= capacity:
@@ -469,25 +424,14 @@ class BinaryTracer:
         return TraceColumns(
             cycle=_as_np(self._cycles), kind=_as_np(self._kinds),
             a=_as_np(self._a), b=_as_np(self._b), c=_as_np(self._c),
-            d=_as_np(self._d), lane=None, meta=self.meta(),
+            d=_as_np(self._d), lane=None, meta=self._meta_conf,
             total_events=self._counter, dropped=self.dropped,
             stride=self._stride, truncated=False,
         )
 
     def counts_by_kind(self) -> Dict[str, int]:
         """Event counts keyed by wire name (for summaries and tests)."""
-        self.drain()
-        counts: Dict[str, int] = {}
-        kinds = self._kinds
-        if not len(kinds):
-            return counts
-        binned = np.bincount(
-            np.frombuffer(kinds, dtype=np.int32), minlength=len(EVENT_NAMES)
-        )
-        for kind, count in enumerate(binned):
-            if count:
-                counts[EVENT_NAMES[kind]] = int(count)
-        return counts
+        return self.columns().counts_by_kind()
 
     def halving_events(self) -> List[Tuple[int, int, int]]:
         """All CLRG halvings as ``(cycle, output, total_halvings)``."""
@@ -496,7 +440,7 @@ class BinaryTracer:
             (cycle, a, b)
             for cycle, kind, a, b in zip(self._cycles, self._kinds,
                                          self._a, self._b)
-            if kind == 7  # CLRG_HALVE
+            if kind == CLRG_HALVE
         ]
 
     def resource_name(self, resource_id: int) -> str:
@@ -509,55 +453,22 @@ class BinaryTracer:
 
     def meta(self) -> Dict[str, object]:
         """The JSONL-style meta record for the retained events."""
-        self.drain()
-        meta: Dict[str, object] = {
-            "event": "meta",
-            "version": TRACE_VERSION,
-            "events": len(self._kinds),
-            "dropped": self.dropped,
-        }
-        meta.update(self._meta_conf)
-        return meta
+        return self.columns().jsonl_meta()
 
     # ------------------------------------------------------------------
-    # Export views
+    # Export views (of :meth:`columns`)
     # ------------------------------------------------------------------
     def records(self) -> Iterator[Dict[str, object]]:
         """Self-describing dict per event, meta record first (JSONL view)."""
-        yield self.meta()
-        fields = EVENT_FIELDS
-        names = EVENT_NAMES
-        for cycle, kind, a, b, c, d in zip(
-            self._cycles, self._kinds, self._a, self._b, self._c, self._d
-        ):
-            record: Dict[str, object] = {
-                "cycle": int(cycle), "event": names[kind],
-            }
-            payload = (int(a), int(b), int(c), int(d))
-            for index, field in enumerate(fields[kind]):
-                record[field] = payload[index]
-            yield record
+        return self.columns().records()
 
     def write_jsonl(self, destination: Union[str, IO[str]]) -> int:
         """Write the JSONL export; returns the number of records written."""
-        if hasattr(destination, "write"):
-            handle = destination
-            count = 0
-            for record in self.records():
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-                count += 1
-            return count
-        with open(destination, "w", encoding="utf-8") as handle:
-            return self.write_jsonl(handle)
+        return self.columns().write_jsonl(destination)
 
     def write_chrome(self, destination: Union[str, IO[str]]) -> int:
         """Stream the Chrome trace_event export; returns the event count."""
-        self.drain()
-        events = zip(self._cycles, self._kinds, self._a, self._b,
-                     self._c, self._d)
-        return write_chrome_stream(
-            destination, iter_chrome_events(events, self.resource_name)
-        )
+        return self.columns().write_chrome(destination)
 
     # ------------------------------------------------------------------
     # Binary persistence
@@ -649,8 +560,10 @@ class TraceColumns:
     ``cycle``/``kind``/``a``/``b``/``c``/``d`` are numpy arrays (an
     empty in-memory capture keeps its ``array.array``); ``lane`` is the
     optional per-lane column of fleet traces (``None`` for scalar
-    traces).  This is the native input of
-    :meth:`repro.obs.analyze.TraceAnalyzer.consume_columns`.
+    traces).  Every trace view works on this form: :meth:`select`
+    filters, :meth:`summary` totals, :meth:`records` /
+    :meth:`write_jsonl` / :meth:`write_chrome` export, and
+    :class:`repro.obs.analyze.TraceAnalyzer` audits.
     """
 
     __slots__ = ("cycle", "kind", "a", "b", "c", "d", "lane", "meta",
@@ -680,9 +593,10 @@ class TraceColumns:
 
     def iter_events(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
         """Events as ``(cycle, kind, a, b, c, d)`` integer tuples."""
-        for row in zip(self.cycle, self.kind, self.a, self.b,
-                       self.c, self.d):
-            yield tuple(int(x) for x in row)
+        columns = (self.cycle, self.kind, self.a, self.b, self.c, self.d)
+        for start in range(0, len(self.kind), RECORD_CHUNK):
+            end = start + RECORD_CHUNK
+            yield from zip(*(column[start:end].tolist() for column in columns))
 
     def jsonl_meta(self) -> Dict[str, object]:
         """The stream's meta record (JSONL view header)."""
@@ -703,16 +617,9 @@ class TraceColumns:
         yield self.jsonl_meta()
         fields = EVENT_FIELDS
         names = EVENT_NAMES
-        for cycle, kind, a, b, c, d in zip(
-            self.cycle, self.kind, self.a, self.b, self.c, self.d
-        ):
-            kind = int(kind)
-            record: Dict[str, object] = {
-                "cycle": int(cycle), "event": names[kind],
-            }
-            payload = (int(a), int(b), int(c), int(d))
-            for index, field in enumerate(fields[kind]):
-                record[field] = payload[index]
+        for cycle, kind, *payload in self.iter_events():
+            record: Dict[str, object] = {"cycle": cycle, "event": names[kind]}
+            record.update(zip(fields[kind], payload))
             yield record
 
     def resource_name(self, resource_id: int) -> str:
@@ -744,25 +651,196 @@ class TraceColumns:
             iter_chrome_events(self.iter_events(), self.resource_name),
         )
 
+    def _take(self, mask) -> "TraceColumns":
+        """The rows under a boolean ``mask`` (same meta and decimation)."""
+        return TraceColumns(
+            *(np.asarray(column)[mask] for column in (
+                self.cycle, self.kind, self.a, self.b, self.c, self.d)),
+            lane=None if self.lane is None else np.asarray(self.lane)[mask],
+            meta=self.meta, dropped=self.dropped, stride=self.stride,
+            truncated=self.truncated,
+        )
+
+    def select(self, kinds: Optional[Iterable[str]] = None,
+               ports: Optional[Iterable[int]] = None) -> "TraceColumns":
+        """The events of the named ``kinds`` that touch one of ``ports``.
+
+        An event touches a port when one of its port-valued fields
+        (:data:`repro.obs.trace.PORT_FIELDS` among the kind's
+        :data:`EVENT_FIELDS`) equals it.  ``None`` keeps every kind or
+        port (with neither, this view itself is returned).  The
+        result's meta record counts only the kept events, so its JSONL
+        export is itself a valid trace.
+
+        Raises:
+            ValueError: On an event kind the schema does not define.
+        """
+        if kinds is None and ports is None:
+            return self
+        kind = np.asarray(self.kind)
+        keep = np.ones(len(kind), dtype=bool)
+        if kinds is not None:
+            wanted = set(kinds)
+            unknown = wanted - set(EVENT_NAMES.values())
+            if unknown:
+                raise ValueError(f"unknown event kind(s): {sorted(unknown)}")
+            codes = [code for code, name in EVENT_NAMES.items()
+                     if name in wanted]
+            keep &= np.isin(kind, codes)
+        if ports is not None:
+            hits = [np.isin(np.asarray(column), list(ports))
+                    for column in (self.a, self.b, self.c, self.d)]
+            touched = np.zeros(len(kind), dtype=bool)
+            for code, fields in EVENT_FIELDS.items():
+                for slot, name in enumerate(fields):
+                    if name in PORT_FIELDS:
+                        touched |= (kind == code) & hits[slot]
+            keep &= touched
+        return self._take(keep)
+
+    def counts_by_kind(self) -> Dict[str, int]:
+        """Event counts keyed by wire name, in kind-code order."""
+        binned = np.bincount(np.asarray(self.kind, dtype=np.int64),
+                             minlength=len(EVENT_NAMES))
+        return {EVENT_NAMES[kind]: int(count)
+                for kind, count in enumerate(binned) if count}
+
+    def summary(self) -> Dict[str, object]:
+        """Event counts and per-resource / per-port totals.
+
+        Returns a dict with ``events``, ``counts_by_kind``, per-resource
+        ``resources`` (``grants`` from ``p2_grant``, ``busy_cycles``
+        from ``cool`` hold intervals), per-port ``ports`` (``injected``
+        packets at the source, ``ejected`` flits at the destination),
+        and the meta record's fields as ``meta``.
+        """
+        cycle, kind, a, b, d = (
+            np.asarray(column, dtype=np.int64)
+            for column in (self.cycle, self.kind, self.a, self.b, self.d)
+        )
+        held = (kind == COOL) & (d >= 0) & (d < cycle)
+        resources = {
+            rid: {"grants": grants, "busy_cycles": 0}
+            for rid, grants in _totals(a[kind == P2_GRANT]).items()
+        }
+        for rid, busy in _totals(a[held], (cycle - d)[held]).items():
+            resources.setdefault(rid, {"grants": 0, "busy_cycles": 0})
+            resources[rid]["busy_cycles"] = busy
+        ports = {
+            port: {"injected": injected, "ejected": 0}
+            for port, injected in _totals(a[kind == INJECT]).items()
+        }
+        for port, ejected in _totals(b[kind == EJECT]).items():
+            ports.setdefault(port, {"injected": 0, "ejected": 0})
+            ports[port]["ejected"] = ejected
+        meta = self.jsonl_meta()
+        del meta["event"]
+        return {
+            "events": len(kind),
+            "counts_by_kind": self.counts_by_kind(),
+            "resources": resources,
+            "ports": ports,
+            "meta": meta,
+        }
+
     def for_lane(self, lane: int) -> "TraceColumns":
         """The single-lane slice of a fleet trace (scalar-trace shaped)."""
         if self.lane is None:
             raise ValueError("trace has no lane column")
-        mask = np.asarray(self.lane) == lane
-        return TraceColumns(
-            cycle=np.asarray(self.cycle)[mask],
-            kind=np.asarray(self.kind)[mask],
-            a=np.asarray(self.a)[mask], b=np.asarray(self.b)[mask],
-            c=np.asarray(self.c)[mask], d=np.asarray(self.d)[mask],
-            lane=None, meta=self.meta, dropped=self.dropped,
-            stride=self.stride, truncated=self.truncated,
-        )
+        view = self._take(np.asarray(self.lane) == lane)
+        view.lane = None
+        return view
 
     def lanes(self) -> List[int]:
         """Sorted distinct lane ids (empty for scalar traces)."""
         if self.lane is None:
             return []
         return sorted({int(entry) for entry in self.lane})
+
+
+def _totals(keys, weights=None) -> Dict[int, int]:
+    """Sum of ``weights`` (default 1 each) per distinct key."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inverse, 1 if weights is None else weights)
+    return dict(zip(uniq.tolist(), sums.tolist()))
+
+
+def record_chunks(
+    records: Iterable[Dict[str, object]],
+) -> Tuple[Dict[str, object], Iterator[TraceColumns]]:
+    """Parse a record stream into its meta record and column chunks.
+
+    The stream must start with a meta record, which is returned as it
+    is.  The event records follow as :class:`TraceColumns` chunks of at
+    most :data:`RECORD_CHUNK` events (int64 columns, unused payload
+    slots 0), built lazily, so a consumer holds one chunk at a time.
+    Every record is checked with
+    :func:`repro.obs.trace.validate_record`.
+
+    Raises:
+        ValueError: Here when the stream does not start with a meta
+            record; while the chunks are drawn on an invalid record or a
+            second meta record.
+    """
+    records = iter(records)
+    meta = next(records, None)
+    if not isinstance(meta, dict) or meta.get("event") != "meta":
+        raise ValueError("trace must start with a meta record")
+    validate_record(meta)
+    return meta, _column_chunks(records)
+
+
+def _column_chunks(records) -> Iterator[TraceColumns]:
+    size = 6 * RECORD_CHUNK
+    flat: List[int] = []
+    for record in records:
+        row = validate_record(record)
+        if row is None:
+            raise ValueError("trace has a second meta record")
+        flat.extend(row)
+        if len(flat) == size:
+            yield _chunk(flat)
+            flat = []
+    if flat:
+        yield _chunk(flat)
+
+
+def _chunk(flat: List[int]) -> TraceColumns:
+    rows = np.array(flat, dtype=np.int64).reshape(-1, 6)
+    return TraceColumns(*np.ascontiguousarray(rows.T))
+
+
+def columns_from_records(
+    records: Iterable[Dict[str, object]],
+) -> TraceColumns:
+    """A whole record stream (meta first) as one :class:`TraceColumns`.
+
+    The stream goes through :func:`record_chunks`; the meta record's
+    geometry and ``dropped`` count carry over, so the JSONL export of
+    the result reproduces an exported trace byte for byte.
+    """
+    meta, chunks = record_chunks(records)
+    parts = [np.stack((chunk.cycle, chunk.kind, chunk.a, chunk.b,
+                       chunk.c, chunk.d)) for chunk in chunks]
+    rows = (np.concatenate(parts, axis=1) if parts
+            else np.zeros((6, 0), dtype=np.int64))
+    dropped = meta.get("dropped", 0)
+    return TraceColumns(*rows, meta=meta,
+                        dropped=dropped if isinstance(dropped, int) else 0)
+
+
+def read_trace(path: Union[str, os.PathLike]) -> TraceColumns:
+    """Read a trace file of either format (sniffed by magic) whole.
+
+    A ``repro.trace_bin/v1`` file goes through :func:`read_tracebin`,
+    anything else is read as a JSONL trace.
+    """
+    if sniff_tracebin(path):
+        return read_tracebin(path)
+    from repro.util.jsonl import iter_jsonl_strict
+
+    return columns_from_records(iter_jsonl_strict(path))
 
 
 # ---------------------------------------------------------------------------
@@ -860,17 +938,9 @@ class BinaryTraceWriter:
 
 def _column_bytes(column) -> bytes:
     """Little-endian bytes of one column (array.array or numpy)."""
-    if isinstance(column, np.ndarray):
-        return column.astype(column.dtype.newbyteorder("<"),
-                             copy=False).tobytes()
-    import sys
-
-    data = column.tobytes()
-    if sys.byteorder == "big":  # pragma: no cover - x86/arm CI is LE
-        swapped = array(column.typecode, column)
-        swapped.byteswap()
-        data = swapped.tobytes()
-    return data
+    column = np.asarray(column)
+    return column.astype(column.dtype.newbyteorder("<"),
+                         copy=False).tobytes()
 
 
 def _decode_column(buffer, offset: int, count: int, typecode: str):
@@ -885,9 +955,11 @@ def read_tracebin(path: Union[str, os.PathLike],
                   strict: bool = False) -> TraceColumns:
     """Read a ``repro.trace_bin/v1`` file into :class:`TraceColumns`.
 
-    Tolerant by default: a torn file (no footer, or a final segment cut
-    mid-write) yields every complete segment with ``truncated=True``.
-    With ``strict=True`` any torn tail raises :class:`ValueError`.
+    Tolerant by default: a torn file (no footer, a final segment cut
+    mid-write, or a footer that is not a JSON object with integer
+    ``events``/``dropped``/``stride``) yields every complete segment
+    with ``truncated=True``.  With ``strict=True`` any torn tail raises
+    :class:`ValueError`.
 
     Uses ``mmap`` + zero-copy numpy views, so a multi-gigabyte trace
     opens without materialising it.
@@ -917,6 +989,8 @@ def read_tracebin(path: Union[str, os.PathLike],
         header = json.loads(bytes(view[12:offset]))
     except ValueError as error:
         raise ValueError(f"malformed trace_bin header: {error}") from None
+    if not isinstance(header, dict):
+        raise ValueError("malformed trace_bin header: not a JSON object")
     if header.get("format") != TRACEBIN_FORMAT:
         raise ValueError(
             f"not a {TRACEBIN_FORMAT} file: format={header.get('format')!r}"
@@ -943,7 +1017,12 @@ def read_tracebin(path: Union[str, os.PathLike],
             try:
                 footer = json.loads(bytes(view[offset + 8:end]))
             except ValueError:
-                truncated = True
+                footer = None
+            if not isinstance(footer, dict) or not all(
+                isinstance(footer.get(key), int)
+                for key in ("events", "dropped", "stride")
+            ):
+                footer = None  # a damaged footer reads as a torn tail
             offset = end
             break
         if tag != SEGMENT_MAGIC or offset + 8 > size:
@@ -971,15 +1050,14 @@ def read_tracebin(path: Union[str, os.PathLike],
 
     merged = _merge_segments(segments, typecodes)
     total = sum(len(segment[1]) for segment in segments)
-    dropped = int(footer.get("dropped", 0)) if footer else 0
-    stride = int(footer.get("stride", 1)) if footer else 1
     return TraceColumns(
         cycle=merged[0], kind=merged[1], a=merged[2], b=merged[3],
         c=merged[4], d=merged[5],
         lane=merged[6] if lane_column else None,
         meta=header.get("meta") or {},
-        total_events=int(footer["events"]) if footer else total,
-        dropped=dropped, stride=stride, truncated=truncated,
+        total_events=footer["events"] if footer else total,
+        dropped=footer["dropped"] if footer else 0,
+        stride=footer["stride"] if footer else 1, truncated=truncated,
     )
 
 
@@ -1133,10 +1211,6 @@ class FleetTracer:
             lane=lane, meta=dict(self._meta_conf), total_events=n,
             dropped=0, stride=1, truncated=False,
         )
-
-    def lane_columns(self, lane: int) -> TraceColumns:
-        """One lane's full-fidelity stream (scalar-trace shaped)."""
-        return self.columns().for_lane(lane)
 
     def lane_tracer(self, lane: int, columns: Optional[TraceColumns] = None
                     ) -> BinaryTracer:

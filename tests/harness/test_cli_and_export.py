@@ -247,6 +247,117 @@ class TestTraceInspection:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def hotspot_pair(tmp_path_factory):
+    """One traced hotspot run saved as both .tracebin and JSONL."""
+    root = tmp_path_factory.mktemp("pair")
+    binary, jsonl = root / "t.tracebin", root / "t.jsonl"
+    code = main([
+        "trace", "--radix", "16", "--layers", "4", "--channels", "2",
+        "--traffic", "hotspot", "--load", "0.08", "--cycles", "600",
+        "--warmup", "100", "--binary", str(binary), "--jsonl", str(jsonl),
+    ])
+    assert code == 0
+    return binary, jsonl
+
+
+class TestInspectBothFormats:
+    def test_bare_inspect_prints_only_records(self, capsys, hotspot_pair):
+        binary, jsonl = hotspot_pair
+        assert main(["trace", "--inspect", str(binary)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == jsonl.read_text()
+        assert "loaded" in captured.err
+
+    def test_summaries_of_both_formats_agree(self, capsys, hotspot_pair):
+        outputs = []
+        for path in hotspot_pair:
+            assert main(["trace", "--inspect", str(path), "--summary"]) == 0
+            outputs.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if "rate:" not in line
+            ])
+        assert outputs[0] == outputs[1]
+        assert "per-resource totals (grants / busy cycles):" in outputs[0]
+
+    def test_kind_and_port_filters_on_a_binary_trace(
+        self, capsys, hotspot_pair
+    ):
+        import json
+
+        binary, _ = hotspot_pair
+        code = main(["trace", "--inspect", str(binary),
+                     "--kind", "p2_grant", "--port", "2"])
+        assert code == 0
+        records = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert records[0]["event"] == "meta"
+        assert records[0]["events"] == len(records) - 1 > 0
+        assert all(
+            r["event"] == "p2_grant" and 2 in (r["input"], r["output"])
+            for r in records[1:]
+        )
+
+    def test_filtered_jsonl_is_a_valid_export(self, capsys, hotspot_pair,
+                                              tmp_path):
+        import json
+
+        from repro.obs import validate_jsonl_path
+
+        binary, jsonl = hotspot_pair
+        out = tmp_path / "grants.jsonl"
+        code = main(["trace", "--inspect", str(binary),
+                     "--kind", "p2_grant", "--jsonl", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert validate_jsonl_path(out) == len(lines)
+        whole = jsonl.read_text().splitlines()
+        assert lines[1:] == [
+            line for line in whole[1:]
+            if json.loads(line)["event"] == "p2_grant"
+        ]
+        meta = json.loads(lines[0])
+        assert meta["events"] == len(lines) - 1
+        assert meta == dict(json.loads(whole[0]), events=len(lines) - 1)
+
+    def test_lane_of_a_fleet_trace(self, capsys, tmp_path):
+        import json
+
+        from repro.core.config import HiRiseConfig
+        from repro.core.fleet import LanePlan, run_fleet_plans
+        from repro.obs import FleetTracer
+        from repro.traffic import UniformRandomTraffic
+
+        config = HiRiseConfig(radix=8, layers=2, channel_multiplicity=1)
+        plans = [
+            LanePlan(config=config,
+                     traffic_factory=lambda seed=seed: UniformRandomTraffic(
+                         8, 0.4, seed=seed),
+                     warmup_cycles=0, measure_cycles=40)
+            for seed in range(2)
+        ]
+        tracer = FleetTracer(len(plans), capacity=None)
+        run_fleet_plans(plans, tracer=tracer)
+        path = tmp_path / "fleet.tracebin"
+        tracer.save(path)
+        assert main(["trace", "--inspect", str(path)]) == 2
+        assert "--lane" in capsys.readouterr().err
+        out = tmp_path / "lane1.jsonl"
+        assert main(["trace", "--inspect", str(path), "--lane", "1",
+                     "--jsonl", str(out)]) == 0
+        expected = tmp_path / "expected.jsonl"
+        tracer.lane_tracer(1).write_jsonl(expected)
+        assert out.read_text() == expected.read_text()
+        assert json.loads(out.read_text().splitlines()[0])["events"] > 0
+
+    def test_lane_of_a_scalar_trace_is_refused(self, capsys, hotspot_pair):
+        binary, _ = hotspot_pair
+        assert main(["trace", "--inspect", str(binary), "--lane", "0"]) == 2
+        assert "fleet" in capsys.readouterr().err
+
+
 class TestAuditCli:
     def test_audit_emits_validated_json_and_markdown(
         self, capsys, hotspot_jsonl, tmp_path

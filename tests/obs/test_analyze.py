@@ -15,13 +15,17 @@ from repro.obs.analyze import (
     analyze_records,
     analyze_tracer,
     compare_audits,
-    filter_records,
     iter_jsonl,
-    summarize_records,
     validate_audit_summary,
 )
-from repro.obs.trace import resource_label
-from repro.obs.tracebin import BinaryTracer
+from repro.obs import tracebin
+from repro.obs.trace import (
+    EVENT_FIELDS,
+    EVENT_NAMES,
+    PORT_FIELDS,
+    resource_label,
+)
+from repro.obs.tracebin import BinaryTracer, columns_from_records
 from repro.traffic import HotspotTraffic
 
 
@@ -164,17 +168,82 @@ class TestStreaming:
         assert report.anomalies_total == 40
         assert report.summary()["anomalies"]["dropped"] == 36
 
+    @staticmethod
+    def straddling_stream():
+        """Stray earlier cycles and counts-only rows across epoch closes."""
+        import random
+
+        rng = random.Random(5)
+        events = []
+        cycle = 0
+        for index in range(300):
+            cycle += rng.choice((0, 0, 1, 2, 5))
+            at = max(0, cycle - rng.choice((0, 0, 0, 3, 9)))  # stray
+            port = rng.randrange(4)
+            choice = rng.randrange(6)
+            if choice == 0:
+                events.append(inject(at, src=port, flits=2, pid=index))
+            elif choice == 1:
+                events.append(grant(at, inp=port, cls=rng.randrange(-1, 3)))
+            elif choice == 2:
+                events.append(eject(at, src=port, tail=rng.randrange(2)))
+            elif choice == 3:
+                events.append({"cycle": at, "event": "p2_block",
+                               "resource": 0, "input": port, "output": 1})
+            elif choice == 4:
+                events.append({"cycle": cycle, "event": "p1_grant",
+                               "resource": 1, "input": port, "output": 0,
+                               "weight": 1})
+            else:
+                events.append({"cycle": cycle, "event": "via_block",
+                               "input": port, "dst": 1, "reason": 0})
+        return synthetic_records(events)
+
+    def test_chunk_boundaries_do_not_change_the_report(self, monkeypatch):
+        records = self.straddling_stream()
+        summaries = []
+        for size in (1, 7, 1 << 30):
+            monkeypatch.setattr(tracebin, "RECORD_CHUNK", size)
+            summaries.append(
+                analyze_records(records, window=4, max_epochs=16).summary()
+            )
+        assert summaries[0]["fairness"]["epochs"] > 16
+        assert summaries[0] == summaries[1] == summaries[2]
+
     def test_requires_meta_record_first(self):
-        analyzer = TraceAnalyzer()
         with pytest.raises(ValueError, match="meta"):
-            analyzer.feed(inject(0, 0))
+            analyze_records([inject(0, 0)])
+        with pytest.raises(ValueError, match="meta"):
+            TraceAnalyzer().consume(
+                columns_from_records(synthetic_records([inject(0, 0)]))
+            )
 
     def test_feed_after_finish_rejected(self):
         analyzer = TraceAnalyzer()
-        analyzer.feed(synthetic_records([])[0])
+        analyzer.start(synthetic_records([])[0])
         analyzer.finish()
         with pytest.raises(RuntimeError):
-            analyzer.feed(inject(0, 0))
+            analyzer.consume(
+                columns_from_records(synthetic_records([inject(0, 0)]))
+            )
+
+    def test_invalid_records_are_rejected(self):
+        meta = synthetic_records([])[0]
+        for bad, match in (
+            ({"cycle": 0, "event": "warp_drive"}, "unknown event"),
+            ({"cycle": 0, "event": "inject", "src": 1}, "dst"),
+            (dict(inject(0, 0), cycle=-1), "cycle must be a non-negative"),
+            (meta, "second meta"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                analyze_records([meta, bad])
+
+    def test_meta_record_is_kept_verbatim(self):
+        meta = dict(synthetic_records([])[0], note="hotspot run")
+        report = analyze_records([meta, inject(0, 0)])
+        assert report.meta == {
+            key: value for key, value in meta.items() if key != "event"
+        }
 
     def test_jsonl_and_tracer_paths_agree(self, tmp_path):
         _, tracer = traced_hotspot("clrg", cycles=400, warmup=40)
@@ -304,11 +373,39 @@ class TestSummaryAndBaseline:
 # ---------------------------------------------------------------------------
 # Inspection helpers (trace CLI satellites)
 # ---------------------------------------------------------------------------
+def select_oracle(records, kinds=None, ports=None):
+    """Record-level filter: the meaning ``TraceColumns.select`` keeps."""
+    kept = []
+    for record in records[1:]:
+        if kinds is not None and record["event"] not in kinds:
+            continue
+        if ports is not None and not any(
+            record.get(name) in ports for name in PORT_FIELDS
+        ):
+            continue
+        kept.append(record)
+    return kept
+
+
+def one_of_each_kind():
+    """A meta record plus two events of every kind, ports 0..3 in play."""
+    events = []
+    for cycle, (kind, fields) in enumerate(sorted(EVENT_FIELDS.items())):
+        for offset in (0, 2):
+            record = {"cycle": cycle, "event": EVENT_NAMES[kind]}
+            record.update(
+                (name, (slot + offset + kind) % 4)
+                for slot, name in enumerate(fields)
+            )
+            events.append(record)
+    return synthetic_records(events)
+
+
 class TestInspectionHelpers:
     def test_filter_by_kind_keeps_meta(self):
         records = synthetic_records([inject(0, 0), grant(1, 0)])
-        kept = list(filter_records(records, kinds=["p2_grant"]))
-        assert [r["event"] for r in kept] == ["meta", "p2_grant"]
+        kept = columns_from_records(records).select(kinds=["p2_grant"])
+        assert [r["event"] for r in kept.records()] == ["meta", "p2_grant"]
 
     def test_filter_by_port_matches_any_port_field(self):
         records = synthetic_records([
@@ -316,12 +413,25 @@ class TestInspectionHelpers:
             grant(1, inp=2, output=5),
             grant(2, inp=3, output=0),
         ])
-        kept = list(filter_records(records, ports=[5]))
-        assert len(kept) == 3  # meta + the two events touching port 5
+        kept = columns_from_records(records).select(ports=[5])
+        assert len(list(kept.records())) == 3  # meta + the two events
 
     def test_filter_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="bogus"):
-            list(filter_records(synthetic_records([]), kinds=["bogus"]))
+            columns_from_records(synthetic_records([])).select(
+                kinds=["bogus"]
+            )
+
+    @pytest.mark.parametrize("port", [0, 2])
+    @pytest.mark.parametrize("kind", sorted(EVENT_NAMES.values()))
+    def test_select_matches_the_record_oracle(self, kind, port):
+        records = one_of_each_kind()
+        columns = columns_from_records(records)
+        for kinds, ports in (([kind], None), (None, [port]),
+                             ([kind], [port])):
+            kept = list(columns.select(kinds=kinds, ports=ports).records())
+            assert kept[1:] == select_oracle(records, kinds, ports)
+            assert kept[0]["events"] == len(kept) - 1
 
     def test_summarize_counts_resources_and_ports(self):
         records = synthetic_records([
@@ -331,7 +441,7 @@ class TestInspectionHelpers:
              "output": 0, "granted": 1},
             eject(2, src=1, dst=0, tail=1),
         ])
-        summary = summarize_records(records)
+        summary = columns_from_records(records).summary()
         assert summary["events"] == 4
         assert summary["counts_by_kind"]["p2_grant"] == 1
         assert summary["resources"][3] == {"grants": 1, "busy_cycles": 8}

@@ -42,6 +42,18 @@ class TestPerfCounters:
         assert fractions["transmit"] == pytest.approx(0.5)
         assert sum(fractions.values()) == pytest.approx(1.0)
 
+    def test_sampled_phases_scale_to_the_whole_run(self):
+        # inject is timed on all 160 cycles, refill on the 10 sampled
+        # ones: refill's 100 ns stand for 1600 ns of the run.
+        perf = PerfCounters(stride=16)
+        perf.cycles_total = 160
+        perf.cycles_sampled = 10
+        perf.add("inject", 100)
+        perf.add("refill", 100)
+        fractions = perf.phase_fractions()
+        assert fractions["inject"] == pytest.approx(100 / 1700)
+        assert fractions["refill"] == pytest.approx(1600 / 1700)
+
     def test_phase_order_is_canonical_then_extras(self):
         perf = PerfCounters()
         perf.add("zzz_custom", 1)

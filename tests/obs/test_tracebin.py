@@ -235,6 +235,18 @@ class TestDecimation:
         assert binary.events == full.events[::stride]
         assert binary.dropped == len(full.events) - len(binary.events)
 
+    def test_drains_at_a_stride_keep_counter_multiples(self):
+        # A short drain interval makes most drains run at a stride above
+        # 1 with an event counter that is not a multiple of it.
+        config = small_config()
+        binary = BinaryTracer(capacity=256)
+        binary.drain_interval = 7
+        run_switch(HiRiseSwitch(config, tracer=binary), cycles=200)
+        full = BinaryTracer(capacity=None)
+        run_switch(HiRiseSwitch(config, tracer=full), cycles=200)
+        assert binary.stride > 1
+        assert binary.events == full.events[::binary.stride]
+
     def test_spill_path_keeps_full_fidelity(self, tmp_path):
         path = tmp_path / "spill.tracebin"
         spilling = BinaryTracer(capacity=512, spill_path=str(path))
@@ -306,6 +318,87 @@ class TestTornFiles:
         tiny = tmp_path / "tiny.tracebin"
         tiny.write_bytes(b"RP")
         assert not sniff_tracebin(str(tiny))
+
+
+# ---------------------------------------------------------------------------
+# Systematic damage: every cut, every framing bit flip
+# ---------------------------------------------------------------------------
+def framing_offsets(blob):
+    """Byte offsets of the magic, version, header length, every segment
+    tag and the whole footer of a ``repro.trace_bin/v1`` file."""
+    offsets = list(range(12))
+    offset = 12 + int.from_bytes(blob[8:12], "little")
+    width = 8 + 5 * 4
+    while blob[offset:offset + 4] == b"SGMT":
+        offsets.extend(range(offset, offset + 4))
+        count = int.from_bytes(blob[offset + 4:offset + 8], "little")
+        offset += 8 + count * width
+    assert blob[offset:offset + 4] == b"FTR0"
+    offsets.extend(range(offset, len(blob)))
+    return offsets
+
+
+class TestDamage:
+    """A damaged file raises ValueError or reads a prefix of the stream.
+
+    The format has no per-segment checksum, so a flipped segment
+    *count* can misalign the columns; those bytes are not flipped here.
+    """
+
+    @pytest.fixture(scope="class")
+    def spilled(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("damage") / "spill.tracebin"
+        tracer = BinaryTracer(capacity=16, spill_path=str(path))
+        tracer.drain_interval = 10
+        config = HiRiseConfig(radix=8, layers=2, channel_multiplicity=1)
+        run_switch(HiRiseSwitch(config, tracer=tracer), cycles=10,
+                   warmup=0)
+        tracer.save(str(path))
+        blob = path.read_bytes()
+        assert blob.count(b"SGMT") > 2
+        return blob, list(read_tracebin(str(path)).iter_events())
+
+    @staticmethod
+    def read_back(path, blob, strict=False):
+        path.write_bytes(blob)
+        try:
+            return list(read_tracebin(str(path), strict=strict).iter_events())
+        except ValueError:
+            return None
+
+    def test_every_cut_reads_a_prefix_or_raises(self, spilled, tmp_path):
+        blob, full = spilled
+        path = tmp_path / "cut.tracebin"
+        for size in range(len(blob)):
+            events = self.read_back(path, blob[:size])
+            assert events is None or events == full[:len(events)], size
+            assert self.read_back(path, blob[:size], strict=True) is None
+
+    def test_every_framing_bit_flip_reads_a_prefix_or_raises(
+        self, spilled, tmp_path
+    ):
+        blob, full = spilled
+        path = tmp_path / "flip.tracebin"
+        for offset in framing_offsets(blob):
+            for bit in range(8):
+                damaged = bytearray(blob)
+                damaged[offset] ^= 1 << bit
+                events = self.read_back(path, bytes(damaged))
+                assert events is None or events == full[:len(events)], (
+                    offset, bit,
+                )
+
+    def test_damaged_footer_key_reads_as_a_torn_tail(self, spilled, tmp_path):
+        blob, full = spilled
+        damaged = blob.replace(b'"events"', b'"evdnts"')
+        assert damaged != blob
+        path = tmp_path / "footer.tracebin"
+        path.write_bytes(damaged)
+        columns = read_tracebin(str(path))
+        assert columns.truncated
+        assert list(columns.iter_events()) == full
+        with pytest.raises(ValueError, match="torn"):
+            read_tracebin(str(path), strict=True)
 
 
 # ---------------------------------------------------------------------------
