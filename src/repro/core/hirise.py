@@ -52,7 +52,7 @@ from repro.core.config import ArbitrationScheme, HiRiseConfig
 from repro.faults import FaultCursor, FaultSchedule, apply_fault_events
 from repro.network.engine import SwitchModel
 from repro.network.flit import Flit
-from repro.network.packet import Packet, record_flits
+from repro.network.packet import Packet
 from repro.network.port import InputPort, queue_columns, queue_packet
 from repro.obs.trace import (
     CLRG_HALVE,
@@ -94,47 +94,16 @@ class _LocalWin:
     age: int = 0             # head-flit wait in cycles (for AGE arbitration)
 
 
-class _BinnedViability:
-    """Closure-free head-flit viability check for binned allocation.
-
-    One instance per input port, built at construction: ``rid_of_dst``
-    maps every destination to the single flat resource id a request from
-    this port would occupy (the dedicated intermediate output for
-    same-layer traffic, the failure-remapped binned L2LC otherwise).
-    Calling the instance allocates nothing — it replaces the two nested
-    closures the seed kernel rebuilt for every port on every cycle.  It
-    holds the switch's ownership and cooling containers (never rebound),
-    not the switch, so a finished switch is freed by reference counting.
-    """
-
-    __slots__ = (
-        "output_owner", "out_cooling", "resource_owner", "res_cooling",
-        "rid_of_dst",
-    )
-
-    def __init__(self, switch: "HiRiseSwitch", rid_of_dst: Tuple[int, ...]):
-        self.output_owner = switch.output_owner
-        self.out_cooling = switch._out_cooling
-        self.resource_owner = switch.resource_owner
-        self.res_cooling = switch._res_cooling
-        self.rid_of_dst = rid_of_dst
-
-    def __call__(self, flit: Flit) -> bool:
-        dst = flit.dst
-        if self.output_owner[dst] is not None or self.out_cooling[dst]:
-            return False
-        rid = self.rid_of_dst[dst]
-        return self.resource_owner[rid] < 0 and not self.res_cooling[rid]
-
-
 class _PriorityViability:
     """Closure-free head-flit viability check for priority allocation.
 
     ``rids_of_dst`` maps every destination to the tuple of resource ids
     any of which could carry the request: a single intermediate-output id
     for same-layer traffic, the healthy L2LC ids toward the destination
-    layer (in channel order) otherwise.  Like :class:`_BinnedViability`,
-    it holds the switch's containers rather than the switch.
+    layer (in channel order) otherwise.  Calling the instance allocates
+    nothing.  It holds the switch's ownership and cooling containers
+    (never rebound), not the switch, so a finished switch is freed by
+    reference counting.
     """
 
     __slots__ = (
@@ -285,8 +254,7 @@ class HiRiseSwitch(SwitchModel):
             # off the hot loop.
             self._p2_grants: List[Tuple[int, int, int]] = []
             self._establish = (  # type: ignore[method-assign]
-                self._establish_traced_clrg if self._is_clrg
-                else self._establish_traced_plain
+                self._establish_traced
             )
             for output, arbiter in self.subblock_arbiters.items():
                 counters = getattr(arbiter, "counters", None)
@@ -353,7 +321,10 @@ class HiRiseSwitch(SwitchModel):
         # Only the AGE scheme consumes ages, so tracking is gated.
         self._ages = [0] * cfg.radix
         self._track_ages = cfg.arbitration is ArbitrationScheme.AGE
-        # Reused by _arbitrate (see there for the staleness argument).
+        # Persistent per-port buffer: slot i holds the candidate VC of
+        # port i *for the cycle the port last requested in*.  Phase 2 only
+        # reads ports that won phase 1 this cycle, so stale entries are
+        # never observed and the buffer needs no clearing.
         self._candidate_vc = [0] * cfg.radix
 
         # Per-scheme sub-block implementation, resolved once.  Stored as
@@ -371,13 +342,17 @@ class HiRiseSwitch(SwitchModel):
         else:
             self._subblock_pick = HiRiseSwitch._subblock_clrg
 
-        # Per-port viability objects (single allocation, at construction).
-        self._viability: List[object] = []
+        # Per-port request tables (single allocation, at construction).
         if self.allocation.is_binned:
-            # A destination layer whose channels have all failed (only
-            # possible under dynamic faults) maps to the src layer's
-            # diagonal sentinel id: permanently cooling, so the viability
-            # check rejects it with zero extra hot-path branches.
+            # _request_rid[port][dst] is the one flat resource id a
+            # request from ``port`` for ``dst`` would occupy: the dedicated
+            # intermediate output for same-layer traffic, the
+            # failure-remapped binned L2LC otherwise.  Phase 1 inlines the
+            # viability check as reads of this table.  A destination
+            # layer whose channels have all failed (only possible under
+            # dynamic faults) maps to the src layer's diagonal sentinel
+            # id: permanently cooling, so the check rejects it with zero
+            # extra hot-path branches.
             # (src_layer, dst_layer, nominal channel), packed like the
             # L2LC ids -> the id a binned request for it contends for.
             rid_of_nominal = [0] * (layers * layers * cmult)
@@ -395,6 +370,7 @@ class HiRiseSwitch(SwitchModel):
                             else cfg.channel_resource_id(src, dst, channel)
                         )
             channel_for = self.allocation.channel_for
+            self._request_rid = []
             for port in range(cfg.radix):
                 src_layer = layer_of[port]
                 local_input = local_of[port]
@@ -408,14 +384,11 @@ class HiRiseSwitch(SwitchModel):
                             (src_layer * layers + dst_layer) * cmult
                             + channel_for(local_input, dst)
                         ])
-                self._viability.append(
-                    _BinnedViability(self, tuple(rid_of_dst))
-                )
-            # Per-port request resource table, shared with phase 1.
-            self._request_rid = [
-                viability.rid_of_dst for viability in self._viability
-            ]
+                self._request_rid.append(tuple(rid_of_dst))
+            self._viability = None
         else:
+            # Per-port viability objects for priority allocation.
+            self._viability = []
             for port in range(cfg.radix):
                 src_layer = layer_of[port]
                 rids_of_dst = []
@@ -459,12 +432,10 @@ class HiRiseSwitch(SwitchModel):
         healthy channel toward the same destination layer (configuration
         validation guarantees one exists).
         """
-        c = self.config.channel_multiplicity
-        for offset in range(c):
-            channel = (nominal + offset) % c
-            if (src_layer, dst_layer, channel) not in self.failed_channels:
-                return channel
-        raise AssertionError("config validation guarantees a healthy channel")
+        channel = self._healthy_channel_or_none(src_layer, dst_layer, nominal)
+        if channel is None:
+            raise AssertionError("config validation guarantees a healthy channel")
+        return channel
 
     def _healthy_channel_or_none(
         self, src_layer: int, dst_layer: int, nominal: int
@@ -575,6 +546,14 @@ class HiRiseSwitch(SwitchModel):
             tracer.inject_columns(cycle, srcs, dsts, num_flits, first)
 
     def step(self, cycle: int) -> List[Flit]:
+        """Advance one cycle; returns the flits ejected this cycle.
+
+        Every step path runs the same phases in the same order:
+        :meth:`_begin_cycle`, :meth:`_transmit`, :meth:`_refill`,
+        :meth:`_phase1_local` and :meth:`_phase2_interlayer`.  A sampled
+        perf cycle (:meth:`_step_perf`) adds clock reads between them and
+        a traced one (:meth:`_step_traced`) timeline appends.
+        """
         perf = self._perf
         if perf is not None:
             perf.cycles_total += 1
@@ -583,8 +562,9 @@ class HiRiseSwitch(SwitchModel):
         if self._tracer is not None:
             return self._step_traced(cycle)
         self._begin_cycle(cycle)
-        ejected = self._transmit_and_refill(cycle)
-        self._arbitrate(cycle)
+        ejected = self._transmit(cycle)
+        self._refill(cycle)
+        self._phase2_interlayer(self._phase1_local(cycle))
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected
@@ -615,18 +595,16 @@ class HiRiseSwitch(SwitchModel):
                 out_cooling[output] = 0
                 res_cooling[rid] = 0
             paths.clear()
+        self._arb_cycle = cycle
 
     def _step_perf(self, cycle: int) -> List[Flit]:
-        """Sampled perf cycle: time the cycle phase by phase.
+        """Sampled perf cycle: :meth:`step`'s phases, timed one by one.
 
         :meth:`step` hands over one cycle in every ``perf.stride``; the
-        others run untimed through the fused path or
-        :meth:`_step_traced`.  Transmit and refill run as *separate*
-        passes — equivalent to the fused scan, see
-        :meth:`_transmit_and_refill` — with a monotonic read at each
-        phase boundary.  Traced cycles are
-        attributed whole (as ``step``) rather than split, since the
-        traced step interleaves capture with every phase.
+        others run untimed.  A monotonic read sits at each phase
+        boundary.  Traced cycles are attributed whole (as ``step``)
+        rather than split, since the traced step interleaves capture
+        with every phase.
         """
         perf = self._perf
         perf.cycles_sampled += 1
@@ -638,15 +616,13 @@ class HiRiseSwitch(SwitchModel):
             return ejected
         self._begin_cycle(cycle)
         t1 = ns()
-        ejected = self._transmit_pass(cycle)
+        ejected = self._transmit(cycle)
         t2 = ns()
-        self._refill_pass(cycle)
+        self._refill(cycle)
         t3 = ns()
-        self._arb_cycle = cycle
-        candidate_vcs = self._candidate_vc
-        local_winners = self._phase1_local(candidate_vcs, cycle)
+        local_winners = self._phase1_local(cycle)
         t4 = ns()
-        self._phase2_interlayer(local_winners, candidate_vcs)
+        self._phase2_interlayer(local_winners)
         t5 = ns()
         perf.add("transmit", t2 - t1, len(ejected))
         perf.add("refill", t3 - t2)
@@ -656,98 +632,11 @@ class HiRiseSwitch(SwitchModel):
             self._invariants.after_step(self, cycle, ejected)
         return ejected
 
-    def _transmit_and_refill(self, cycle: int) -> List[Flit]:
-        # Transmit and refill in one scan.  Both touch only per-port state
-        # (transmit additionally tears down global path state, which no
-        # other port's transmit or refill reads), so per-port fusion is
-        # equivalent to the seed's transmit-all-then-refill-all ordering.
-        ejected: List[Flit] = []
-        connections = self.connections
-        resource_owner = self.resource_owner
-        output_owner = self.output_owner
-        in_cooling = self._in_cooling
-        out_cooling = self._out_cooling
-        res_cooling = self._res_cooling
-        cooling_paths = self._cooling_paths
-        for port in self.ports:
-            active = port.active_vc
-            if active is not None:
-                vc = port.vcs[active]
-                fifo = vc._fifo
-                if fifo:
-                    # Inlined port.transmit() (preconditions just checked).
-                    flit = fifo.popleft()
-                    port._refill_blocked = False
-                    flit.ejected_cycle = cycle
-                    ejected.append(flit)
-                    seq = flit.seq
-                    if not seq:
-                        port._heads -= 1
-                    if seq == flit.num_flits - 1:  # tail: tear down
-                        if not fifo:
-                            vc._owner_packet = None
-                        port.active_vc = None
-                        src = flit.src
-                        rid, output = connections.pop(src)
-                        resource_owner[rid] = -1
-                        output_owner[output] = None
-                        in_cooling[src] = 1
-                        out_cooling[output] = 1
-                        res_cooling[rid] = 1
-                        cooling_paths.append((src, output, rid))
-            # A blocked port's VC state cannot have changed since its last
-            # failed refill (the flag clears when a flit pops); skip it.
-            if port._refill_blocked:
-                continue
-            # Inlined port.refill(cycle).
-            queue = port.source_queue
-            flits = queue._flits
-            if not flits:
-                packets = queue._packets
-                if not packets:
-                    continue
-                flits.extend(record_flits(queue.src, packets.popleft()))
-            front = flits[0]
-            if front.seq == 0:
-                # Head flit: first free VC (a free VC is always empty).
-                for idx, cand in enumerate(port.vcs):
-                    if cand._owner_packet is None and len(cand._fifo) < cand.depth:
-                        flits.popleft()
-                        queue._pending_flits -= 1
-                        front.injected_cycle = cycle
-                        cand._owner_packet = front.packet_id
-                        cand._fifo.append(front)
-                        port._refill_vc = idx
-                        port._heads += 1
-                        break
-                else:
-                    port._refill_blocked = True
-            else:
-                # Body/tail flit: only its packet's owner VC may take it.
-                cand = port.vcs[port._refill_vc]
-                if cand._owner_packet != front.packet_id:
-                    for idx, other in enumerate(port.vcs):
-                        if other._owner_packet == front.packet_id:
-                            port._refill_vc = idx
-                            cand = other
-                            break
-                    else:
-                        port._refill_blocked = True
-                        continue
-                if len(cand._fifo) < cand.depth:
-                    flits.popleft()
-                    queue._pending_flits -= 1
-                    front.injected_cycle = cycle
-                    cand._fifo.append(front)
-                else:
-                    port._refill_blocked = True
-        return ejected
-
-    def _transmit_pass(self, cycle: int) -> List[Flit]:
-        # Transmit half of _transmit_and_refill, as its own scan so
-        # sampled perf cycles can put a clock read between the phases.
-        # Per-port fusion is equivalent to transmit-all-then-refill-all
-        # (see _transmit_and_refill), so the split direction holds too.
+    def _transmit(self, cycle: int) -> List[Flit]:
+        # Inlined port.transmit() for every port with an active, non-empty
+        # VC, plus the global path teardown on a tail.  No other port's
+        # transmit or refill reads the torn-down state, so this pass and
+        # _refill reproduce the seed's transmit-all-then-refill-all order.
         ejected: List[Flit] = []
         connections = self.connections
         resource_owner = self.resource_owner
@@ -785,50 +674,14 @@ class HiRiseSwitch(SwitchModel):
                 cooling_paths.append((src, output, rid))
         return ejected
 
-    def _refill_pass(self, cycle: int) -> None:
-        # Refill half of _transmit_and_refill (sampled perf cycles).
+    def _refill(self, cycle: int) -> None:
+        # port.refill moves up to one flit per port.  A blocked port's VC
+        # state cannot have changed since its last failed refill (the flag
+        # clears when a flit pops), and a port with no flits or records
+        # queued (no pending flits) has nothing to move: both skip the call.
         for port in self.ports:
-            if port._refill_blocked:
-                continue
-            queue = port.source_queue
-            flits = queue._flits
-            if not flits:
-                packets = queue._packets
-                if not packets:
-                    continue
-                flits.extend(record_flits(queue.src, packets.popleft()))
-            front = flits[0]
-            if front.seq == 0:
-                for idx, cand in enumerate(port.vcs):
-                    if cand._owner_packet is None and len(cand._fifo) < cand.depth:
-                        flits.popleft()
-                        queue._pending_flits -= 1
-                        front.injected_cycle = cycle
-                        cand._owner_packet = front.packet_id
-                        cand._fifo.append(front)
-                        port._refill_vc = idx
-                        port._heads += 1
-                        break
-                else:
-                    port._refill_blocked = True
-            else:
-                cand = port.vcs[port._refill_vc]
-                if cand._owner_packet != front.packet_id:
-                    for idx, other in enumerate(port.vcs):
-                        if other._owner_packet == front.packet_id:
-                            port._refill_vc = idx
-                            cand = other
-                            break
-                    else:
-                        port._refill_blocked = True
-                        continue
-                if len(cand._fifo) < cand.depth:
-                    flits.popleft()
-                    queue._pending_flits -= 1
-                    front.injected_cycle = cycle
-                    cand._fifo.append(front)
-                else:
-                    port._refill_blocked = True
+            if not port._refill_blocked and port.source_queue._pending_flits:
+                port.refill(cycle)
 
     def occupancy(self) -> int:
         return sum(port.total_occupancy() for port in self.ports)
@@ -836,28 +689,20 @@ class HiRiseSwitch(SwitchModel):
     # ------------------------------------------------------------------
     # Arbitration (two phases within one cycle)
     # ------------------------------------------------------------------
-    def _arbitrate(self, cycle: int) -> None:
-        # Persistent per-port buffer: slot i holds the candidate VC of
-        # port i *for the cycle the port last requested in*.  Phase 2 only
-        # reads ports that won phase 1 this cycle, so stale entries are
-        # never observed and the buffer needs no clearing.
-        self._arb_cycle = cycle
-        candidate_vcs = self._candidate_vc
-        local_winners = self._phase1_local(candidate_vcs, cycle)
-        self._phase2_interlayer(local_winners, candidate_vcs)
-
     def _phase1_local(
-        self, candidate_vcs: List[int], cycle: int,
+        self, cycle: int,
         blocked: Optional[List[Tuple[int, int, int]]] = None,
     ) -> Dict[int, _LocalWin]:
         """Collect requests and run every free local resource's arbitration.
 
-        ``blocked`` (traced steps only) collects one
+        Writes each requesting port's candidate VC into
+        ``_candidate_vc``.  ``blocked`` (traced steps only) collects one
         ``(port, dst, reason)`` entry per idle port that had head flits
-        but no viable request — the ``via_block`` events — fused into
-        the request scan so the traced path never re-derives viability.
-        Untraced calls pass ``None`` and pay only this default argument.
+        but no viable request — the ``via_block`` events — through
+        :meth:`_capture_blocked` on that rare branch.  Untraced calls
+        pass ``None`` and pay only this default argument.
         """
+        candidate_vcs = self._candidate_vc
         cfg = self.config
         layers = cfg.layers
         ports_per_layer = cfg.ports_per_layer
@@ -892,7 +737,6 @@ class HiRiseSwitch(SwitchModel):
             port_id = port.port_id
             if in_cooling[port_id] or port.active_vc is not None:
                 continue
-            front = None
             if binned:
                 # Inlined port.candidate_vc with the binned viability check:
                 # round-robin over VCs fronted by a head flit whose output
@@ -900,63 +744,24 @@ class HiRiseSwitch(SwitchModel):
                 rid_of_dst = request_rid[port_id]
                 vcs = port.vcs
                 start = port._rr_next_vc
-                vc = None
-                if blocked is None:
-                    for offset in range(num_vcs):
-                        idx = start + offset
-                        if idx >= num_vcs:
-                            idx -= num_vcs
-                        fifo = vcs[idx]._fifo
-                        if fifo:
-                            head = fifo[0]
-                            if head.seq == 0:
-                                dst = head.dst
-                                if output_owner[dst] is None and not out_cooling[dst]:
-                                    rid = rid_of_dst[dst]
-                                    if resource_owner[rid] < 0 and not res_cooling[rid]:
-                                        vc = idx
-                                        front = head
-                                        break
-                    if vc is None:
-                        continue
+                for offset in range(num_vcs):
+                    idx = start + offset
+                    if idx >= num_vcs:
+                        idx -= num_vcs
+                    fifo = vcs[idx]._fifo
+                    if fifo:
+                        front = fifo[0]
+                        if front.seq == 0:
+                            dst = front.dst
+                            if output_owner[dst] is None and not out_cooling[dst]:
+                                rid = rid_of_dst[dst]
+                                if resource_owner[rid] < 0 and not res_cooling[rid]:
+                                    vc = idx
+                                    break
                 else:
-                    # Traced twin of the scan above: identical
-                    # decisions, plus it remembers the lowest-index head
-                    # so a blocked port's ``via_block`` event (first
-                    # seq-0 front in VC *index* order, matching
-                    # `_capture_blocked`) costs no second scan.
-                    cap_idx = num_vcs
-                    cap_dst = -1
-                    for offset in range(num_vcs):
-                        idx = start + offset
-                        if idx >= num_vcs:
-                            idx -= num_vcs
-                        fifo = vcs[idx]._fifo
-                        if fifo:
-                            head = fifo[0]
-                            if head.seq == 0:
-                                dst = head.dst
-                                if output_owner[dst] is None and not out_cooling[dst]:
-                                    rid = rid_of_dst[dst]
-                                    if resource_owner[rid] < 0 and not res_cooling[rid]:
-                                        vc = idx
-                                        front = head
-                                        break
-                                if idx < cap_idx:
-                                    cap_idx = idx
-                                    cap_dst = dst
-                    if vc is None:
-                        if cap_dst >= 0:
-                            dst = cap_dst
-                            if output_owner[dst] is not None:
-                                reason = REASON_OUTPUT_BUSY
-                            elif out_cooling[dst]:
-                                reason = REASON_OUTPUT_COOLING
-                            else:
-                                reason = self._blocked_reason(
-                                    port_id, dst, (rid_of_dst[dst],))
-                            blocked.append((port_id, dst, reason))
-                        continue
+                    if blocked is not None:
+                        self._capture_blocked(port, blocked)
+                    continue
             else:
                 vc = port.candidate_vc(viability[port_id])
                 if vc is None:
@@ -1056,12 +861,9 @@ class HiRiseSwitch(SwitchModel):
                 )
         return winners
 
-    def _phase2_interlayer(
-        self,
-        local_winners: Dict[int, _LocalWin],
-        candidate_vcs: List[int],
-    ) -> None:
+    def _phase2_interlayer(self, local_winners: Dict[int, _LocalWin]) -> None:
         """Per-sub-block arbitration among local winners; lock paths."""
+        candidate_vcs = self._candidate_vc
         cfg = self.config
         radix = cfg.radix
         local_slot = cfg.local_slot
@@ -1189,56 +991,29 @@ class HiRiseSwitch(SwitchModel):
         arbiter._rank[win.local_slot] = arbiter._stamp
         arbiter._stamp += 1
 
-    def _establish_traced_clrg(
+    def _establish_traced(
         self, win: _LocalWin, output: int, candidate_vcs: List[int]
     ) -> None:
-        """Traced `_establish` (CLRG): also records the grant.
+        """Traced :meth:`_establish`: also records the phase-2 grant.
 
-        Twin of :meth:`_establish` plus one append capturing the phase-2
-        grant and its post-commit CLRG class (the sub-block's
-        ``record_win`` has already run in ``_subblock_clrg``), so the
-        traced step needs no second pass over the winners.
+        Appends ``(input, output, cls)``, where ``cls`` is the post-commit
+        CLRG class (the sub-block's ``record_win`` has already run in
+        ``_subblock_clrg``) or -1 for other schemes, so the traced step
+        needs no second pass over the winners.
         """
+        HiRiseSwitch._establish(self, win, output, candidate_vcs)
         input_port = win.input_port
-        port = self.ports[input_port]
-        vc_index = candidate_vcs[input_port]
-        port.active_vc = vc_index
-        port._rr_next_vc = (vc_index + 1) % len(port.vcs)
-        self.resource_owner[win.resource] = input_port
-        self.output_owner[output] = input_port
-        self.connections[input_port] = (win.resource, output)
-        self.grant_cycle[input_port] = self._arb_cycle
-        arbiter = win.local_arbiter
-        arbiter._rank[win.local_slot] = arbiter._stamp
-        arbiter._stamp += 1
         self._p2_grants.append((
             input_port, output,
-            self.subblock_arbiters[output].counters._counts[input_port],
+            self.subblock_arbiters[output].counters._counts[input_port]
+            if self._is_clrg else -1,
         ))
-
-    def _establish_traced_plain(
-        self, win: _LocalWin, output: int, candidate_vcs: List[int]
-    ) -> None:
-        """Traced `_establish` (non-CLRG): class is always -1."""
-        input_port = win.input_port
-        port = self.ports[input_port]
-        vc_index = candidate_vcs[input_port]
-        port.active_vc = vc_index
-        port._rr_next_vc = (vc_index + 1) % len(port.vcs)
-        self.resource_owner[win.resource] = input_port
-        self.output_owner[output] = input_port
-        self.connections[input_port] = (win.resource, output)
-        self.grant_cycle[input_port] = self._arb_cycle
-        arbiter = win.local_arbiter
-        arbiter._rank[win.local_slot] = arbiter._stamp
-        arbiter._stamp += 1
-        self._p2_grants.append((input_port, output, -1))
 
     # ------------------------------------------------------------------
     # Traced variants (deferred batch capture, repro.obs.tracebin)
     # ------------------------------------------------------------------
     def _step_traced(self, cycle: int) -> List[Flit]:
-        """Traced step(): one timeline entry per event batch.
+        """Traced step(): :meth:`step`'s phases, one timeline entry per batch.
 
         Identical state transitions to :meth:`step`; observation cost is
         a handful of list appends per cycle because the heavy per-event
@@ -1255,7 +1030,7 @@ class HiRiseSwitch(SwitchModel):
         # the cycle (the tracer's cycle is already set for them).
         self._begin_cycle(cycle)
         timeline = tracer.timeline
-        ejected = self._transmit_and_refill(cycle)
+        ejected = self._transmit(cycle)
         if ejected:
             timeline.append((_T_EJECT, cycle, ejected))
         cooled = self._cooling_paths
@@ -1267,20 +1042,18 @@ class HiRiseSwitch(SwitchModel):
                 (rid, src, output, granted(src, -1))
                 for src, output, rid in cooled
             ]))
-
-        self._arb_cycle = cycle
-        candidate_vcs = self._candidate_vc
+        self._refill(cycle)
         blocked: List[Tuple[int, int, int]] = []
-        winners = self._phase1_local(candidate_vcs, cycle, blocked)
+        winners = self._phase1_local(cycle, blocked)
         if blocked:
             timeline.append((_T_VIA, cycle, blocked))
         if winners:
             timeline.append((_T_P1, cycle, winners))
-            # Phase-2 grants are captured inside the traced `_establish`
+            # Phase-2 grants are captured inside `_establish_traced`
             # (with post-commit CLRG classes); blocks are reconstructed
             # at drain time as winners minus grants.
             grants = self._p2_grants = []
-            self._phase2_interlayer(winners, candidate_vcs)
+            self._phase2_interlayer(winners)
             timeline.append((_T_P2, cycle, winners, grants))
         if len(timeline) >= tracer.drain_interval:
             tracer.drain()
@@ -1318,30 +1091,22 @@ class HiRiseSwitch(SwitchModel):
         elif self._out_cooling[dst]:
             reason = REASON_OUTPUT_COOLING
         else:
-            if self.allocation.is_binned:
-                rids = (self._request_rid[port_id][dst],)
+            cfg = self.config
+            src_layer = cfg.layer_of_port_table[port_id]
+            dst_layer = cfg.layer_of_port_table[dst]
+            if (dst_layer != src_layer
+                    and not self._healthy_channels[
+                        src_layer * cfg.layers + dst_layer]):
+                reason = REASON_CHANNEL_FAILED
             else:
-                rids = self._viability[port_id].rids_of_dst[dst]
-            reason = self._blocked_reason(port_id, dst, rids)
+                if self.allocation.is_binned:
+                    rids = (self._request_rid[port_id][dst],)
+                else:
+                    rids = self._viability[port_id].rids_of_dst[dst]
+                reason = REASON_RESOURCE_COOLING
+                for rid in rids:
+                    if (self.resource_owner[rid] >= 0
+                            and not self._res_cooling[rid]):
+                        reason = REASON_RESOURCE_BUSY
+                        break
         blocked.append((port_id, dst, reason))
-
-    def _blocked_reason(self, port_id: int, dst: int, rids) -> int:
-        """Channel/resource half of the ``via_block`` reason decomposition.
-
-        Shared cold tail of the two blocked-capture paths; callers have
-        already ruled out ``output_busy`` and ``output_cooling``.
-        """
-        cfg = self.config
-        layer_of = cfg.layer_of_port_table
-        src_layer = layer_of[port_id]
-        dst_layer = layer_of[dst]
-        if (dst_layer != src_layer
-                and not self._healthy_channels[
-                    src_layer * cfg.layers + dst_layer]):
-            return REASON_CHANNEL_FAILED
-        resource_owner = self.resource_owner
-        res_cooling = self._res_cooling
-        for rid in rids:
-            if resource_owner[rid] >= 0 and not res_cooling[rid]:
-                return REASON_RESOURCE_BUSY
-        return REASON_RESOURCE_COOLING

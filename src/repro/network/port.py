@@ -195,7 +195,14 @@ class InputPort:
 
         A head flit requires a free VC; body/tail flits go to the VC their
         packet owns.  If no VC can accept the front flit, nothing moves
-        (head-of-line order is preserved at the network interface).
+        (head-of-line order is preserved at the network interface) and
+        the port stays blocked until its next :meth:`transmit`.
+
+        This is the only refill of both scalar Hi-Rise kernels: the fast
+        kernel's ``_refill`` calls it for every port that is not blocked
+        and has something queued.  It and :meth:`transmit` (or the fast
+        kernel's inlined copy of it) are the only places ``_heads``
+        changes.
         """
         if self._refill_blocked:
             return

@@ -30,10 +30,13 @@ The on-disk format (:data:`TRACEBIN_FORMAT`)::
     b"RPTB"  u32 version  u32 len  <header JSON, len bytes>
     repeat:  b"SGMT"  u32 n  cycle[i64*n] kind[i32*n] a b c d (i32*n each)
                               lane[i32*n]          (iff header "lane" true)
+                              u32 crc32(n and the column bytes)
     optional: b"FTR0" u32 len <footer JSON: events/dropped/stride totals>
 
-All integers are little-endian.  A torn file (killed writer) parses up
-to its last complete segment; :func:`read_tracebin` is tolerant by
+All integers are little-endian.  Version 1 files have no segment CRC;
+the reader still accepts them.  A torn file (killed writer) parses up
+to its last complete segment, and a segment whose CRC does not match
+ends the read the same way; :func:`read_tracebin` is tolerant by
 default and strict on request.
 
 :class:`TraceColumns` is the one form every trace is read, filtered,
@@ -47,6 +50,7 @@ of the columns (:meth:`TraceColumns.write_jsonl`,
 
 import json
 import os
+import zlib
 from array import array
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -78,8 +82,9 @@ TRACEBIN_FORMAT = "repro.trace_bin/v1"
 MAGIC = b"RPTB"
 SEGMENT_MAGIC = b"SGMT"
 FOOTER_MAGIC = b"FTR0"
-#: Binary format version (bumped on layout changes).
-TRACEBIN_VERSION = 1
+#: Binary format version (bumped on layout changes): 2 added the
+#: per-segment CRC.
+TRACEBIN_VERSION = 2
 
 #: Column order of every segment; ``cycle`` is int64, the rest int32.
 COLUMNS = ("cycle", "kind", "a", "b", "c", "d")
@@ -599,13 +604,19 @@ class TraceColumns:
             yield from zip(*(column[start:end].tolist() for column in columns))
 
     def jsonl_meta(self) -> Dict[str, object]:
-        """The stream's meta record (JSONL view header)."""
+        """The stream's meta record (JSONL view header).
+
+        ``stride`` is written only for a decimated trace (stride above
+        1), so the export of an undecimated one is unchanged.
+        """
         meta: Dict[str, object] = {
             "event": "meta",
             "version": TRACE_VERSION,
             "events": len(self.kind),
             "dropped": self.dropped,
         }
+        if self.stride > 1:
+            meta["stride"] = self.stride
         for key in ("radix", "layers", "channel_multiplicity",
                     "arbitration", "allocation"):
             if key in self.meta:
@@ -817,8 +828,9 @@ def columns_from_records(
     """A whole record stream (meta first) as one :class:`TraceColumns`.
 
     The stream goes through :func:`record_chunks`; the meta record's
-    geometry and ``dropped`` count carry over, so the JSONL export of
-    the result reproduces an exported trace byte for byte.
+    geometry, ``dropped`` count and decimation ``stride`` carry over, so
+    the JSONL export of the result reproduces an exported trace byte for
+    byte.
     """
     meta, chunks = record_chunks(records)
     parts = [np.stack((chunk.cycle, chunk.kind, chunk.a, chunk.b,
@@ -826,8 +838,12 @@ def columns_from_records(
     rows = (np.concatenate(parts, axis=1) if parts
             else np.zeros((6, 0), dtype=np.int64))
     dropped = meta.get("dropped", 0)
-    return TraceColumns(*rows, meta=meta,
-                        dropped=dropped if isinstance(dropped, int) else 0)
+    stride = meta.get("stride", 1)
+    return TraceColumns(
+        *rows, meta=meta,
+        dropped=dropped if isinstance(dropped, int) else 0,
+        stride=stride if isinstance(stride, int) and stride > 0 else 1,
+    )
 
 
 def read_trace(path: Union[str, os.PathLike]) -> TraceColumns:
@@ -903,9 +919,14 @@ class BinaryTraceWriter:
             return 0
         handle = self._handle
         handle.write(SEGMENT_MAGIC)
-        handle.write(_u32(n))
+        count = _u32(n)
+        handle.write(count)
+        crc = zlib.crc32(count)
         for column in (columns if lane is None else (*columns, lane)):
-            handle.write(_column_bytes(column))
+            blob = _column_bytes(column)
+            handle.write(blob)
+            crc = zlib.crc32(blob, crc)
+        handle.write(_u32(crc))
         self.segments += 1
         self.events += n
         return n
@@ -956,10 +977,12 @@ def read_tracebin(path: Union[str, os.PathLike],
     """Read a ``repro.trace_bin/v1`` file into :class:`TraceColumns`.
 
     Tolerant by default: a torn file (no footer, a final segment cut
-    mid-write, or a footer that is not a JSON object with integer
-    ``events``/``dropped``/``stride``) yields every complete segment
-    with ``truncated=True``.  With ``strict=True`` any torn tail raises
-    :class:`ValueError`.
+    mid-write, a segment whose CRC does not match, or a footer that is
+    not a JSON object with integer ``events``/``dropped``/``stride``)
+    yields every complete segment before the damage with
+    ``truncated=True``.  With ``strict=True`` any torn tail raises
+    :class:`ValueError`.  Version 1 files (no segment CRC) are read
+    without the check.
 
     Uses ``mmap`` + zero-copy numpy views, so a multi-gigabyte trace
     opens without materialising it.
@@ -976,11 +999,12 @@ def read_tracebin(path: Union[str, os.PathLike],
     if size < 12 or bytes(view[:4]) != MAGIC:
         raise ValueError(f"not a {TRACEBIN_FORMAT} file: {path}")
     version = int.from_bytes(view[4:8], "little")
-    if version != TRACEBIN_VERSION:
+    if version not in (1, TRACEBIN_VERSION):
         raise ValueError(
             f"unsupported trace_bin version {version} "
-            f"(supported: {TRACEBIN_VERSION})"
+            f"(supported: 1, {TRACEBIN_VERSION})"
         )
+    crc_width = 4 if version >= 2 else 0
     header_len = int.from_bytes(view[8:12], "little")
     offset = 12 + header_len
     if offset > size:
@@ -1030,8 +1054,14 @@ def read_tracebin(path: Union[str, os.PathLike],
             break
         count = int.from_bytes(view[offset + 4:offset + 8], "little")
         width = sum(8 if code == "q" else 4 for code in typecodes)
-        if offset + 8 + count * width > size:
+        end = offset + 8 + count * width
+        if end + crc_width > size:
             truncated = True  # segment cut mid-write
+            break
+        if crc_width and zlib.crc32(view[offset + 4:end]) != int.from_bytes(
+            view[end:end + 4], "little"
+        ):
+            truncated = True  # damaged segment: count or columns
             break
         cursor = offset + 8
         columns = []
@@ -1039,7 +1069,7 @@ def read_tracebin(path: Union[str, os.PathLike],
             column, cursor = _decode_column(view, cursor, count, code)
             columns.append(column)
         segments.append(columns)
-        offset = cursor
+        offset = cursor + crc_width
     if footer is None:
         truncated = True
     if truncated and strict:

@@ -30,6 +30,8 @@ from repro.faults import (
     verify_parity,
 )
 from repro.network.engine import Simulation
+from repro.obs.trace import REASON_CHANNEL_FAILED, VIA_BLOCK
+from repro.obs.tracebin import BinaryTracer
 from repro.traffic import UniformRandomTraffic
 
 # Departures from the 16x4 c2 base configuration.  "one-layer" is the
@@ -150,6 +152,40 @@ def test_trace_streams_identical_under_scripted_faults(allocation):
         arbitration=ArbitrationScheme.CLRG, allocation=allocation,
     )
     assert verify_parity(config, SCRIPTED_SCHEDULE, load=0.9, seed=11) == []
+
+
+def traced_faulted_events(switch_class, allocation):
+    config = HiRiseConfig(
+        radix=16, layers=4, channel_multiplicity=2,
+        arbitration=ArbitrationScheme.CLRG, allocation=allocation,
+    )
+    tracer = BinaryTracer(capacity=None)
+    switch = switch_class(config, tracer=tracer, faults=SCRIPTED_SCHEDULE)
+    traffic = UniformRandomTraffic(16, load=0.9, seed=11)
+    Simulation(switch, traffic, warmup_cycles=40).run(
+        measure_cycles=300, drain=True
+    )
+    return tracer.events
+
+
+@pytest.mark.parametrize(
+    "allocation",
+    [a for a in AllocationPolicy if a is not AllocationPolicy.PRIORITY],
+    ids=lambda a: a.value,
+)
+def test_binned_partition_blocks_traced_as_channel_failed(allocation):
+    # During the full 0->1 partition a binned request toward layer 1
+    # maps to the dead sentinel resource; the traced request scan must
+    # report those ports as `via_block` with reason channel_failed, in
+    # the fast kernel exactly as in the reference kernel.
+    reference = traced_faulted_events(ReferenceHiRiseSwitch, allocation)
+    fast = traced_faulted_events(HiRiseSwitch, allocation)
+    for events in (reference, fast):
+        assert any(
+            kind == VIA_BLOCK and reason == REASON_CHANNEL_FAILED
+            for _, kind, _, _, reason, _ in events
+        )
+    assert fast == reference
 
 
 def test_parity_under_random_schedule():

@@ -39,7 +39,7 @@ HIRISE_SCHEMES = [s for s in ArbitrationScheme if s not in VOQ_SCHEMES]
 OBSERVERS = {
     "plain": lambda: {},
     "traced": lambda: {"tracer": BinaryTracer()},
-    # Stride 3 mixes sampled (split-phase) and unsampled (fused) cycles.
+    # Stride 3 mixes sampled (timed) and unsampled (untimed) cycles.
     "perf": lambda: {"perf": PerfCounters(stride=3)},
     "invariants": lambda: {"invariants": InvariantChecker()},
 }

@@ -11,7 +11,8 @@ The contract under test, per layer:
   columns -> JSONL and back, including the rare kinds (fault_repair,
   invariant) no saturation run produces;
 * **files** — ``repro.trace_bin/v1`` readers tolerate torn/truncated
-  tails (crash during a run) and reject garbage;
+  tails (crash during a run) and damaged segments (per-segment CRC),
+  read version-1 files, and reject garbage;
 * **analysis** — the audit summary is identical whether the analyzer
   ingests the JSONL view or the binary columns, with or without numpy.
 """
@@ -30,6 +31,7 @@ from repro.obs.tracebin import (
     BinaryTracer,
     BinaryTracerFactory,
     FleetTracer,
+    read_trace,
     read_tracebin,
     sniff_tracebin,
 )
@@ -247,6 +249,26 @@ class TestDecimation:
         assert binary.stride > 1
         assert binary.events == full.events[::binary.stride]
 
+    def test_decimated_binary_and_jsonl_summaries_identical(self, tmp_path):
+        tracer = BinaryTracer(capacity=256)
+        run_switch(HiRiseSwitch(small_config(), tracer=tracer), cycles=200)
+        assert tracer.stride > 1
+        binary = tmp_path / "d.tracebin"
+        jsonl = tmp_path / "d.jsonl"
+        tracer.save(str(binary))
+        tracer.write_jsonl(str(jsonl))
+        from_binary = read_trace(str(binary))
+        from_jsonl = read_trace(str(jsonl))
+        assert from_jsonl.stride == from_binary.stride == tracer.stride
+        assert from_jsonl.dropped == from_binary.dropped == tracer.dropped
+        assert from_jsonl.summary() == from_binary.summary()
+        assert from_jsonl.summary()["meta"]["stride"] == tracer.stride
+
+    def test_undecimated_jsonl_meta_has_no_stride(self):
+        tracer = BinaryTracer(capacity=None)
+        run_switch(HiRiseSwitch(small_config(), tracer=tracer), cycles=50)
+        assert "stride" not in tracer.meta()
+
     def test_spill_path_keeps_full_fidelity(self, tmp_path):
         path = tmp_path / "spill.tracebin"
         spilling = BinaryTracer(capacity=512, spill_path=str(path))
@@ -323,26 +345,53 @@ class TestTornFiles:
 # ---------------------------------------------------------------------------
 # Systematic damage: every cut, every framing bit flip
 # ---------------------------------------------------------------------------
-def framing_offsets(blob):
-    """Byte offsets of the magic, version, header length, every segment
-    tag and the whole footer of a ``repro.trace_bin/v1`` file."""
-    offsets = list(range(12))
+def segment_spans(blob):
+    """``(tag_offset, end_of_columns)`` of every segment of a version-2
+    file whose columns are the six scalar ones (no lane column); each
+    segment's 4-byte CRC follows its columns."""
+    spans = []
     offset = 12 + int.from_bytes(blob[8:12], "little")
     width = 8 + 5 * 4
     while blob[offset:offset + 4] == b"SGMT":
-        offsets.extend(range(offset, offset + 4))
         count = int.from_bytes(blob[offset + 4:offset + 8], "little")
-        offset += 8 + count * width
+        end = offset + 8 + count * width
+        spans.append((offset, end))
+        offset = end + 4
     assert blob[offset:offset + 4] == b"FTR0"
-    offsets.extend(range(offset, len(blob)))
+    return spans
+
+
+def framing_offsets(blob):
+    """Byte offsets of the magic, version, header length, every segment
+    tag, count and CRC, and the whole footer of a ``repro.trace_bin``
+    file."""
+    offsets = list(range(12))
+    spans = segment_spans(blob)
+    for start, end in spans:
+        offsets.extend(range(start, start + 8))
+        offsets.extend(range(end, end + 4))
+    offsets.extend(range(spans[-1][1] + 4, len(blob)))
     return offsets
+
+
+def as_version_1(blob):
+    """The same trace in the version-1 layout: no segment CRCs."""
+    spans = segment_spans(blob)
+    out = bytearray(blob[:spans[0][0]])
+    out[4:8] = (1).to_bytes(4, "little")
+    for start, end in spans:
+        out += blob[start:end]
+    out += blob[spans[-1][1] + 4:]
+    return bytes(out)
 
 
 class TestDamage:
     """A damaged file raises ValueError or reads a prefix of the stream.
 
-    The format has no per-segment checksum, so a flipped segment
-    *count* can misalign the columns; those bytes are not flipped here.
+    Every cut and every bit flip of the framing (magic, version, header
+    length, each segment's tag, event count and CRC, the footer) is
+    tried.  A flipped segment count would misalign the columns; the
+    segment's CRC covers the count, so the read stops before it.
     """
 
     @pytest.fixture(scope="class")
@@ -387,6 +436,31 @@ class TestDamage:
                 assert events is None or events == full[:len(events)], (
                     offset, bit,
                 )
+
+    def test_flipped_column_bit_ends_the_read_at_that_segment(
+        self, spilled, tmp_path
+    ):
+        blob, full = spilled
+        spans = segment_spans(blob)
+        start, end = spans[1]
+        damaged = bytearray(blob)
+        damaged[(start + 8 + end) // 2] ^= 1
+        path = tmp_path / "column.tracebin"
+        path.write_bytes(bytes(damaged))
+        columns = read_tracebin(str(path))
+        assert columns.truncated
+        first = (spans[0][1] - spans[0][0] - 8) // 28
+        assert list(columns.iter_events()) == full[:first]
+        with pytest.raises(ValueError, match="torn"):
+            read_tracebin(str(path), strict=True)
+
+    def test_version_1_files_still_read(self, spilled, tmp_path):
+        blob, full = spilled
+        path = tmp_path / "v1.tracebin"
+        path.write_bytes(as_version_1(blob))
+        columns = read_tracebin(str(path), strict=True)
+        assert not columns.truncated
+        assert list(columns.iter_events()) == full
 
     def test_damaged_footer_key_reads_as_a_torn_tail(self, spilled, tmp_path):
         blob, full = spilled
