@@ -11,7 +11,8 @@ vocabulary for validity, weight, and maximality.
 A matching is represented as ``Dict[int, int]`` mapping input -> output.
 A request/weight matrix is any ``Sequence[Sequence[int]]`` of shape
 ``(num_inputs, num_outputs)``; entry ``[i][j] > 0`` means input ``i``
-requests output ``j`` with that weight (VOQ occupancy in flits).
+requests output ``j`` with that weight (the age of the VOQ's head
+flit plus one, in :class:`repro.switches.VOQSwitch`).
 """
 
 from typing import Dict, Sequence

@@ -16,17 +16,25 @@ negated into a min-cost assignment on a zero-padded square matrix, and
 zero-weight pairs are dropped from the returned matching so only real
 requests are ever matched.
 
-The solver stays pure Python on purpose.  At switch radices (16-64) a
-numpy inner loop is slower than the list loop: each augmenting step
-touches one cost row and the free columns, too little work to amortise
-per-call array overhead.  The speed comes instead from touching
-less: the scan walks a list of free columns, the potential update
-walks the list of used ones, the row invariants are hoisted out of the
-scan, and the ``minv`` decrement rides in the next scan instead of a
-loop of its own.  Every floating-point operation is the textbook one
-on the textbook operands, so assignments (ties included) are
-bit-identical to the plain form; ``tests/arbitration/test_mwm_solver.py``
-keeps the plain form as a reference and checks that.
+The search is the e-maxx one: rows are taken in order, each step
+scans the columns outside the search tree in ascending order, and the
+first column of least distance wins.  Only the bookkeeping differs (see
+:func:`solve_assignment`): distances are kept against a running total
+instead of being decremented every step, potentials are settled once
+per row instead of every step, the all-zero columns (most of them at
+switch radices: an output nobody requests) are scanned through one
+representative, and a search stops as soon as its end is decided
+rather than stepping through ties that cannot change it.  That is
+exact, not approximate.  The costs are integers (VOQ weights are
+integer ages, :data:`~repro.arbitration.matching.WeightMatrix`), so
+every cost, potential and distance is an integer.  With costs in
+``[-W, 0]`` the potentials stay in ``[-W, 0]`` between searches, and
+every value either loop forms is below ``4nW`` in magnitude, far below
+``2**53`` for any age a run reaches, so every float sum is exact and
+regrouping the same additions yields the same values.  Every ``<`` therefore compares the same two numbers as
+the textbook loop and every tie breaks the same way, so the assignment
+is identical, ties included.  ``tests/arbitration/test_mwm_solver.py``
+keeps the textbook loop as the oracle and checks that.
 """
 
 from typing import List
@@ -39,97 +47,138 @@ _INF = float("inf")
 
 
 def solve_assignment(cost: List[List[float]]) -> List[int]:
-    """Minimum-cost assignment on a square matrix.
+    """Minimum-cost assignment on a square matrix of integer costs <= 0.
 
     Returns ``assign`` with ``assign[row] = column``.  Classic Hungarian
-    with row/column potentials and one shortest-augmenting-path search
-    per row; exact on integer inputs (comparisons only, no scaling).
+    with row/column potentials ``u``/``v`` and one shortest-augmenting-
+    path search per row, in the e-maxx order.  Precondition: every cost
+    is a non-positive integer (an int or an integral float), as the
+    oracle's negated weights are; on such costs every step is exact.
 
-    Columns are 1-based inside (column 0 is the virtual start of each
-    search).  Each search grows a tree of *used* columns; every step:
+    Column ``n`` is the virtual start of each search.  A search grows a
+    tree of columns; each step scans the columns outside it in
+    ascending order, relaxes them through the newest tree row, and
+    moves the first column of least distance into the tree, until that
+    column is unmatched.  The textbook loop keeps ``minv[j]`` and, every
+    step, subtracts the step's ``delta`` from each free ``minv`` and
+    shifts the potentials of every tree column.  Here:
 
-    1. scans the *free* columns in ascending order: first applies the
-       previous step's ``minv[j] -= delta`` (deferred into this scan,
-       same operands, same result), then relaxes ``minv[j]`` with the
-       reduced cost from the newest tree row and picks the first column
-       of least ``minv`` (ties go to the lowest column, as in a full
-       ``range`` scan);
-    2. shifts the potentials by that ``delta`` on the used columns only;
-    3. stops if the picked column is unmatched, else moves it to the
-       tree.
+    * **Running distance.**  ``D`` is the sum of the deltas so far and
+      ``dist[j] = minv[j] + D``, so a step only sets ``D`` to the least
+      ``dist``.  A tree row's ``u`` has risen by ``D - D_j`` since its
+      column joined the tree at ``D_j``, so the reduced cost through it
+      is ``cost + (D_j - u) - v`` against ``dist``.  Once the search
+      ends at ``D``, the potentials are settled in one pass: the search
+      row's ``u`` rises by ``D``, and a tree column that joined at
+      ``D_j`` lowers its ``v``, and raises its row's ``u``, by
+      ``D - D_j``.
+    * **One representative for the all-zero columns.**  Outside the
+      tree, a column whose costs are all zero (so its ``v`` stays 0) has
+      the same distance, the least ``D_j - u`` over the tree rows, and
+      the same ``way`` at every step as any other such column.  The
+      first least column can only be the lowest of them, ``rep``, so
+      only ``rep`` is scanned.  Once ``rep`` is the first least column,
+      at distance ``D``, the search is decided: an unmatched column
+      (``v`` = 0, never in a tree) is reached through every tree row at
+      a distance no greater than ``rep``'s, and no distance falls below
+      ``D``, so every unmatched column sits at ``D`` for good.  The
+      textbook loop goes on joining matched columns at ``D`` (each
+      step's ``delta`` is 0, so no potential moves) until the lowest
+      unmatched column is the first least one, and its ``way`` is
+      already final.  So the search ends there at once, and no all-zero
+      column ever joins a tree.
 
-    The last step's decrement is never applied: ``minv`` is rebuilt for
-    the next row.
+    Both are regroupings of integer additions, exact below ``2**53``,
+    so every comparison, tie-break and the assignment equal the
+    textbook loop's (see the module docstring).
     """
     n = len(cost)
     if n == 0:
         return []
-    # 1-based potentials/links; way[j] remembers the previous column on
-    # the alternating path that reached column j.  Rows are padded so
-    # the scan indexes them by the 1-based column directly.
-    rows = [[0.0, *row] for row in cost]
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_col = [0] * (n + 1)  # match_col[j] = row matched to column j
-    way = [0] * (n + 1)
-    columns = range(1, n + 1)
-    for row in columns:
-        match_col[0] = row
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        free = list(columns)
-        used = [0]
-        shift = 0.0  # the decrement still owed to every free minv
+    u = [0.0] * n
+    v = [0.0] * n
+    match_col = [-1] * (n + 1)  # match_col[j] = row matched to column j
+    way = [0] * n  # way[j] = the tree column that reached column j
+    # The all-zero columns move as one (see above): all stay out of
+    # ``scan``, and the lowest, ``rep``, stands for them.
+    zero_column = [not any(column) for column in zip(*cost)]
+    rep = zero_column.index(True) if True in zero_column else -1
+    scan = [j for j in range(n) if not zero_column[j]]
+    for row in range(n):
+        match_col[n] = row
+        free = scan[:]
+        dist = [_INF] * n
+        tree: List[int] = []
+        joined: List[float] = []  # D at which each tree column joined
+        j0 = n
+        d_j0 = 0.0
+        rep_dist = _INF
+        rep_way = n
         while True:
             i0 = match_col[j0]
-            cost_row = rows[i0 - 1]
-            u_i0 = u[i0]
-            delta = _INF
-            j1 = 0
+            cost_row = cost[i0]
+            h = d_j0 - u[i0]
+            best = _INF
+            j1 = -1
             for j in free:
-                cur = cost_row[j] - u_i0 - v[j]
-                low = minv[j] - shift
-                if cur < low:
-                    low = cur
+                d = cost_row[j] + h - v[j]
+                if d < dist[j]:
+                    dist[j] = d
                     way[j] = j0
-                minv[j] = low
-                if low < delta:
-                    delta = low
+                else:
+                    d = dist[j]
+                if d < best:
+                    best = d
                     j1 = j
-            for j in used:
-                u[match_col[j]] += delta
-                v[j] -= delta
-            if match_col[j1] == 0:
-                break
-            shift = delta
+            if rep >= 0:
+                if h < rep_dist:
+                    rep_dist = h
+                    rep_way = j0
+                if rep_dist < best or (rep_dist == best and rep < j1):
+                    # The search ends here, on the lowest unmatched column.
+                    best = rep_dist
+                    j1 = match_col.index(-1)
+                    if zero_column[j1]:
+                        way[j1] = rep_way
+                    break
             free.remove(j1)
-            used.append(j1)
+            if match_col[j1] < 0:
+                break
+            tree.append(j1)
+            joined.append(best)
             j0 = j1
+            d_j0 = best
+        # Settle the potentials at the final distance ``best``.
+        u[row] += best
+        for j, d_j in zip(tree, joined):
+            shift = best - d_j
+            u[match_col[j]] += shift
+            v[j] -= shift
         j0 = j1
-        while j0:
+        while j0 != n:
             j1 = way[j0]
             match_col[j0] = match_col[j1]
             j0 = j1
     assign = [0] * n
-    for j in columns:
-        if match_col[j]:
-            assign[match_col[j] - 1] = j - 1
+    for j in range(n):
+        assign[match_col[j]] = j
     return assign
 
 
 class MWMOracle:
-    """Stateless maximum-weight matcher over VOQ occupancy matrices.
+    """Maximum-weight matcher over VOQ head-age weight matrices.
 
     Mirrors the :class:`repro.arbitration.ISLIPArbiter` interface
     (``match(weights) -> Dict[input, output]``) so the VOQ switch can
-    swap schedulers without caring which family it holds.  Ties between
-    equal-weight matchings rotate: each call relabels inputs and outputs
-    by an advancing offset before the row-major solve, so the port that
-    wins a tie cycles round-robin instead of pinning to index 0 (a fixed
+    swap schedulers without caring which family it holds.  Its only
+    state is the tie-break rotation: ties between equal-weight matchings
+    rotate, because each call relabels inputs and outputs by an
+    advancing offset before the row-major solve, so the port that wins a
+    tie cycles round-robin instead of pinning to index 0 (a fixed
     tie-break starves high-index ports under light symmetric load, where
-    nearly every request has weight 1).  The rotation is a permutation,
-    so the matching weight is still maximal, and there is no RNG —
-    seeded runs stay reproducible.
+    many requests have equal ages).  The rotation is a permutation, so
+    the matching weight is still maximal, and there is no RNG — seeded
+    runs stay reproducible.
     """
 
     def __init__(self, num_ports: int) -> None:
@@ -152,11 +201,15 @@ class MWMOracle:
         # Negate for min-cost; clamp negatives (absent requests) to -0.0
         # so they never look attractive (the same values as
         # -float(max(w, 0))).  Rows and columns are rotated by the
-        # tie-break offset; the permutation is undone below.  No
-        # all-zero pre-check: such a matrix has no positive pair to
-        # keep, so the result is {} anyway.
+        # tie-break offset; the permutation is undone below.  The solver
+        # reads its all-zero columns from these same rows.  No all-zero
+        # pre-check: such a matrix has no positive pair to keep, so the
+        # result is {} anyway.  Rows with no request share one zero row
+        # (the solver never writes ``cost``).
+        zero = [-0.0] * n
         cost = [
             [-float(w) if w > 0 else -0.0 for w in row[offset:] + row[:offset]]
+            if any(row) else zero
             for row in weights[offset:] + weights[:offset]
         ]
         assign = solve_assignment(cost)

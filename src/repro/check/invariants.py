@@ -62,6 +62,7 @@ CHECK_CODES: Dict[str, int] = {
     "matching_validity": 8,
     "stuck_input_grant": 9,
     "voq_occupancy": 10,
+    "voq_support": 11,
 }
 
 

@@ -17,7 +17,10 @@ of :class:`repro.switches.VOQSwitch` after every cycle:
   output whose tail moved the same cycle (the single-cycle
   arbitrate-or-transmit contract);
 * **voq_occupancy** — every stage's occupancy row equals its actual
-  VOQ lengths (the weights the schedulers saw were real).
+  VOQ lengths;
+* **voq_support** — every stage's ``nonempty`` set names exactly the
+  outputs whose VOQ holds a flit (the scheduler builds each weight row
+  from that set, so the weights it saw were real).
 
 Attached via the same ``invariants=`` constructor hook; checked runs
 stay bit-identical to unchecked runs.  :func:`checker_for` picks the
@@ -179,20 +182,36 @@ class MatchingInvariantChecker:
                 )
         self._prev_connections = dict(connections)
 
-        # 4. VOQ occupancy rows match the actual queue lengths: one list
-        # comparison per stage, the cells walked only to name the first
-        # mismatch.
+        # 4. VOQ occupancy rows match the actual queue lengths, and
+        # 5. each stage's non-empty set is exactly its non-empty VOQs (the
+        # scheduler builds a weight row from that set alone).  One pass
+        # over the stages reads each VOQ's length once for both; a
+        # stage is walked cell by cell only to name its first mismatch.
         for stage in switch.stages:
             row = stage.occupancy_row
             lengths = list(map(len, stage.voqs))
-            if row == lengths:
+            if row != lengths:
+                for output, (count, actual) in enumerate(zip(row, lengths)):
+                    if count != actual:
+                        self._fail(
+                            switch, "voq_occupancy", cycle,
+                            f"stage {stage.input_id} VOQ[{output}] counter "
+                            f"{count} != length {actual}",
+                            (stage.input_id, output),
+                        )
+            nonempty = stage.nonempty
+            if len(nonempty) == len(lengths) - lengths.count(0) and all(
+                map(lengths.__getitem__, nonempty)
+            ):
                 continue
-            for output, (count, actual) in enumerate(zip(row, lengths)):
-                if count != actual:
+            for output, actual in enumerate(lengths):
+                if (output in nonempty) != (actual > 0):
                     self._fail(
-                        switch, "voq_occupancy", cycle,
-                        f"stage {stage.input_id} VOQ[{output}] counter "
-                        f"{count} != length {actual}",
+                        switch, "voq_support", cycle,
+                        f"stage {stage.input_id} VOQ[{output}] holds "
+                        f"{actual} flits but is "
+                        f"{'' if output in nonempty else 'not '}"
+                        f"in the non-empty set",
                         (stage.input_id, output),
                     )
 

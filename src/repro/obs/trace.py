@@ -109,11 +109,11 @@ EVENT_NAMES: Dict[int, str] = {
 #:   resource/port id (-1 if none), aux detail.  Emitted at most once
 #:   per run, immediately before the checker raises.
 #: * ``sched_grant``: iteration number, granting output, granted input,
-#:   VOQ occupancy of the granted pair (the scheduler's edge weight).
+#:   head age of the granted pair (the scheduler's edge weight).
 #:   Emitted once per output per iSLIP iteration; MWM emits its final
 #:   matching as iteration-0 grants.
 #: * ``sched_accept``: iteration number, accepting input, accepted
-#:   output, VOQ occupancy of the matched pair.  An accepted pair in
+#:   output, head age of the matched pair.  An accepted pair in
 #:   iteration 0 commits the iSLIP pointer updates (desynchronization).
 EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
     INJECT: ("src", "dst", "num_flits", "packet_id"),

@@ -28,13 +28,13 @@ i.e. the flat crossbar):
    the head-of-line-age weight matrix; every matched pair locks a
    connection that starts streaming next cycle.
 
-Stuck-input faults freeze the whole input: no refill (so the VOQ
-occupancy the scheduler could see stops growing), a zeroed row in the
-weight matrix (so iSLIP/MWM never chase the phantom backlog of a port
-that cannot transmit), and its source queue simply backs up until the
-repair event.  An already-established connection of a stuck input keeps
-draining — the wedge is at the request path, matching the Hi-Rise
-kernels' "stopped requesting" semantics.
+Stuck-input faults freeze the whole input: no refill (so its VOQs
+stop growing), a zeroed row in the weight matrix (so iSLIP/MWM never
+chase the phantom backlog of a port that cannot transmit), and its
+source queue simply backs up until the repair event.  An
+already-established connection of a stuck input keeps draining — the
+wedge is at the request path, matching the Hi-Rise kernels' "stopped
+requesting" semantics.
 
 Observability hooks match the Hi-Rise constructors: ``tracer=`` (emits
 ``inject``/``eject``/``cool``/``p2_grant`` exactly like the 3D switch —
@@ -45,7 +45,7 @@ plus the VOQ-specific ``sched_grant``/``sched_accept`` rounds),
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import time
 
@@ -64,19 +64,21 @@ class VOQStage:
     """One input's virtual-output-queue bank.
 
     Fans the input's unbounded :class:`SourceQueue` into one flit FIFO
-    per output at one flit per cycle (the network-interface bandwidth),
-    and exposes the per-output occupancy row the schedulers weigh.
+    per output at one flit per cycle (the network-interface bandwidth).
+    ``nonempty`` is the set of outputs whose VOQ holds a flit: the
+    switch builds the input's head-age weight row from it alone.
     """
 
-    __slots__ = ("input_id", "source", "voqs", "occupancy_row")
+    __slots__ = ("input_id", "source", "voqs", "occupancy_row", "nonempty")
 
     def __init__(self, input_id: int, num_outputs: int) -> None:
         self.input_id = input_id
         self.source = SourceQueue(input_id)
         self.voqs: List[Deque[Flit]] = [deque() for _ in range(num_outputs)]
-        #: Per-output VOQ length in flits; aliased by the switch into
-        #: the scheduler's weight matrix (updated in place).
+        #: Per-output VOQ length in flits (the checker recounts it).
         self.occupancy_row: List[int] = [0] * num_outputs
+        #: Outputs whose VOQ is non-empty; only refill and pop change it.
+        self.nonempty: Set[int] = set()
 
     def refill(self) -> None:
         """Move up to one flit from the source queue into its VOQ."""
@@ -84,13 +86,19 @@ class VOQStage:
         if flit is None:
             return
         self.source.popleft()
-        self.voqs[flit.dst].append(flit)
-        self.occupancy_row[flit.dst] += 1
+        dst = flit.dst
+        self.voqs[dst].append(flit)
+        self.occupancy_row[dst] += 1
+        self.nonempty.add(dst)
 
     def pop(self, output: int) -> Flit:
         """Dequeue the front flit of the VOQ toward ``output``."""
+        voq = self.voqs[output]
         self.occupancy_row[output] -= 1
-        return self.voqs[output].popleft()
+        flit = voq.popleft()
+        if not voq:
+            self.nonempty.discard(output)
+        return flit
 
     def total_occupancy(self) -> int:
         """Flits resident in this stage (source queue + all VOQs)."""
@@ -153,8 +161,8 @@ class VOQSwitch(SwitchModel):
         self._fault_cursor = (
             FaultCursor(faults) if faults is not None else None
         )
-        # Weight matrix handed to the scheduler: rows alias the stages'
-        # occupancy rows except when masking requires a scratch copy.
+        # The weight row of an input with no request: shared, never
+        # written (a requesting input's row starts as a copy of it).
         self._zero_row = [0] * radix
 
         self._tracer = tracer
@@ -265,9 +273,10 @@ class VOQSwitch(SwitchModel):
             self._invariants.after_step(self, cycle, ejected)
 
     def _refill(self) -> None:
+        # A stage with no flits or records queued has nothing to move.
         stuck = self.stuck_inputs
         for stage in self.stages:
-            if stage.input_id not in stuck:
+            if stage.source._pending_flits and stage.input_id not in stuck:
                 stage.refill()
 
     def _transmit(self, cycle: int) -> List[Flit]:
@@ -335,20 +344,23 @@ class VOQSwitch(SwitchModel):
         any_request = False
         for stage in self.stages:
             inp = stage.input_id
+            nonempty = stage.nonempty
             if (
-                inp in connections
+                not nonempty
+                or inp in connections
                 or inp in stuck
                 or inp in cooling_inputs
             ):
                 weights.append(zero_row)
                 continue
-            row = [
-                0 if is_blocked or not voq
-                else base - voq[0].created_cycle
-                for is_blocked, voq in zip(blocked, stage.voqs)
-            ]
-            if not any_request and any(row):
-                any_request = True
+            # Only the non-empty VOQs can request: start from zeros and
+            # write the head age of each one whose output is free.
+            row = zero_row[:]
+            voqs = stage.voqs
+            for out in nonempty:
+                if not blocked[out]:
+                    row[out] = base - voqs[out][0].created_cycle
+                    any_request = True
             weights.append(row)
         if not any_request:
             return 0

@@ -1,11 +1,14 @@
 """Differential tests of the MWM assignment solver against its plain form.
 
 ``reference_solve_assignment`` is the textbook e-maxx Hungarian loop the
-oracle shipped with: full ``range`` scans over a ``used`` flag array and
-a potential update over every column.  The production solver walks free
-and used column lists instead; it must return the identical assignment
-(not merely one of equal weight), ties included, because the matching
-it yields decides which VOQ transmits and so every downstream statistic.
+oracle shipped with: full ``range`` scans over a ``used`` flag array,
+a ``minv`` decrement and a potential update over every column on every
+step.  The production solver keeps running distances, settles the
+potentials once per row, scans the all-zero columns through one
+representative and ends a search once its last column is decided; it
+must return the identical assignment (not merely one of equal weight),
+ties included, because the matching it yields decides which VOQ
+transmits and so every downstream statistic.
 """
 
 from typing import List
@@ -106,6 +109,28 @@ def tied_weight_matrices(draw, max_ports=32):
     return rows
 
 
+@st.composite
+def sparse_age_matrices(draw, max_ports=64):
+    """VOQ head-age weights as a busy switch sees them: most rows and
+    columns all zero, the rest ages up to 10**6 (ties still possible)."""
+    n = draw(st.integers(min_value=1, max_value=max_ports))
+    live_rows = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 3)))
+    live_cols = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 3)))
+    ages = st.one_of(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i in live_rows:
+            for j in sorted(live_cols):
+                if draw(st.booleans()):
+                    row[j] = draw(ages)
+        rows.append(row)
+    return rows
+
+
 def negated(weights):
     return [[-float(max(w, 0)) for w in row] for row in weights]
 
@@ -131,9 +156,16 @@ class TestSolverMatchesReference:
                 reference_match(weights, offset).items()
             )
 
+    @given(sparse_age_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_identical_assignment_on_sparse_age_matrices(self, weights):
+        cost = negated(weights)
+        assert solve_assignment(cost) == reference_solve_assignment(cost)
+
     def test_identical_assignment_on_captured_zoo_matrices(self, monkeypatch):
-        # Cost matrices as the switch really produces them: a short
-        # radix-32 hotspot cell under the MWM oracle.
+        # Cost matrices as the switch really produces them: short
+        # radix-32 uniform and hotspot cells and the overdriven
+        # saturation cell, all under the MWM oracle.
         captured = []
 
         def capture(cost):
@@ -142,12 +174,27 @@ class TestSolverMatchesReference:
 
         monkeypatch.setattr(mwm, "solve_assignment", capture)
         compare_schedulers(
-            radix=32, seed=1, warmup_cycles=20, measure_cycles=80,
-            schedulers=("mwm",), traffic=("hotspot",), saturation=False,
+            radix=32, seed=1, warmup_cycles=20, measure_cycles=60,
+            schedulers=("mwm",), traffic=("uniform", "hotspot"),
         )
-        assert len(captured) >= 20
+        assert len(captured) >= 60
+        assert any(
+            not any(column) for cost in captured for column in zip(*cost)
+        )
         for cost in captured:
             assert solve_assignment(cost) == reference_solve_assignment(cost)
+
+    def test_zero_column_hands_its_path_to_the_lowest_unmatched(self):
+        # Columns 0 and 1 are all zero.  Row 0 takes column 0; row 1
+        # takes column 2.  Row 2's search enters the tree at column 2
+        # (weight 10 beats 5), which lowers the zero columns' distance
+        # through row 1.  Column 0 is then the first least column but is
+        # matched, so the search ends on column 1, the lowest unmatched
+        # column, which inherits column 0's ``way`` (column 2): row 1
+        # moves to column 1 and row 2 gets column 2.
+        cost = negated([[0, 0, 0], [0, 0, 5], [0, 0, 10]])
+        assert reference_solve_assignment(cost) == [0, 1, 2]
+        assert solve_assignment(cost) == [0, 1, 2]
 
     def test_empty_and_single(self):
         assert solve_assignment([]) == [] == reference_solve_assignment([])

@@ -163,3 +163,26 @@ def test_voq_counter_drift_is_detected(arbitration):
     violation = excinfo.value
     assert violation.check == "voq_occupancy"
     assert violation.resources == (3, 2)
+
+
+@pytest.mark.parametrize("phantom", [False, True])
+def test_voq_support_drift_is_detected(phantom):
+    switch, checker, _ = running_switch("mwm")
+    # The scheduler builds weight rows from each stage's non-empty set:
+    # a member dropped from it, or an empty VOQ added, is a request the
+    # weights misreport.  Counters and queues stay intact, so only the
+    # support check can see it.
+    stage, out = next(
+        (stage, out)
+        for stage in switch.stages
+        for out, voq in enumerate(stage.voqs)
+        if bool(voq) != phantom
+    )
+    if phantom:
+        stage.nonempty.add(out)
+    else:
+        stage.nonempty.discard(out)
+    violation = recheck(switch, checker)
+    assert violation.check == "voq_support"
+    assert violation.resources == (stage.input_id, out)
+    assert "non-empty set" in str(violation)

@@ -124,6 +124,18 @@ class TestZooBitIdentity:
             "eea7a1e55b8ebc32bbc25bb4a698b4e458cffc9ba5a6b484de9fc0cfc664582e"
         )
 
+    def test_radix32_clrg_islip1_mwm_digest(self):
+        # At radix 32 most of an MWM cost matrix's columns are all zero,
+        # the case the solver scans through one representative column.
+        comparison = compare_schedulers(
+            radix=32, seed=1, warmup_cycles=30, measure_cycles=150,
+            schedulers=("clrg", "islip1", "mwm"),
+            traffic=("uniform", "hotspot"),
+        )
+        assert comparison_digest(comparison) == (
+            "75a62192979bbb18d465305c5eed8c7ce3d9907b7946d0c84c3b810cccc074fc"
+        )
+
 
 class TestVOQSweepRouting:
     def test_run_sweep_crosses_voq_and_paper_schemes(self):

@@ -60,6 +60,7 @@ class TestVOQStage:
             stage.refill()
             assert stage.occupancy_row == expected
         assert [len(q) for q in stage.voqs] == stage.occupancy_row
+        assert stage.nonempty == {1, 2}
         assert stage.total_occupancy() == 6  # 4 in VOQs + 2 in source
 
     def test_pop_dequeues_in_fifo_order_and_tracks_occupancy(self):
@@ -69,9 +70,11 @@ class TestVOQStage:
         stage.refill()
         stage.refill()
         head = stage.pop(1)
+        assert stage.nonempty == {1}
         tail = stage.pop(1)
         assert head.is_head and tail.is_tail
         assert stage.occupancy_row == [0, 0]
+        assert stage.nonempty == set()
 
     def test_refill_on_empty_source_is_a_no_op(self):
         stage = VOQStage(0, 2)
