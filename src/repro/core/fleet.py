@@ -8,9 +8,13 @@ traffic patterns and fault schedules.  This module holds those B
 instances — called *lanes* — in preallocated 2-D/3-D numpy arrays
 (occupancy, ownership, cooling, CLRG banks and LRG recency keys laid out
 as ``(lane, resource)`` / ``(lane, port, vc)`` arrays) and advances all
-lanes per vectorized operation: masked candidate selection, fused
-transmit+refill, cooling clears and the two-phase arbitration as array
-ops with ``np.lexsort``-based group reductions.
+lanes per vectorized operation: cooling clears, transmit, refill, masked
+candidate selection and the two-phase arbitration, each one pass of
+array ops.  Arbitration is one pipeline for every allocation policy:
+the resource arbiters (intermediate outputs, and binned channels) and
+phase 2 pick their winners with dense scatter-minimum reductions; only
+priority allocation's pair arbiter, and the trace ordering, sort with
+``np.lexsort``.
 
 **Bit-identical per lane.**  Lane ``i`` of a fleet run produces exactly
 the :class:`~repro.network.engine.SimulationResult` the scalar fast
@@ -51,6 +55,7 @@ from repro.faults import (
     REPAIR_INPUT,
     FaultCursor,
     FaultSchedule,
+    check_fault_event,
 )
 from repro.network.engine import (
     DEFAULT_LATENCY_SAMPLE_LIMIT,
@@ -336,8 +341,9 @@ class FleetKernel:
 
         # --- arbiter state (LRG recency keys; ascending initial order)
         # Intermediate-output arbiters (rid < N) and channel arbiters
-        # (rid >= N) share one rid-indexed table, so binned phase 1 is a
-        # single group-arbitrate pass and a single demotion scatter.
+        # (rid >= N) share one rid-indexed table, so phase 1's resource
+        # arbiters are one group-arbitrate pass and one demotion scatter
+        # under every allocation policy.
         PPL = self._PPL
         LL = L * L
         ramp_ppl = np.arange(PPL, dtype=ii8)
@@ -559,20 +565,15 @@ class FleetKernel:
     def _apply_fault_events(self, lane: int, events, cycle: int = 0) -> None:
         """Per-lane twin of :func:`repro.faults.apply_fault_events`."""
         cfg = self.config
-        L, C = self._L, self._C
+        L = self._L
         failed = set(self._failed[lane])
         tracer = self._tracer
         topology_changed = False
         for event in events:
+            check_fault_event(cfg, event)
             kind = event.kind
             if kind == FAIL_CHANNEL:
                 channel = event.channel
-                if channel[2] >= C or not (
-                    0 <= channel[0] < L and 0 <= channel[1] < L
-                ):
-                    raise ValueError(
-                        f"fault channel {channel} out of range"
-                    )
                 if channel in failed:
                     continue
                 failed.add(channel)
@@ -601,8 +602,6 @@ class FleetKernel:
                     )
             elif kind == FAIL_INPUT:
                 port = event.port
-                if not 0 <= port < cfg.radix:
-                    raise ValueError(f"fault port {port} out of range")
                 if self._stuck[lane, port]:
                     continue
                 self._stuck[lane, port] = True
@@ -623,19 +622,9 @@ class FleetKernel:
                     )
             elif kind == CORRUPT_CLRG:
                 output = event.output
-                if not 0 <= output < cfg.radix:
-                    raise ValueError(
-                        f"fault output {output} out of range"
-                    )
                 if self._scheme is not ArbitrationScheme.CLRG:
                     continue  # non-CLRG scheme: nothing to corrupt
                 value = min(max(int(event.value), 0), cfg.num_classes - 1)
-                if event.port is not None and not (
-                    0 <= event.port < cfg.radix
-                ):
-                    raise ValueError(
-                        f"fault port {event.port} out of range"
-                    )
                 if event.port is None:
                     self._clrg_counts[lane, output, :] = value
                 else:
@@ -815,41 +804,24 @@ class FleetKernel:
             tail_created)`` — per-lane ejected-flit counts plus one row
             per delivered packet, in the scalar per-port scan order.
         """
-        if self._perf is not None:
-            return self._step_perf(cycle, active)
-        if self._have_faults:
-            for lane, cursor in enumerate(self._cursors):
-                if cursor is None:
-                    continue
-                if active is not None and not active[lane]:
-                    continue
-                due = cursor.take(cycle)
-                if due:
-                    self._apply_fault_events(lane, due, cycle)
-        # Clear the previous cycle's teardown cooling (incremental).
-        tbase, obase, rbase = self._tear
-        if tbase.size:
-            self._cool_in_f[tbase] = False
-            self._cool_out_f[obase] = False
-            self._cool_res_f[rbase] = False
+        perf = self._perf
+        if perf is not None:
+            perf.cycles_total += 1
+            if cycle % perf.stride == 0:
+                return self._step_perf(cycle, active)
+        self._begin_cycle(cycle, active)
         counts_and_tails = self._transmit(cycle)
         self._refill(cycle)
         self._arbitrate(cycle)
         return counts_and_tails
 
-    def _step_perf(self, cycle: int, active=None):
-        """Perf-counting step twin: phase-time one cycle per stride.
+    def _begin_cycle(self, cycle: int, active=None) -> None:
+        """Per-cycle preamble shared by every step path.
 
-        The fleet phases are already separate array passes, so sampled
-        cycles just put a monotonic read between them; op counts are
-        fleet-aggregate (flits transmitted across all lanes).
+        Due fault events land first (active lanes only), then the
+        previous cycle's teardowns have their cooling flags cleared
+        incrementally.
         """
-        perf = self._perf
-        perf.cycles_total += 1
-        sampled = cycle % perf.stride == 0
-        if sampled:
-            perf.cycles_sampled += 1
-        ns = time.perf_counter_ns
         if self._have_faults:
             for lane, cursor in enumerate(self._cursors):
                 if cursor is None:
@@ -864,11 +836,19 @@ class FleetKernel:
             self._cool_in_f[tbase] = False
             self._cool_out_f[obase] = False
             self._cool_res_f[rbase] = False
-        if not sampled:
-            counts_and_tails = self._transmit(cycle)
-            self._refill(cycle)
-            self._arbitrate(cycle)
-            return counts_and_tails
+
+    def _step_perf(self, cycle: int, active=None):
+        """Sampled perf cycle: :meth:`step`'s phases, timed one by one.
+
+        :meth:`step` hands over one cycle in every ``perf.stride``.  The
+        fleet phases are already separate array passes, so a monotonic
+        read sits between them; op counts are fleet-aggregate (flits
+        transmitted across all lanes).
+        """
+        perf = self._perf
+        perf.cycles_sampled += 1
+        ns = time.perf_counter_ns
+        self._begin_cycle(cycle, active)
         t1 = ns()
         counts_and_tails = self._transmit(cycle)
         t2 = ns()
@@ -1051,20 +1031,15 @@ class FleetKernel:
     # ------------------------------------------------------------------
     # Arbitration (two phases within one cycle, all lanes at once)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _segments(gid, order_key):
-        """Sort rows by ``(gid, order_key)``; return (perm, starts, counts).
-
-        ``perm[starts]`` indexes each group's minimum-``order_key`` row
-        (the scalar ``min()`` winner — keys are distinct by invariant).
-        """
-        perm = np.lexsort((order_key, gid))
-        starts, counts = _group_starts(gid[perm])
-        return perm, starts, counts
-
     def _arbitrate(self, cycle: int) -> None:
+        """Both arbitration phases and their commit, every lane at once.
+
+        One pipeline for every allocation policy; only the priority pair
+        arbiter and its demotion are policy-specific.
+        """
         B, N, V = self.num_lanes, self.num_ports, self._V
         S, C, LL = self._S, self._C, self._L * self._L
+        R, PPL = self._R, self._PPL
         scheme = self._scheme
         elig = (
             (self.active_vc < 0) & ~self._cool_in & ~self._stuck
@@ -1090,7 +1065,7 @@ class FleetKernel:
         if self._binned:
             rid2 = self._rid_of_dst_f[(base * N)[:, None] + vdst]
             viable = head_ok & out_ok
-            viable &= res_free_f[(kb * self._R)[:, None] + rid2]
+            viable &= res_free_f[(kb * R)[:, None] + rid2]
         else:
             knN = (kn * N)[:, None]
             same2 = self._same_layer.reshape(-1)[knN + vdst]
@@ -1099,7 +1074,7 @@ class FleetKernel:
             pair2 = self._pair_of.reshape(-1)[knN + vdst]
             viable = head_ok & out_ok & np.where(
                 same2,
-                res_free_f[(kb * self._R)[:, None] + vdst],
+                res_free_f[(kb * R)[:, None] + vdst],
                 pair_any.reshape(-1)[(kb * LL)[:, None] + pair2],
             )
         tracer = self._tracer
@@ -1138,357 +1113,229 @@ class FleetKernel:
         ridx = base[sel] * V + rvc
         rdst = self._vc_dst_f[ridx]
         rlocal = self._local_of[rn]
-        track_ages = scheme is ArbitrationScheme.AGE
+        # Phase-1 winner weights feed WLRG commits and P1 events; the
+        # winner keys order trace events and pair demotions.
+        want_weight = tracer is not None or scheme is ArbitrationScheme.WLRG
+        want_key = tracer is not None or not self._binned
 
+        # ---- phase 1: resource arbiters ------------------------------
+        # Every binned request, and every same-layer request under
+        # priority allocation, names one resource id (an intermediate
+        # output's id is its final output's port id).  Intermediate and
+        # channel arbiters share the rid-indexed ``_loc_rank`` table, so
+        # one dense scatter-min arbitrates them all: ranks are distinct
+        # within an arbiter, so ``rank == groupmin`` is exactly the
+        # scalar ``min()`` winner.
         if self._binned:
-            # Intermediate and channel requests arbitrate in one pass:
-            # ``rid_of_dst`` already keys both by resource id, and the
-            # shared ``_loc_rank`` table holds both arbiter kinds.  Both
-            # phases use a dense scatter-min instead of a lexsort: ranks
-            # (phase 1) and sub-block keys (phase 2) are distinct within
-            # a group by invariant, so ``value == groupmin`` recovers
-            # exactly one winner per group.
-            R, PPL = self._R, self._PPL
-            rrid = rid2.reshape(-1)[sel * V + rvc]
-            gid = rb * R + rrid
-            rank = self._loc_rank_f[gid * PPL + rlocal]
-            dense = self._dense_r
+            req = None  # every request row names a resource
+            qrid = rid2.reshape(-1)[sel * V + rvc]
+            qb, qn, qlocal = rb, rn, rlocal
+        else:
+            same = self._same_layer.reshape(-1)[rn * N + rdst]
+            req = np.flatnonzero(same)
+            qrid = rdst[req]
+            qb, qn, qlocal = rb[req], rn[req], rlocal[req]
+        gid = qb * R + qrid
+        rank = self._loc_rank_f[gid * PPL + qlocal]
+        dense = self._dense_r
+        dense.fill(_BIG)
+        np.minimum.at(dense, gid, rank)
+        win = np.flatnonzero(rank == dense[gid])
+        w_row = win if req is None else req[win]  # request row per winner
+        w_rid = qrid[win]
+        w_weight = w_key = None
+        if want_weight:
+            w_weight = np.bincount(gid, minlength=dense.size)[gid[win]]
+        if want_key:
+            # Scalar winners-dict insertion order: intermediate groups
+            # before channel groups, each by first requesting port
+            # (ports scan once per cycle, so first ports are distinct).
             dense.fill(_BIG)
-            np.minimum.at(dense, gid, rank)
-            win = np.flatnonzero(rank == dense[gid])
-            p1key_w = None
-            if tracer is not None:
-                # Scalar winners-dict insertion order: all intermediate
-                # groups before all channel groups, each in ascending
-                # first-requesting-port order (ports scan once per
-                # cycle, so first ports are distinct per group).  The
-                # dense buffer is free again after ``win``.
-                weight_w = np.bincount(gid, minlength=dense.size)[gid[win]]
-                dense.fill(_BIG)
-                np.minimum.at(dense, gid, rn)
-                p1key_w = (
-                    dense[gid[win]] * _WKEY_PORT
-                    + (rrid[win] >= N) * _WKEY_CHAN
-                )
-                order1 = np.lexsort((p1key_w, rb[win]))
-                wl = win[order1]
-                tracer.append_batch(
-                    cycle, rb[wl], P1_GRANT, rrid[wl], rn[wl], rdst[wl],
-                    weight_w[order1],
-                )
-            # ---- phase 2: one sub-block winner per contested output --
-            w_out = rdst[win]
-            w_slot = self._slot_of_rid[rrid[win]]
-            gid2 = rb[win] * N + w_out
-            cnow = None
-            if scheme in (
-                ArbitrationScheme.L2L_LRG, ArbitrationScheme.WLRG
-            ):
-                skey = self._sb_rank_f[gid2 * S + w_slot]
-            elif scheme is ArbitrationScheme.L2L_RR:
-                skey = (w_slot - self._sb_ptr_f[gid2]) % S
-            elif scheme is ArbitrationScheme.CLRG:
-                cnow = self._clrg_counts_f[gid2 * N + rn[win]]
-                skey = (
-                    cnow * (1 << 44)
-                    + self._sb_rank_f[gid2 * S + w_slot]
-                )
-            else:  # AGE: min (-age, slot), stateless
-                skey = (
-                    -(cycle - self._vc_created_f[ridx[win]]) * (S + 1)
-                    + w_slot
-                )
-            dense2 = self._dense_n
-            dense2.fill(_BIG)
-            np.minimum.at(dense2, gid2, skey)
-            pick = np.flatnonzero(skey == dense2[gid2])
-            est = win[pick]
-            outkey = None
-            if tracer is not None:
-                # by_output dict-insertion key of each output group: the
-                # minimum phase-1 winner key among its candidates (the
-                # dense phase-2 buffer is free after ``pick``).
-                dense2.fill(_BIG)
-                np.minimum.at(dense2, gid2, p1key_w)
-                outkey = dense2[gid2[pick]]
-            # ---- establish every picked winner's path ----------------
-            eb, eport = rb[est], rn[est]
-            evc, erid, eout = rvc[est], rrid[est], rdst[est]
-            ebase = eb * N + eport
-            sb2 = gid2[pick]       # = lane * N + output
-            abase = gid[est]       # = lane * R + rid
-            self.active_vc_f[ebase] = evc
-            self._rr_next_vc_f[ebase] = (evc + 1) % V
-            self.resource_owner_f[abase] = eport
-            self.output_owner_f[sb2] = eport
-            self._conn_rid_f[ebase] = erid
-            self._conn_out_f[ebase] = eout
-            if self._grant_cycle is not None:
-                self._grant_cycle_f[ebase] = cycle
-            # ---- sub-block commit (one per output; no collisions) ----
-            eslot = w_slot[pick]
-            if scheme is ArbitrationScheme.L2L_LRG:
-                stamp = self._sb_stamp_f[sb2]
-                self._sb_rank_f[sb2 * S + eslot] = stamp
-                self._sb_stamp_f[sb2] = stamp + 1
-            elif scheme is ArbitrationScheme.L2L_RR:
-                self._sb_ptr_f[sb2] = (eslot + 1) % S
-            elif scheme is ArbitrationScheme.WLRG:
-                weight = np.bincount(gid, minlength=B * R)[abase]
-                sidx = sb2 * S + eslot
-                served = self._sb_served_f[sidx] + 1
-                done = served >= weight
-                self._sb_served_f[sidx] = served * ~done
-                d2 = np.flatnonzero(done)
-                if d2.size:
-                    dsb = sb2[d2]
-                    stamp = self._sb_stamp_f[dsb]
-                    self._sb_rank_f[dsb * S + eslot[d2]] = stamp
-                    self._sb_stamp_f[dsb] = stamp + 1
-            elif scheme is ArbitrationScheme.CLRG:
-                sat = np.flatnonzero(
-                    cnow[pick] >= self.config.num_classes - 1
-                )
-                if sat.size:
-                    rows = self._clrg_rows[sb2[sat]]
-                    self._clrg_rows[sb2[sat]] = rows // 2
-                    if tracer is not None:
-                        # Halvings raw-emit during phase-2 processing,
-                        # i.e. in by_output insertion order; the payload
-                        # is the bank's cumulative halving count.
-                        self._halve_count_f[sb2[sat]] += 1
-                        horder = np.lexsort((outkey[sat], eb[sat]))
-                        hs = sat[horder]
-                        tracer.append_batch(
-                            cycle, eb[hs], CLRG_HALVE, rdst[est[hs]],
-                            self._halve_count_f[sb2[hs]], 0, 0,
-                        )
-                self._clrg_counts_f[sb2 * N + eport] += 1
-                stamp = self._sb_stamp_f[sb2]
-                self._sb_rank_f[sb2 * S + eslot] = stamp
-                self._sb_stamp_f[sb2] = stamp + 1
-            # AGE: stateless sub-blocks.
-            # ---- local demotion (one winner per (lane, rid) arbiter) -
-            stamp = self._loc_stamp_f[abase]
-            self._loc_rank_f[abase * PPL + rlocal[est]] = stamp
-            self._loc_stamp_f[abase] = stamp + 1
-            if tracer is not None:
-                # Phase-2 outcomes iterate the full winners dict in
-                # insertion order: grant when the path was established,
-                # block otherwise; CLRG grants carry the post-commit
-                # class counter.
-                granted = np.zeros(win.size, dtype=bool)
-                granted[pick] = True
-                kinds = np.where(granted, P2_GRANT, P2_BLOCK)
-                dcol = np.zeros(win.size, dtype=np.int64)
-                if scheme is ArbitrationScheme.CLRG:
-                    dcol[pick] = self._clrg_counts_f[sb2 * N + eport]
-                else:
-                    dcol[pick] = -1
-                order2 = np.lexsort((p1key_w, rb[win]))
-                wl = win[order2]
-                tracer.append_batch(
-                    cycle, rb[wl], kinds[order2], rrid[wl], rn[wl],
-                    rdst[wl], dcol[order2],
-                )
-            return
+            np.minimum.at(dense, gid, qn)
+            w_key = dense[gid[win]] * _WKEY_PORT + (w_rid >= N) * _WKEY_CHAN
+        num_res = win.size
 
-        # ---- priority allocation (lexsort machinery) -----------------
-        rage = (
-            cycle - self._vc_created_f[ridx]
-            if track_ages
-            else np.zeros(rb.size, dtype=np.int64)
-        )
-        parts = []  # phase-1 winner record batches
-
-        def emit(rows, rid, out, weight, key, kind, arb):
-            parts.append((
-                rb[rows], rid, rn[rows], rvc[rows], out, weight,
-                self._slot_of_rid[rid], key, rage[rows], kind, arb,
-                rlocal[rows],
-            ))
-
-        rsame = self._same_layer[rn, rdst]
-        im = np.nonzero(rsame)[0]
-        if im.size:
-            gid = rb[im] * N + rdst[im]
-            rank = self._loc_rank[rb[im], rdst[im], rlocal[im]]
-            perm, starts, counts = self._segments(gid, rank)
-            rows = im[perm[starts]]
-            firstp = rn[im[np.minimum.reduceat(perm, starts)]]
-            out = rdst[rows]
-            emit(
-                rows, out, out, counts, firstp * _WKEY_PORT,
-                np.zeros(rows.size, dtype=np.int64), out,
-            )
-        cm = np.nonzero(~rsame)[0]
-        if cm.size:
-            # Priority allocation: the pair arbiter ranks requestors
-            # and the priority mux hands the free healthy channels
-            # (channel order) to the top-ranked ones, one winner per
-            # channel.
-            pb = rb[cm]
-            ppair = self._pair_of[rn[cm], rdst[cm]]
-            gid = pb * LL + ppair
-            rank = self._pair_rank[pb, ppair, rlocal[cm]]
-            perm, starts, counts = self._segments(gid, rank)
-            firstp = rn[cm[np.minimum.reduceat(perm, starts)]]
-            nfree = free_h.sum(axis=2)
-            # Free healthy channels compacted left, ascending order.
-            ch_order = np.argsort(~free_h, axis=2, kind="stable")
-            j = (
-                np.arange(gid.size, dtype=np.int64)
-                - np.repeat(starts, counts)
-            )
-            sb, sp = pb[perm], ppair[perm]
-            keep = j < nfree[sb, sp]
-            rows = cm[perm[keep]]
-            if rows.size:
-                jk = j[keep]
-                channel = ch_order[sb[keep], sp[keep], jk]
-                rid = N + sp[keep] * C + channel
-                weight = np.repeat(-(-counts // C), counts)[keep]
-                key = (
-                    _WKEY_PAIR
-                    + np.repeat(firstp, counts)[keep] * _WKEY_PORT
-                    + jk
+        # ---- phase 1, priority allocation: pair arbiters -------------
+        w_pair = None  # each pair winner's packed layer pair
+        if not self._binned:
+            cm = np.flatnonzero(~same)
+            if cm.size:
+                # The pair arbiter ranks requestors and the priority mux
+                # hands the free healthy channels (channel order) to the
+                # top-ranked ones, one winner per channel.
+                pb = rb[cm]
+                ppair = self._pair_of[rn[cm], rdst[cm]]
+                gid_p = pb * LL + ppair
+                rank_p = self._pair_rank[pb, ppair, rlocal[cm]]
+                perm = np.lexsort((rank_p, gid_p))
+                starts, counts = _group_starts(gid_p[perm])
+                firstp = rn[cm[np.minimum.reduceat(perm, starts)]]
+                nfree = free_h.sum(axis=2)
+                # Free healthy channels compacted left, ascending order.
+                ch_order = np.argsort(~free_h, axis=2, kind="stable")
+                j = (
+                    np.arange(gid_p.size, dtype=np.int64)
+                    - np.repeat(starts, counts)
                 )
-                emit(
-                    rows, rid, rdst[rows], weight, key,
-                    np.full(rows.size, 2, dtype=np.int64), sp[keep],
-                )
-
-        if not parts:
-            return
-        (
-            w_b, w_rid, w_port, w_vc, w_out, w_weight, w_slot, w_key,
-            w_age, w_kind, w_arb, w_local,
-        ) = (
-            np.concatenate(cols) if len(parts) > 1 else parts[0][k]
-            for k, cols in enumerate(zip(*parts))
-        )
+                sb, sp = pb[perm], ppair[perm]
+                keep = j < nfree[sb, sp]
+                rows = cm[perm[keep]]
+                if rows.size:
+                    jk = j[keep]
+                    w_pair = sp[keep]
+                    channel = ch_order[sb[keep], w_pair, jk]
+                    w_row = np.concatenate((w_row, rows))
+                    w_rid = np.concatenate((w_rid, N + w_pair * C + channel))
+                    if want_weight:
+                        w_weight = np.concatenate((
+                            w_weight,
+                            np.repeat(-(-counts // C), counts)[keep],
+                        ))
+                    w_key = np.concatenate((w_key, (
+                        _WKEY_PAIR
+                        + np.repeat(firstp, counts)[keep] * _WKEY_PORT
+                        + jk
+                    )))
+            if w_row.size == 0:
+                return
+        w_b, w_port, w_out = rb[w_row], rn[w_row], rdst[w_row]
+        order = None
         if tracer is not None:
-            # ``w_key`` already encodes the scalar winners-dict
-            # insertion order (ints before pairs, first-requesting port,
-            # free-channel position).
-            order1 = np.lexsort((w_key, w_b))
+            # ``w_key`` encodes the scalar winners-dict insertion order.
+            order = np.lexsort((w_key, w_b))
             tracer.append_batch(
-                cycle, w_b[order1], P1_GRANT, w_rid[order1],
-                w_port[order1], w_out[order1], w_weight[order1],
+                cycle, w_b[order], P1_GRANT, w_rid[order], w_port[order],
+                w_out[order], w_weight[order],
             )
 
         # ---- phase 2: one sub-block winner per contested output ------
+        # One winner per resource and a distinct sub-block slot per
+        # resource of an output, so every scheme's key is distinct within
+        # an output group and ``skey == groupmin`` picks one winner.
+        w_slot = self._slot_of_rid[w_rid]
+        gid2 = w_b * N + w_out
+        cnow = None
         if scheme in (
             ArbitrationScheme.L2L_LRG, ArbitrationScheme.WLRG
         ):
-            skey = self._sb_rank[w_b, w_out, w_slot]
+            skey = self._sb_rank_f[gid2 * S + w_slot]
         elif scheme is ArbitrationScheme.L2L_RR:
-            skey = (w_slot - self._sb_ptr[w_b, w_out]) % S
+            skey = (w_slot - self._sb_ptr_f[gid2]) % S
         elif scheme is ArbitrationScheme.CLRG:
-            skey = (
-                self._clrg_counts[w_b, w_out, w_port] * (1 << 44)
-                + self._sb_rank[w_b, w_out, w_slot]
-            )
-        else:  # AGE: min (-age, slot)
-            skey = -w_age * (S + 1) + w_slot
-        gid2 = w_b * N + w_out
-        perm2 = np.lexsort((skey, gid2))
-        starts2, _ = _group_starts(gid2[perm2])
-        pick = perm2[starts2]
-        # by_output dict-insertion position of each output group: the
-        # minimum winner-iteration key among its candidates.
-        out_min = np.minimum.reduceat(w_key[perm2], starts2)
-        eb, eport = w_b[pick], w_port[pick]
-        evc, eout, erid = w_vc[pick], w_out[pick], w_rid[pick]
-        eslot, ekind, earb = w_slot[pick], w_kind[pick], w_arb[pick]
-        elocal = w_local[pick]
-
-        # Establish every picked winner's path.
-        self.active_vc[eb, eport] = evc
-        self._rr_next_vc[eb, eport] = (evc + 1) % V
-        self.resource_owner[eb, erid] = eport
-        self.output_owner[eb, eout] = eport
-        self._conn_rid[eb, eport] = erid
-        self._conn_out[eb, eport] = eout
+            cnow = self._clrg_counts_f[gid2 * N + w_port]
+            skey = cnow * (1 << 44) + self._sb_rank_f[gid2 * S + w_slot]
+        else:  # AGE: min (-age, slot), stateless
+            age = cycle - self._vc_created_f[ridx[w_row]]
+            skey = -age * (S + 1) + w_slot
+        dense2 = self._dense_n
+        dense2.fill(_BIG)
+        np.minimum.at(dense2, gid2, skey)
+        pick = np.flatnonzero(skey == dense2[gid2])
+        outkey = None
+        if want_key:
+            # by_output dict-insertion key of each output group: the
+            # minimum phase-1 winner key among its candidates.
+            dense2.fill(_BIG)
+            np.minimum.at(dense2, gid2, w_key)
+            outkey = dense2[gid2[pick]]
+        # ---- establish every picked winner's path --------------------
+        est = w_row[pick]
+        eb, eport, eout = w_b[pick], w_port[pick], w_out[pick]
+        evc, erid, elocal = rvc[est], w_rid[pick], rlocal[est]
+        ebase = eb * N + eport
+        abase = eb * R + erid  # = lane * R + rid
+        sb2 = gid2[pick]       # = lane * N + output
+        self.active_vc_f[ebase] = evc
+        self._rr_next_vc_f[ebase] = (evc + 1) % V
+        self.resource_owner_f[abase] = eport
+        self.output_owner_f[sb2] = eport
+        self._conn_rid_f[ebase] = erid
+        self._conn_out_f[ebase] = eout
         if self._grant_cycle is not None:
-            self._grant_cycle[eb, eport] = cycle
-
-        # Sub-block commit (one per output, so scatters never collide).
+            self._grant_cycle_f[ebase] = cycle
+        # ---- sub-block commit (one per output; no collisions) --------
+        eslot = w_slot[pick]
         if scheme is ArbitrationScheme.L2L_LRG:
-            self._sb_rank[eb, eout, eslot] = self._sb_stamp[eb, eout]
-            self._sb_stamp[eb, eout] += 1
+            stamp = self._sb_stamp_f[sb2]
+            self._sb_rank_f[sb2 * S + eslot] = stamp
+            self._sb_stamp_f[sb2] = stamp + 1
         elif scheme is ArbitrationScheme.L2L_RR:
-            self._sb_ptr[eb, eout] = (eslot + 1) % S
+            self._sb_ptr_f[sb2] = (eslot + 1) % S
         elif scheme is ArbitrationScheme.WLRG:
-            served = self._sb_served[eb, eout, eslot] + 1
+            sidx = sb2 * S + eslot
+            served = self._sb_served_f[sidx] + 1
             done = served >= w_weight[pick]
-            self._sb_served[eb, eout, eslot] = np.where(done, 0, served)
-            d = np.nonzero(done)[0]
-            if d.size:
-                db, do = eb[d], eout[d]
-                self._sb_rank[db, do, eslot[d]] = self._sb_stamp[db, do]
-                self._sb_stamp[db, do] += 1
+            self._sb_served_f[sidx] = served * ~done
+            d2 = np.flatnonzero(done)
+            if d2.size:
+                dsb = sb2[d2]
+                stamp = self._sb_stamp_f[dsb]
+                self._sb_rank_f[dsb * S + eslot[d2]] = stamp
+                self._sb_stamp_f[dsb] = stamp + 1
         elif scheme is ArbitrationScheme.CLRG:
-            counts_now = self._clrg_counts[eb, eout, eport]
-            sat = np.nonzero(counts_now >= self.config.num_classes - 1)[0]
+            sat = np.flatnonzero(cnow[pick] >= self.config.num_classes - 1)
             if sat.size:
-                rows = self._clrg_counts[eb[sat], eout[sat]]
-                self._clrg_counts[eb[sat], eout[sat]] = rows // 2
+                rows = self._clrg_rows[sb2[sat]]
+                self._clrg_rows[sb2[sat]] = rows // 2
                 if tracer is not None:
-                    # Halvings emit in by_output insertion order
-                    # (``out_min`` is aligned with ``pick``).
-                    self._halve_count[eb[sat], eout[sat]] += 1
-                    horder = np.lexsort((out_min[sat], eb[sat]))
-                    hs = sat[horder]
+                    # Halvings raw-emit during phase-2 processing, i.e.
+                    # in by_output insertion order; the payload is the
+                    # bank's cumulative halving count.
+                    self._halve_count_f[sb2[sat]] += 1
+                    hs = sat[np.lexsort((outkey[sat], eb[sat]))]
                     tracer.append_batch(
                         cycle, eb[hs], CLRG_HALVE, eout[hs],
-                        self._halve_count[eb[hs], eout[hs]], 0, 0,
+                        self._halve_count_f[sb2[hs]], 0, 0,
                     )
-            self._clrg_counts[eb, eout, eport] += 1
-            self._sb_rank[eb, eout, eslot] = self._sb_stamp[eb, eout]
-            self._sb_stamp[eb, eout] += 1
+            self._clrg_counts_f[sb2 * N + eport] += 1
+            stamp = self._sb_stamp_f[sb2]
+            self._sb_rank_f[sb2 * S + eslot] = stamp
+            self._sb_stamp_f[sb2] = stamp + 1
         # AGE: stateless sub-blocks.
-
-        # Back-propagated local demotions.  Int arbiters see at most
-        # one established winner per cycle (winners are keyed by rid);
-        # a pair arbiter can establish several, demoted in by_output
-        # insertion order — reconstructed via out_min.
-        m01 = np.nonzero(ekind < 2)[0]
-        if m01.size:
-            ab, aa = eb[m01], earb[m01]
-            self._loc_rank[ab, aa, elocal[m01]] = self._loc_stamp[ab, aa]
-            self._loc_stamp[ab, aa] += 1
-        m2 = np.nonzero(ekind == 2)[0]
-        if m2.size:
-            b2, p2 = eb[m2], earb[m2]
-            perm3 = np.lexsort((out_min[m2], p2, b2))
-            g3 = b2[perm3] * LL + p2[perm3]
-            starts3, counts3 = _group_starts(g3)
+        # ---- local demotion ------------------------------------------
+        # ``pick`` ascends and resource winners precede pair winners, so
+        # the first ``k`` picks are resource winners.  A resource arbiter
+        # has at most one established winner per cycle: one scatter.
+        k = pick.size
+        if w_pair is not None:
+            k = int(np.searchsorted(pick, num_res))
+        rbase = abase[:k]
+        stamp = self._loc_stamp_f[rbase]
+        self._loc_rank_f[rbase * PPL + elocal[:k]] = stamp
+        self._loc_stamp_f[rbase] = stamp + 1
+        if k < pick.size:
+            # A pair arbiter can establish several winners, demoted in
+            # by_output insertion order (``outkey``).
+            p2 = w_pair[pick[k:] - num_res]
+            perm3 = np.lexsort((outkey[k:], p2, eb[k:]))
+            m2, p2 = k + perm3, p2[perm3]
+            b2 = eb[m2]
+            starts3, counts3 = _group_starts(b2 * LL + p2)
             j3 = (
-                np.arange(g3.size, dtype=np.int64)
+                np.arange(m2.size, dtype=np.int64)
                 - np.repeat(starts3, counts3)
             )
-            gb3 = b2[perm3][starts3]
-            gp3 = p2[perm3][starts3]
-            base = np.repeat(self._pair_stamp[gb3, gp3], counts3)
-            rows = m2[perm3]
-            self._pair_rank[
-                eb[rows], earb[rows], elocal[rows]
-            ] = base + j3
+            gb3, gp3 = b2[starts3], p2[starts3]
+            self._pair_rank[b2, p2, elocal[m2]] = (
+                np.repeat(self._pair_stamp[gb3, gp3], counts3) + j3
+            )
             self._pair_stamp[gb3, gp3] += counts3
         if tracer is not None:
+            # Phase-2 outcomes iterate the full winners dict in
+            # insertion order: grant when the path was established,
+            # block otherwise; CLRG grants carry the post-commit class
+            # counter.
             granted = np.zeros(w_b.size, dtype=bool)
             granted[pick] = True
             kinds = np.where(granted, P2_GRANT, P2_BLOCK)
             dcol = np.zeros(w_b.size, dtype=np.int64)
             if scheme is ArbitrationScheme.CLRG:
-                dcol[pick] = self._clrg_counts[eb, eout, eport]
+                dcol[pick] = self._clrg_counts_f[sb2 * N + eport]
             else:
                 dcol[pick] = -1
-            order2 = np.lexsort((w_key, w_b))
             tracer.append_batch(
-                cycle, w_b[order2], kinds[order2], w_rid[order2],
-                w_port[order2], w_out[order2], dcol[order2],
+                cycle, w_b[order], kinds[order], w_rid[order],
+                w_port[order], w_out[order], dcol[order],
             )
 
     def _trace_via_blocked(self, cycle, kb, kn, head_ok, vdst, sel) -> None:

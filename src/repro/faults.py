@@ -425,6 +425,35 @@ class FaultCursor:
         return len(self._events) - self._pos
 
 
+def check_fault_event(config, event: FaultEvent) -> None:
+    """Raise ``ValueError`` when an event's indices fall outside ``config``.
+
+    Every kernel calls this before applying an event, so an
+    out-of-range index raises the same error everywhere instead of
+    reaching kernel state, where a negative index would wrap.
+    Channel events need ``0 <= src, dst < layers`` and
+    ``0 <= channel < channel_multiplicity``; stuck-input events a port
+    in ``[0, radix)``; ``corrupt_clrg`` an output, and its optional port,
+    in ``[0, radix)`` under every scheme.
+    """
+    kind = event.kind
+    if kind in (FAIL_CHANNEL, REPAIR_CHANNEL):
+        src, dst, channel = event.channel
+        if not (
+            0 <= src < config.layers and 0 <= dst < config.layers
+            and 0 <= channel < config.channel_multiplicity
+        ):
+            raise ValueError(f"fault channel {event.channel} out of range")
+    elif kind in (FAIL_INPUT, REPAIR_INPUT):
+        if not 0 <= event.port < config.radix:
+            raise ValueError(f"fault port {event.port} out of range")
+    elif kind == CORRUPT_CLRG:
+        if not 0 <= event.output < config.radix:
+            raise ValueError(f"fault output {event.output} out of range")
+        if event.port is not None and not 0 <= event.port < config.radix:
+            raise ValueError(f"fault port {event.port} out of range")
+
+
 def apply_fault_events(switch, events: Sequence[FaultEvent]) -> None:
     """Apply a batch of due fault events to a switch (both kernels).
 
@@ -432,7 +461,8 @@ def apply_fault_events(switch, events: Sequence[FaultEvent]) -> None:
     both kernels expose identically (``failed_channels``,
     ``stuck_inputs``, the sub-block arbiters' counter banks) and defers
     representation-specific rebuilds to the kernel's
-    ``_refresh_fault_state()``.  Idempotent per event: failing an
+    ``_refresh_fault_state()``.  Each event is range-checked first
+    (:func:`check_fault_event`).  Idempotent per event: failing an
     already-failed channel (or repairing a healthy one) is a silent
     no-op and emits no trace event, so fast/reference event streams
     cannot diverge on redundant schedules.
@@ -441,14 +471,10 @@ def apply_fault_events(switch, events: Sequence[FaultEvent]) -> None:
     config = switch.config
     topology_changed = False
     for event in events:
+        check_fault_event(config, event)
         kind = event.kind
         if kind == FAIL_CHANNEL:
             channel = event.channel
-            if channel[2] >= config.channel_multiplicity or not (
-                0 <= channel[0] < config.layers
-                and 0 <= channel[1] < config.layers
-            ):
-                raise ValueError(f"fault channel {channel} out of range")
             if channel in switch.failed_channels:
                 continue
             switch.failed_channels = switch.failed_channels | {channel}
@@ -471,8 +497,6 @@ def apply_fault_events(switch, events: Sequence[FaultEvent]) -> None:
                 )
         elif kind == FAIL_INPUT:
             port = event.port
-            if not 0 <= port < config.radix:
-                raise ValueError(f"fault port {port} out of range")
             if port in switch.stuck_inputs:
                 continue
             switch.stuck_inputs.add(port)
@@ -489,14 +513,10 @@ def apply_fault_events(switch, events: Sequence[FaultEvent]) -> None:
                 tracer.emit(FAULT_REPAIR, FAULT_INPUT, port)
         elif kind == CORRUPT_CLRG:
             output = event.output
-            if not 0 <= output < config.radix:
-                raise ValueError(f"fault output {output} out of range")
             counters = getattr(switch.subblock_arbiters[output], "counters", None)
             if counters is None:
                 continue  # non-CLRG scheme: nothing to corrupt
             value = min(max(int(event.value), 0), counters.max_count)
-            if event.port is not None and not 0 <= event.port < counters.num_inputs:
-                raise ValueError(f"fault port {event.port} out of range")
             if hasattr(counters, "_costs"):
                 # QoS banks shadow the integer counters with float costs.
                 if event.port is None:

@@ -186,6 +186,13 @@ def compare_schedulers(
     table cell ran with matching/structural invariants attached unless
     ``invariants=False`` (a violation raises, so a returned table
     proves zero violations).
+
+    ``load`` is in packets/input/cycle, so the defaults (``load=0.3``,
+    ``packet_flits=4``) offer 1.2 flits/input/cycle against a capacity
+    of 1: every per-pattern cell runs past saturation, not only the
+    saturation section, and its latencies grow with the measurement
+    window (they measure source-queue growth).  Pass
+    ``load < 1 / packet_flits`` to compare schedulers below saturation.
     """
     names = list(schedulers) if schedulers is not None else list(
         DEFAULT_SCHEDULERS

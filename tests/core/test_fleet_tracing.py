@@ -61,8 +61,12 @@ RESULT_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("scheme", ["l2l_lrg", "clrg", "age"])
-@pytest.mark.parametrize("policy", ["input_binned", "priority"])
+@pytest.mark.parametrize(
+    "scheme", ["l2l_lrg", "l2l_rr", "wlrg", "clrg", "age"]
+)
+@pytest.mark.parametrize(
+    "policy", ["input_binned", "output_binned", "priority"]
+)
 def test_traced_parity_across_schemes(scheme, policy):
     config = small_config(arbitration=scheme, allocation=policy)
     assert verify_fleet_parity(

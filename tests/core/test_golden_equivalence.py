@@ -236,18 +236,32 @@ def test_fleet_lanes_bit_identical(scheme, allocation, geometry):
     ) == []
 
 
-@pytest.mark.parametrize("scheme", HIRISE_SCHEMES, ids=lambda s: s.value)
-def test_fleet_lanes_bit_identical_under_scripted_faults(scheme):
+# Input-binned cases keep their scheme-only ids.
+SCRIPTED_FLEET_CASES = [
+    pytest.param(
+        scheme, allocation,
+        id=scheme.value if allocation is AllocationPolicy.INPUT_BINNED
+        else f"{allocation.value}-{scheme.value}",
+    )
+    for allocation in AllocationPolicy
+    for scheme in HIRISE_SCHEMES
+]
+
+
+@pytest.mark.parametrize("scheme, allocation", SCRIPTED_FLEET_CASES)
+def test_fleet_lanes_bit_identical_under_scripted_faults(scheme, allocation):
+    # Traced, so every lane's event stream is pinned to the scalar
+    # kernel's under the schedule too, not only its results.
     config = HiRiseConfig(
         radix=16,
         layers=4,
         channel_multiplicity=2,
         arbitration=scheme,
-        allocation=AllocationPolicy.INPUT_BINNED,
+        allocation=allocation,
     )
     assert fleet.verify_fleet_parity(
         config, SCRIPTED_SCHEDULE, load=0.9, seed=11, measure_cycles=300,
-        warmup_cycles=40, lanes=3, drain=True,
+        warmup_cycles=40, lanes=3, drain=True, trace=True,
     ) == []
 
 

@@ -10,6 +10,7 @@ them bit-identical to each other).
 import pytest
 
 from repro.core.config import ArbitrationScheme, HiRiseConfig
+from repro.core.fleet import FleetKernel
 from repro.core.hirise import HiRiseSwitch
 from repro.core.reference import ReferenceHiRiseSwitch
 from repro.faults import (
@@ -29,6 +30,7 @@ from repro.faults import (
 from repro.network.engine import Simulation
 from repro.obs.snapshot import telemetry_snapshot
 from repro.obs.tracebin import BinaryTracer
+from repro.switches.voq import VOQSwitch
 from repro.traffic import UniformRandomTraffic
 
 KERNELS = {"fast": HiRiseSwitch, "reference": ReferenceHiRiseSwitch}
@@ -299,3 +301,59 @@ class TestDegradationMeasurement:
             measure_cycles=150, warmup_cycles=20,
         )
         assert mismatches == []
+
+
+# ----------------------------------------------------------------------
+# One index range check for every kernel
+# ----------------------------------------------------------------------
+def _scalar_stepper(switch_class, **overrides):
+    def run(event):
+        config = HiRiseConfig(
+            radix=16, layers=4, channel_multiplicity=2, **overrides
+        )
+        switch_class(config, faults=FaultSchedule([event])).step(0)
+    return run
+
+
+def _fleet_stepper(event):
+    config = HiRiseConfig(radix=16, layers=4, channel_multiplicity=2)
+    FleetKernel(config, 2, faults=[None, FaultSchedule([event])]).step(0)
+
+
+RANGE_KERNELS = {
+    "fast": _scalar_stepper(HiRiseSwitch),
+    "reference": _scalar_stepper(ReferenceHiRiseSwitch),
+    "voq": _scalar_stepper(VOQSwitch, arbitration="islip"),
+    "fleet": _fleet_stepper,
+}
+
+# Each of these used to be accepted by some kernel: a negative channel
+# or port wrapped to the last index in the fleet, the scalar kernels
+# ignored a repair of a port they never saw stuck, and the fleet raised
+# IndexError on a port beyond the radix.
+OUT_OF_RANGE_EVENTS = {
+    "negative-channel": fail_channel(0, 0, 1, -1),
+    "negative-repair-port": repair_input(0, -1),
+    "repair-port-beyond-radix": repair_input(0, 99),
+    "clrg-port-beyond-radix": corrupt_clrg(0, 3, 1, port=99),
+}
+
+
+@pytest.mark.parametrize(
+    "event", list(OUT_OF_RANGE_EVENTS.values()), ids=list(OUT_OF_RANGE_EVENTS)
+)
+@pytest.mark.parametrize("kernel", sorted(RANGE_KERNELS))
+def test_out_of_range_event_raises_in_every_kernel(kernel, event):
+    with pytest.raises(ValueError, match="out of range"):
+        RANGE_KERNELS[kernel](event)
+
+
+@pytest.mark.parametrize("kernel", sorted(RANGE_KERNELS))
+def test_in_range_events_do_not_raise(kernel):
+    # Repairs of a healthy channel or port stay silent no-ops, and an
+    # in-range CLRG corruption applies (a no-op under the VOQ scheme).
+    for event in (
+        repair_channel(0, 0, 1, 1), repair_input(0, 15),
+        corrupt_clrg(0, 3, 1, port=15),
+    ):
+        RANGE_KERNELS[kernel](event)
