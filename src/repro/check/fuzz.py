@@ -8,8 +8,11 @@ into a reproducible list of :class:`CaseSpec`\\ s — random small
 (uniform / hotspot / bursty / adversarial / permutation), and
 :meth:`~repro.faults.FaultSchedule.random` overlays — and
 :func:`run_case` runs each through :func:`repro.faults.verify_parity`
-with both kernels under an :class:`~repro.check.invariants.InvariantChecker`,
-classifying the result as ``ok``, ``mismatch`` (kernels diverged),
+with both kernels under an :class:`~repro.check.invariants.InvariantChecker`.
+A quarter of the cases run an iSLIP or MWM scheduler instead: the VOQ
+crossbar has one kernel, so :func:`run_voq_case` runs it under the
+:class:`~repro.check.matching.MatchingInvariantChecker` on every cycle.
+:func:`run_case` classifies the result as ``ok``, ``mismatch`` (kernels diverged),
 ``violation`` (an invariant or drain stall fired), or ``error`` (an
 unclassified crash).  :func:`run_fuzz` shrinks every failure with
 :func:`repro.check.minimize.minimize_case` and writes a replayable
@@ -36,8 +39,10 @@ __all__ = [
     "FuzzReport",
     "TRAFFIC_KINDS",
     "generate_cases",
+    "VOQ_ARBITRATIONS",
     "run_case",
     "run_fuzz",
+    "run_voq_case",
 ]
 
 #: Traffic generators the fuzzer draws from (Section V patterns).
@@ -47,7 +52,13 @@ TRAFFIC_KINDS = (
 #: Channel-allocation policies (Section III-A).
 ALLOCATIONS = ("input_binned", "output_binned", "priority")
 #: Inter-layer arbitration schemes (Sections III-B and VII).
-ARBITRATIONS = ("l2l_lrg", "wlrg", "clrg", "l2l_rr", "age")
+HIRISE_ARBITRATIONS = ("l2l_lrg", "wlrg", "clrg", "l2l_rr", "age")
+#: The iterative VOQ schedulers the paper argues against (iSLIP, MWM).
+VOQ_ARBITRATIONS = ("islip", "mwm")
+#: Every scheme a generated case may carry.
+ARBITRATIONS = HIRISE_ARBITRATIONS + VOQ_ARBITRATIONS
+#: Share of generated cases that run a VOQ scheduler instead.
+VOQ_SHARE = 0.25
 
 #: Permutation patterns (all fuzzed radices are powers of two: layers
 #: ∈ {2, 4} × ports-per-layer ∈ {2, 4, 8}).
@@ -81,6 +92,7 @@ class CaseSpec:
     measure_cycles: int = 120
     drain: bool = False
     fault_events: List[Dict[str, object]] = field(default_factory=list)
+    islip_iterations: int = 1
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -100,6 +112,7 @@ class CaseSpec:
             allocation=AllocationPolicy(self.allocation),
             arbitration=ArbitrationScheme(self.arbitration),
             num_classes=self.num_classes,
+            islip_iterations=self.islip_iterations,
         )
 
     def build_schedule(self):
@@ -221,6 +234,12 @@ def generate_cases(
     dozens of cases runs in seconds; drain cases never carry faults (an
     unrepaired stuck input or partition legitimately never drains, which
     would misclassify healthy kernels as stalled).
+
+    About :data:`VOQ_SHARE` of the cases become iSLIP (1-4 iterations)
+    or MWM cases.  That choice comes from a second stream seeded from
+    ``seed``, so every other draw of a case is the one it had before
+    VOQ cases existed.  A VOQ case's faults are stuck inputs only: the
+    VOQ fabric is flat and has no channel to fail.
     """
     import random
 
@@ -229,6 +248,7 @@ def generate_cases(
     if max_radix < 4:
         raise ValueError("max radix must be >= 4 (two ports on two layers)")
     rng = random.Random(seed)
+    voq_rng = random.Random(f"{seed}:voq")
     cases: List[CaseSpec] = []
     for index in range(count):
         layer_options = [l for l in (1, 2, 4) if 2 * l <= max_radix]
@@ -240,7 +260,12 @@ def generate_cases(
             [c for c in (1, 2) if c <= ports_per_layer]
         )
         allocation = rng.choice(ALLOCATIONS)
-        arbitration = rng.choice(ARBITRATIONS)
+        arbitration = rng.choice(HIRISE_ARBITRATIONS)
+        iterations = 1
+        if voq_rng.random() < VOQ_SHARE:
+            arbitration = voq_rng.choice(VOQ_ARBITRATIONS)
+            if arbitration == "islip":
+                iterations = voq_rng.randint(1, 4)
         num_classes = rng.choice((2, 3, 4))
         kind = rng.choice(TRAFFIC_KINDS)
         load = round(rng.uniform(0.1, 0.9), 2)
@@ -271,12 +296,17 @@ def generate_cases(
             warmup_cycles=warmup,
             measure_cycles=measure,
             drain=drain,
+            islip_iterations=iterations,
         )
         if not drain and rng.random() < 0.5:
             from repro.faults import FaultSchedule
 
+            geometry = case.build_config()
+            if geometry.uses_voq:
+                # One layer has no channels: only inputs can stick.
+                geometry = dataclasses.replace(geometry, layers=1)
             schedule = FaultSchedule.random(
-                case.build_config(),
+                geometry,
                 seed=rng.randrange(1 << 30),
                 horizon=max(warmup + measure, 1),
                 faults=rng.randrange(1, 4),
@@ -306,11 +336,18 @@ def run_case(
     divergences arrive as ordinary ``"fleet lane i: ..."`` mismatch
     strings, so they classify, minimize, and persist exactly like
     fast-vs-reference mismatches.
+
+    A VOQ case (iSLIP or MWM) runs through :func:`run_voq_case` instead;
+    it has no second kernel and no fleet lanes to compare, so it is
+    ``ok`` unless the matching checker or a drain stall raises.
     """
     from repro.faults import verify_parity
 
     try:
         config = case.build_config()
+        if config.uses_voq:
+            run_voq_case(case, invariants=invariants)
+            return CaseOutcome(status="ok")
         mismatches = verify_parity(
             config,
             case.build_schedule(),
@@ -340,6 +377,34 @@ def run_case(
             mismatches=list(mismatches),
         )
     return CaseOutcome(status="ok")
+
+
+def run_voq_case(case: CaseSpec, invariants: bool = True, tracer=None):
+    """Run a VOQ case on :class:`~repro.switches.VOQSwitch`; return its
+    :class:`~repro.network.engine.SimulationResult`.
+
+    With ``invariants`` a
+    :class:`~repro.check.matching.MatchingInvariantChecker` verifies
+    every cycle, and a drain case that wedges raises
+    :class:`~repro.check.invariants.DrainStallError`.  ``tracer``
+    (optional) observes the run, e.g. to pin its event stream.
+    """
+    from repro.check.matching import MatchingInvariantChecker
+    from repro.network.engine import Simulation
+    from repro.switches import VOQSwitch
+
+    config = case.build_config()
+    switch = VOQSwitch(
+        config,
+        tracer=tracer,
+        faults=case.build_schedule(),
+        invariants=MatchingInvariantChecker() if invariants else None,
+    )
+    simulation = Simulation(
+        switch, case.build_traffic(config), warmup_cycles=case.warmup_cycles
+    )
+    return simulation.run(measure_cycles=case.measure_cycles,
+                          drain=case.drain)
 
 
 def run_fuzz(

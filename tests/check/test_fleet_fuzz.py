@@ -12,7 +12,12 @@ import json
 import pytest
 
 import repro.core.fleet as fleet_mod
-from repro.check.fuzz import generate_cases, run_case, run_fuzz
+from repro.check.fuzz import (
+    HIRISE_ARBITRATIONS,
+    generate_cases,
+    run_case,
+    run_fuzz,
+)
 from repro.check.reprofile import load_repro, replay_repro
 
 
@@ -24,8 +29,15 @@ def test_fleet_smoke_campaign_clean():
     assert report.cases_run == 4
 
 
+def hirise_faulted(case):
+    """A faulted case the fleet runs (VOQ cases have no fleet lanes)."""
+    return bool(case.fault_events) and (
+        case.arbitration in HIRISE_ARBITRATIONS
+    )
+
+
 def test_run_case_fleet_lanes_clean_on_faulted_case():
-    cases = [c for c in generate_cases(0, 8) if c.fault_events]
+    cases = [c for c in generate_cases(0, 8) if hirise_faulted(c)]
     assert cases
     outcome = run_case(cases[0], fleet_lanes=2)
     assert outcome.status == "ok"
@@ -51,10 +63,10 @@ def test_lane_divergence_minimized_and_replayable(tmp_path, monkeypatch):
         fleet_mod, "verify_fleet_parity", diverge_under_faults
     )
     report = run_fuzz(
-        seed=0, cases=4, out_dir=str(tmp_path), fleet_lanes=2
+        seed=0, cases=8, out_dir=str(tmp_path), fleet_lanes=2
     )
     faulted = sum(
-        1 for case in generate_cases(0, 4) if case.fault_events
+        1 for case in generate_cases(0, 8) if hirise_faulted(case)
     )
     assert len(report.failures) == faulted > 0
     failure = report.failures[0]
