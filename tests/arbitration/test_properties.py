@@ -426,6 +426,74 @@ class TestISLIPTinyTeraOracle:
             assert islip.grant_pointers == [a.pointer for a in oracle]
 
 
+@st.composite
+def signed_matrix_sequences(draw, max_ports=6, max_len=6):
+    """Like :func:`matrix_sequences`, with zero and negative weights."""
+    n = draw(st.integers(min_value=1, max_value=max_ports))
+    matrices = draw(
+        st.lists(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=-5, max_value=5),
+                    min_size=n, max_size=n,
+                ),
+                min_size=n, max_size=n,
+            ),
+            min_size=1, max_size=max_len,
+        )
+    )
+    return n, matrices
+
+
+class TestNonPositiveWeightsAreNotRequests:
+    """A weight of zero or below is no request, for either scheduler.
+
+    Each scheduler runs on the signed matrices and, from the same state,
+    on the same matrices clamped at zero; the matchings (and iSLIP's
+    rounds and pointers) must be equal, so a negative weight is never
+    read as a request the way a truthiness test would read it.
+    """
+
+    @given(signed_matrix_sequences(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_islip_ignores_non_positive_weights(self, case, iterations):
+        n, matrices = case
+        signed = ISLIPArbiter(n, iterations=iterations)
+        clamped = ISLIPArbiter(n, iterations=iterations)
+        for weights in matrices:
+            rounds = ([], [])
+            matching = signed.match(
+                weights,
+                observer=lambda *event: rounds[0].append(event),
+            )
+            expected = clamped.match(
+                [[max(w, 0) for w in row] for row in weights],
+                observer=lambda *event: rounds[1].append(event),
+            )
+            assert matching == expected
+            assert rounds[0] == rounds[1]
+            assert all(weights[i][o] > 0 for i, o in matching.items())
+        assert signed.grant_pointers == clamped.grant_pointers
+        assert signed.accept_pointers == clamped.accept_pointers
+
+    @given(signed_matrix_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_mwm_ignores_non_positive_weights(self, case):
+        n, matrices = case
+        signed, clamped = MWMOracle(n), MWMOracle(n)
+        for weights in matrices:
+            matching = signed.match(weights)
+            assert matching == clamped.match(
+                [[max(w, 0) for w in row] for row in weights]
+            )
+            assert all(weights[i][o] > 0 for i, o in matching.items())
+
+    def test_rows_of_only_negative_weights_request_nothing(self):
+        weights = [[-1, -2, -3], [0, 0, 0], [-4, 0, -5]]
+        assert ISLIPArbiter(3, iterations=3).match(weights) == {}
+        assert MWMOracle(3).match(weights) == {}
+
+
 class TestMWMProperties:
     @given(weight_matrices())
     @settings(max_examples=200, deadline=None)

@@ -165,6 +165,50 @@ class TestCorruptedKernels:
             simulation.run(measure_cycles=5)
         assert excinfo.value.check == "path_coherence"
 
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    @pytest.mark.parametrize("change", ["added", "removed"])
+    def test_vc_fifo_flit_breaks_conservation(self, kernel_cls, change):
+        # The checker counts buffered flits from the VC FIFOs themselves:
+        # a flit slipped into one, or lost from one, unbalances the
+        # ledger at the very next check.
+        checker = InvariantChecker()
+        switch = kernel_cls(small_config(), invariants=checker)
+        traffic = UniformRandomTraffic(8, 0.6, seed=3)
+        simulation = Simulation(switch, traffic, warmup_cycles=0)
+        simulation.run(measure_cycles=20)
+        vc = next(vc for port in switch.ports for vc in port.vcs if len(vc))
+        if change == "added":
+            vc._fifo.append(vc._fifo[-1])
+        else:
+            vc._fifo.pop()
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.after_step(switch, 10**6, [])
+        assert excinfo.value.check == "flit_conservation"
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_clrg_counter_corrupted_in_place_after_verification(
+        self, kernel_cls
+    ):
+        # With no traffic no grant moves a counter, so every bank holds
+        # the values the checker verified on earlier cycles.  A counter
+        # overwritten in place (the list object is unchanged) must still
+        # be seen: the checker's memo of a verified bank is a copy, not
+        # the live list.
+        config = small_config(arbitration=ArbitrationScheme.CLRG)
+        checker = InvariantChecker()
+        switch = kernel_cls(config, invariants=checker)
+        traffic = UniformRandomTraffic(8, 0.0, seed=1)
+        simulation = Simulation(switch, traffic, warmup_cycles=0)
+        simulation.run(measure_cycles=10)
+        counters = switch.subblock_arbiters[3].counters
+        live = counters._counts
+        live[2] = 99
+        assert counters._counts is live
+        with pytest.raises(InvariantViolation) as excinfo:
+            simulation.run(measure_cycles=1)
+        assert excinfo.value.check == "clrg_counters"
+        assert excinfo.value.resources == (3,)
+
     def test_clrg_counter_out_of_bounds_is_detected(self):
         # Above the saturation value and below zero.
         for value in (99, -1):
