@@ -361,7 +361,9 @@ def cmd_trace(args) -> int:
 
         switch = ReferenceHiRiseSwitch(config, tracer=tracer)
     else:
-        switch = HiRiseSwitch(config, tracer=tracer)
+        from repro.switches import make_switch
+
+        switch = make_switch(config, tracer=tracer)
     sim = Simulation(switch, _build_traffic(args), warmup_cycles=args.warmup)
     start = time.perf_counter()
     result = sim.run(args.cycles, drain=args.drain)

@@ -26,6 +26,8 @@ differential parity test pins that equivalence against
 """
 
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import gt
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arbitration.matching import Matching, WeightMatrix
@@ -76,14 +78,15 @@ class ISLIPArbiter:
         if len(weights) != n or any(len(row) != n for row in weights):
             raise ValueError(f"weights must be {n}x{n}")
 
-        # Per-output requesters in ascending input order, from one
-        # transpose of the weight matrix.  Ascending lists let the
-        # round-robin pick bisect for the first entry at or after a
-        # pointer (wrapping to the first entry).
-        requesters = [
-            [inp for inp, weight in enumerate(column) if weight > 0]
-            for column in zip(*weights)
-        ]
+        # Per-output requesters in ascending input order, from the rows
+        # that request anything (largest weight positive).  Ascending
+        # lists let the round-robin pick bisect for the first entry at
+        # or after a pointer (wrapping to the first entry).
+        requesters: List[List[int]] = [[] for _ in range(n)]
+        for inp, row in enumerate(weights):
+            if max(row) > 0:
+                for out in compress(range(n), map(gt, row, repeat(0))):
+                    requesters[out].append(inp)
         grant_pointers = self.grant_pointers
         accept_pointers = self.accept_pointers
         matching: Matching = {}
@@ -92,9 +95,7 @@ class ISLIPArbiter:
             # backlogged VOQs that are still unmatched.
             requests: Dict[int, List[int]] = {}
             if iteration == 0:
-                for out, requesting in enumerate(requesters):
-                    if requesting:
-                        requests[out] = requesting
+                requests = {out: r for out, r in enumerate(requesters) if r}
             else:
                 matched_outputs = set(matching.values())
                 for out, requesting in enumerate(requesters):

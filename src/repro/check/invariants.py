@@ -39,6 +39,7 @@ the timeline.
 """
 
 import json
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "DrainStallError",
     "InvariantChecker",
     "InvariantViolation",
+    "LedgerChecker",
 ]
 
 #: Check name -> integer code used in the ``invariant`` trace event.
@@ -58,10 +60,11 @@ CHECK_CODES: Dict[str, int] = {
     "clrg_counters": 5,
     "lrg_order": 6,
     "drain_stall": 7,
-    # VOQ scheduler checks (repro.check.matching).
+    # VOQ scheduler checks (repro.check.matching).  10 stays reserved:
+    # it was voq_occupancy, a per-output VOQ counter the stages no
+    # longer keep.  Codes are never reused, so old traces still decode.
     "matching_validity": 8,
     "stuck_input_grant": 9,
-    "voq_occupancy": 10,
     "voq_support": 11,
 }
 
@@ -173,14 +176,13 @@ def count_injections(checker, switch) -> None:
     switch.inject_columns = _counting_inject_columns
 
 
-class InvariantChecker:
-    """Per-cycle structural invariant verification for one switch.
+class LedgerChecker:
+    """The flit ledger, failure path and summary of both checker kinds.
 
-    A checker binds to exactly one switch (differential runs need one
-    checker per kernel); it counts injected flits by wrapping the
-    switch's injection methods and re-derives everything else from the
-    public path state after each step, so a passing checked run is
-    bit-identical to an unchecked one.
+    A checker binds to one switch.  :class:`InvariantChecker` verifies
+    the Hi-Rise kernels and
+    :class:`repro.check.matching.MatchingInvariantChecker` the VOQ
+    switch; each adds its ``after_step``.
 
     Args:
         snapshot_ports: Port-list cap passed to the telemetry snapshot
@@ -195,47 +197,19 @@ class InvariantChecker:
         self.cycles_checked = 0
         self.config = None
         self._switch = None
-        self._rid_of_key: Dict[Tuple, int] = {}
         self._prev_connections: Dict[int, Tuple[int, int]] = {}
-        self._prev_halvings: Dict[int, int] = {}
-        self._rank_holders: List[Tuple[object, str]] = []
-        self._verified_orders: List[Optional[Tuple[List[int], int]]] = []
-        self._banks: List[Tuple[int, object]] = []
-        self._verified_banks: List[Optional[Tuple[list, int, bool]]] = []
 
-    # ------------------------------------------------------------------
-    # Construction-time wiring (called by the kernels)
-    # ------------------------------------------------------------------
     def bind(self, switch) -> None:
         """Attach to a switch; wraps its injection methods for counting."""
         if self._switch is not None and self._switch is not switch:
             raise ValueError(
-                "an InvariantChecker verifies exactly one switch; "
-                "build one checker per kernel"
+                f"{type(self).__name__} verifies exactly one switch; "
+                "build one checker per switch"
             )
         self._switch = switch
         self.config = switch.config
-        self._rid_of_key = {
-            key: rid
-            for rid, key in enumerate(switch.config.resource_key_table)
-        }
-        # Resolved once: fault events mutate arbiter state in place
-        # (CORRUPT_CLRG rewrites counter values) and never replace an
-        # arbiter or its counter bank, so these stay the live objects.
-        self._rank_holders = _rank_holders(switch)
-        self._verified_orders = [None] * len(self._rank_holders)
-        self._banks = [
-            (output, arbiter.counters)
-            for output, arbiter in switch.subblock_arbiters.items()
-            if getattr(arbiter, "counters", None) is not None
-        ]
-        self._verified_banks = [None] * len(self._banks)
-
         count_injections(self, switch)
 
-    # ------------------------------------------------------------------
-    # Failure path
-    # ------------------------------------------------------------------
     def _fail(
         self,
         switch,
@@ -260,6 +234,70 @@ class InvariantChecker:
             resources=resources,
             snapshot=snapshot,
         )
+
+    def summary(self) -> Dict[str, int]:
+        """Conservation ledger totals (embedded in telemetry snapshots)."""
+        return {
+            "cycles_checked": self.cycles_checked,
+            "injected_packets": self.injected_packets,
+            "injected_flits": self.injected_flits,
+            "ejected_flits": self.ejected_flits,
+        }
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(cycles_checked={self.cycles_checked}, "
+            f"injected_flits={self.injected_flits}, "
+            f"ejected_flits={self.ejected_flits})"
+        )
+
+
+class InvariantChecker(LedgerChecker):
+    """Per-cycle structural invariant verification for one switch.
+
+    A checker binds to exactly one switch (differential runs need one
+    checker per kernel); it counts injected flits by wrapping the
+    switch's injection methods and re-derives everything else from the
+    public path state after each step, so a passing checked run is
+    bit-identical to an unchecked one.
+    """
+
+    def __init__(self, snapshot_ports: int = 8) -> None:
+        super().__init__(snapshot_ports)
+        self._rid_of_key: Dict[Tuple, int] = {}
+        self._prev_halvings: Dict[int, int] = {}
+        self._rank_holders: List[Tuple[object, str]] = []
+        self._verified_orders: List[Optional[Tuple[List[int], int]]] = []
+        self._banks: List[Tuple[int, object, str]] = []
+        self._verified_banks: List[Optional[Tuple[list, int, bool]]] = []
+        self._fifos: List[object] = []
+
+    # ------------------------------------------------------------------
+    # Construction-time wiring (called by the kernels)
+    # ------------------------------------------------------------------
+    def bind(self, switch) -> None:
+        """Attach to a switch and resolve the state each cycle reads."""
+        super().bind(switch)
+        self._rid_of_key = {
+            key: rid
+            for rid, key in enumerate(switch.config.resource_key_table)
+        }
+        # Resolved once: fault events mutate arbiter state in place
+        # (CORRUPT_CLRG rewrites counter values) and never replace an
+        # arbiter or its counter bank, so these stay the live objects.
+        # A bank's counter list is named, not held: halving replaces it
+        # (the QoS bank keeps its fractional costs in ``_costs``).
+        self._rank_holders = _rank_holders(switch)
+        self._verified_orders = [None] * len(self._rank_holders)
+        self._banks = [
+            (output, arbiter.counters,
+             "_costs" if hasattr(arbiter.counters, "_costs") else "_counts")
+            for output, arbiter in switch.subblock_arbiters.items()
+            if getattr(arbiter, "counters", None) is not None
+        ]
+        self._verified_banks = [None] * len(self._banks)
+        # Ports never replace their VC FIFOs.
+        self._fifos = [vc._fifo for port in switch.ports for vc in port.vcs]
 
     # ------------------------------------------------------------------
     # State normalisation (fast kernel: flat ids; reference: tuple keys)
@@ -310,7 +348,8 @@ class InvariantChecker:
 
         # 1. Flit conservation: the fault model quiesces in-flight
         # packets (flits are never dropped), so the ledger is exact.
-        occupancy = switch.occupancy()
+        occupancy = sum(map(len, self._fifos)) + sum(
+            map(attrgetter("_pending_flits"), switch._queues))
         expected = occupancy + self.ejected_flits
         if self.injected_flits != expected:
             self._fail(
@@ -473,13 +512,14 @@ class InvariantChecker:
         # the weights, so it is exempt from the integer-bank bounds).
         # The range predicates are pure functions of the counter values
         # and the bound, so a bank holding the values it held when last
-        # verified is not re-derived.
+        # verified is not re-derived; the memo is a copy, so a counter
+        # written in place differs from it.
         prev_halvings = self._prev_halvings
         verified_banks = self._verified_banks
-        for index, (output, counters) in enumerate(self._banks):
-            counts = counters.counts()
-            halvings = counters.halvings
-            max_count = counters.max_count
+        for index, (output, counters, live) in enumerate(self._banks):
+            counts = getattr(counters, live)
+            halvings = counters._halvings
+            max_count = counters.num_classes - 1
             verified = verified_banks[index]
             if (verified is not None and verified[0] == counts
                     and verified[1] == max_count):
@@ -495,7 +535,8 @@ class InvariantChecker:
                         f"[0, {max_count}]",
                         resources=(output,),
                     )
-                verified_banks[index] = (counts, max_count, integer_bank)
+                verified_banks[index] = (list(counts), max_count,
+                                         integer_bank)
             before = prev_halvings.get(output, halvings)
             if halvings < before or halvings > before + 1:
                 self._fail(
@@ -539,25 +580,6 @@ class InvariantChecker:
                     f"{stamp}) are not a valid total order",
                 )
             verified[index] = (list(ranks), stamp)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, int]:
-        """Conservation ledger totals (embedded in telemetry snapshots)."""
-        return {
-            "cycles_checked": self.cycles_checked,
-            "injected_packets": self.injected_packets,
-            "injected_flits": self.injected_flits,
-            "ejected_flits": self.ejected_flits,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"InvariantChecker(cycles_checked={self.cycles_checked}, "
-            f"injected_flits={self.injected_flits}, "
-            f"ejected_flits={self.ejected_flits})"
-        )
 
 
 def _rank_holders(switch) -> List[Tuple[object, str]]:

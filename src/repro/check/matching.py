@@ -16,85 +16,35 @@ of :class:`repro.switches.VOQSwitch` after every cycle:
   weight of a port that cannot transmit), and no grant to an input or
   output whose tail moved the same cycle (the single-cycle
   arbitrate-or-transmit contract);
-* **voq_occupancy** — every stage's occupancy row equals its actual
-  VOQ lengths;
-* **voq_support** — every stage's ``nonempty`` set names exactly the
-  outputs whose VOQ holds a flit (the scheduler builds each weight row
-  from that set, so the weights it saw were real).
+* **voq_support** — no stage stores an empty VOQ (the scheduler builds
+  each weight row from the stored VOQs, so every request it saw was
+  real).
+
+Both conservation and support read one list: every stored VOQ's length,
+taken in one flat pass over all stages.  A VOQ exists only while it is
+stored, so every flit in every VOQ is counted on every cycle.
 
 Attached via the same ``invariants=`` constructor hook; checked runs
 stay bit-identical to unchecked runs.  :func:`checker_for` picks the
 right checker class for a config's arbitration scheme.
 """
 
-from typing import Dict, Sequence, Set, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Set
 
-from repro.check.invariants import (
-    CHECK_CODES,
-    InvariantViolation,
-    count_injections,
-)
+from repro.check.invariants import InvariantChecker, LedgerChecker
 
 __all__ = ["MatchingInvariantChecker", "checker_for"]
 
 
-class MatchingInvariantChecker:
+class MatchingInvariantChecker(LedgerChecker):
     """Per-cycle matching-legality verification for one VOQ switch.
 
-    Mirrors the :class:`repro.check.InvariantChecker` interface
+    Shares the :class:`repro.check.InvariantChecker` interface
     (``bind``/``after_step``/``summary``) so the harness and the
     telemetry snapshot treat both checker families identically.
     """
-
-    def __init__(self, snapshot_ports: int = 8) -> None:
-        self.snapshot_ports = snapshot_ports
-        self.injected_flits = 0
-        self.injected_packets = 0
-        self.ejected_flits = 0
-        self.cycles_checked = 0
-        self.config = None
-        self._switch = None
-        self._prev_connections: Dict[int, Tuple[int, int]] = {}
-
-    def bind(self, switch) -> None:
-        """Attach to a switch; wraps its injection methods for counting."""
-        if self._switch is not None and self._switch is not switch:
-            raise ValueError(
-                "a MatchingInvariantChecker verifies exactly one switch; "
-                "build one checker per switch"
-            )
-        self._switch = switch
-        self.config = switch.config
-
-        count_injections(self, switch)
-
-    # ------------------------------------------------------------------
-    # Failure path (identical shape to InvariantChecker._fail)
-    # ------------------------------------------------------------------
-    def _fail(
-        self,
-        switch,
-        check: str,
-        cycle: int,
-        detail: str,
-        resources: Sequence[int] = (),
-    ) -> None:
-        from repro.obs.snapshot import telemetry_snapshot
-        from repro.obs.trace import INVARIANT
-
-        tracer = getattr(switch, "_tracer", None)
-        if tracer is not None:
-            first = resources[0] if resources else -1
-            second = resources[1] if len(resources) > 1 else -1
-            tracer.emit(INVARIANT, CHECK_CODES.get(check, -1), first, second)
-        snapshot = telemetry_snapshot(switch, max_ports=self.snapshot_ports)
-        raise InvariantViolation(
-            f"invariant {check!r} violated at cycle {cycle}: {detail}",
-            check=check,
-            cycle=cycle,
-            resources=resources,
-            snapshot=snapshot,
-        )
 
     # ------------------------------------------------------------------
     # The per-cycle check (called at the end of VOQSwitch.step())
@@ -104,8 +54,13 @@ class MatchingInvariantChecker:
         self.cycles_checked += 1
         self.ejected_flits += len(ejected)
 
-        # 1. Flit conservation.
-        occupancy = switch.occupancy()
+        # 1. Flit conservation, from one flat read of every stored VOQ's
+        # length (check 4 reuses it) plus each source queue's backlog.
+        stages = switch.stages
+        lengths = list(map(len, chain.from_iterable(
+            map(dict.values, map(attrgetter("voqs"), stages)))))
+        occupancy = sum(lengths) + sum(
+            map(attrgetter("source._pending_flits"), stages))
         expected = self.injected_flits - self.ejected_flits
         if occupancy != expected:
             self._fail(
@@ -182,57 +137,16 @@ class MatchingInvariantChecker:
                 )
         self._prev_connections = dict(connections)
 
-        # 4. VOQ occupancy rows match the actual queue lengths, and
-        # 5. each stage's non-empty set is exactly its non-empty VOQs (the
-        # scheduler builds a weight row from that set alone).  One pass
-        # over the stages reads each VOQ's length once for both; a
-        # stage is walked cell by cell only to name its first mismatch.
-        for stage in switch.stages:
-            row = stage.occupancy_row
-            lengths = list(map(len, stage.voqs))
-            if row != lengths:
-                for output, (count, actual) in enumerate(zip(row, lengths)):
-                    if count != actual:
+        # 4. VOQ support: a stage stores only its non-empty VOQs.
+        if 0 in lengths:
+            for stage in stages:
+                for output, voq in stage.voqs.items():
+                    if not voq:
                         self._fail(
-                            switch, "voq_occupancy", cycle,
-                            f"stage {stage.input_id} VOQ[{output}] counter "
-                            f"{count} != length {actual}",
-                            (stage.input_id, output),
+                            switch, "voq_support", cycle,
+                            f"stage {stage.input_id} stores VOQ[{output}] "
+                            f"empty", (stage.input_id, output),
                         )
-            nonempty = stage.nonempty
-            if len(nonempty) == len(lengths) - lengths.count(0) and all(
-                map(lengths.__getitem__, nonempty)
-            ):
-                continue
-            for output, actual in enumerate(lengths):
-                if (output in nonempty) != (actual > 0):
-                    self._fail(
-                        switch, "voq_support", cycle,
-                        f"stage {stage.input_id} VOQ[{output}] holds "
-                        f"{actual} flits but is "
-                        f"{'' if output in nonempty else 'not '}"
-                        f"in the non-empty set",
-                        (stage.input_id, output),
-                    )
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, int]:
-        """Conservation ledger totals (embedded in telemetry snapshots)."""
-        return {
-            "cycles_checked": self.cycles_checked,
-            "injected_packets": self.injected_packets,
-            "injected_flits": self.injected_flits,
-            "ejected_flits": self.ejected_flits,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"MatchingInvariantChecker(cycles_checked={self.cycles_checked}, "
-            f"injected_flits={self.injected_flits}, "
-            f"ejected_flits={self.ejected_flits})"
-        )
 
 
 def checker_for(config, snapshot_ports: int = 8):
@@ -243,6 +157,4 @@ def checker_for(config, snapshot_ports: int = 8):
     """
     if config.uses_voq:
         return MatchingInvariantChecker(snapshot_ports=snapshot_ports)
-    from repro.check.invariants import InvariantChecker
-
     return InvariantChecker(snapshot_ports=snapshot_ports)

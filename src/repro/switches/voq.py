@@ -28,6 +28,10 @@ i.e. the flat crossbar):
    the head-of-line-age weight matrix; every matched pair locks a
    connection that starts streaming next cycle.
 
+Each input's :class:`VOQStage` stores only its non-empty VOQs, keyed by
+output.  Weight rows, the transmit stall test and the matching checker
+all read that one structure, so no counter can drift from the queues.
+
 Stuck-input faults freeze the whole input: no refill (so its VOQs
 stop growing), a zeroed row in the weight matrix (so iSLIP/MWM never
 chase the phantom backlog of a port that cannot transmit), and its
@@ -45,7 +49,7 @@ plus the VOQ-specific ``sched_grant``/``sched_accept`` rounds),
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import time
 
@@ -64,21 +68,18 @@ class VOQStage:
     """One input's virtual-output-queue bank.
 
     Fans the input's unbounded :class:`SourceQueue` into one flit FIFO
-    per output at one flit per cycle (the network-interface bandwidth).
-    ``nonempty`` is the set of outputs whose VOQ holds a flit: the
-    switch builds the input's head-age weight row from it alone.
+    per output (of ``num_outputs``) at one flit per cycle (the
+    network-interface bandwidth).  ``voqs`` holds only the non-empty
+    FIFOs: a refill creates a missing one, a pop that empties one
+    deletes it.
     """
 
-    __slots__ = ("input_id", "source", "voqs", "occupancy_row", "nonempty")
+    __slots__ = ("input_id", "source", "voqs")
 
     def __init__(self, input_id: int, num_outputs: int) -> None:
         self.input_id = input_id
         self.source = SourceQueue(input_id)
-        self.voqs: List[Deque[Flit]] = [deque() for _ in range(num_outputs)]
-        #: Per-output VOQ length in flits (the checker recounts it).
-        self.occupancy_row: List[int] = [0] * num_outputs
-        #: Outputs whose VOQ is non-empty; only refill and pop change it.
-        self.nonempty: Set[int] = set()
+        self.voqs: Dict[int, Deque[Flit]] = {}
 
     def refill(self) -> None:
         """Move up to one flit from the source queue into its VOQ."""
@@ -86,23 +87,23 @@ class VOQStage:
         if flit is None:
             return
         self.source.popleft()
-        dst = flit.dst
-        self.voqs[dst].append(flit)
-        self.occupancy_row[dst] += 1
-        self.nonempty.add(dst)
+        voq = self.voqs.get(flit.dst)
+        if voq is None:
+            self.voqs[flit.dst] = deque((flit,))
+        else:
+            voq.append(flit)
 
     def pop(self, output: int) -> Flit:
-        """Dequeue the front flit of the VOQ toward ``output``."""
+        """Dequeue the front flit of the (non-empty) VOQ toward ``output``."""
         voq = self.voqs[output]
-        self.occupancy_row[output] -= 1
         flit = voq.popleft()
         if not voq:
-            self.nonempty.discard(output)
+            del self.voqs[output]
         return flit
 
     def total_occupancy(self) -> int:
         """Flits resident in this stage (source queue + all VOQs)."""
-        return len(self.source) + sum(self.occupancy_row)
+        return len(self.source) + sum(map(len, self.voqs.values()))
 
 
 class VOQSwitch(SwitchModel):
@@ -285,7 +286,7 @@ class VOQSwitch(SwitchModel):
         tracer = self._tracer
         for inp, (resource, output) in self.connections.items():
             stage = self.stages[inp]
-            if not stage.voqs[output]:
+            if output not in stage.voqs:
                 # The rest of the packet has not refilled yet: the
                 # connection stalls this cycle but stays locked.
                 continue
@@ -344,22 +345,22 @@ class VOQSwitch(SwitchModel):
         any_request = False
         for stage in self.stages:
             inp = stage.input_id
-            nonempty = stage.nonempty
+            voqs = stage.voqs
             if (
-                not nonempty
+                not voqs
                 or inp in connections
                 or inp in stuck
                 or inp in cooling_inputs
             ):
                 weights.append(zero_row)
                 continue
-            # Only the non-empty VOQs can request: start from zeros and
-            # write the head age of each one whose output is free.
+            # Only the stored (non-empty) VOQs can request: start from
+            # zeros and write the head age of each one whose output is
+            # free (rows are indexed by output, so order is moot).
             row = zero_row[:]
-            voqs = stage.voqs
-            for out in nonempty:
+            for out, voq in voqs.items():
                 if not blocked[out]:
-                    row[out] = base - voqs[out][0].created_cycle
+                    row[out] = base - voq[0].created_cycle
                     any_request = True
             weights.append(row)
         if not any_request:

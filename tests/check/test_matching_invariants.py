@@ -5,6 +5,8 @@ scheduling state is corrupted, and the checker must raise the check the
 corruption breaks, naming the implicated ports.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.check import InvariantViolation
@@ -151,38 +153,42 @@ def test_grant_to_cooling_endpoint_is_illegal():
 
 
 @pytest.mark.parametrize("arbitration", ["islip", "mwm"])
-def test_voq_counter_drift_is_detected(arbitration):
-    switch, _, simulation = running_switch(arbitration)
-    # Move one count between two of stage 3's counters: the resident
-    # total is unchanged, so only the per-VOQ comparison can see it.
-    row = switch.stages[3].occupancy_row
-    row[2] += 1
-    row[5] -= 1
-    with pytest.raises(InvariantViolation) as excinfo:
-        simulation.run(measure_cycles=2)
-    violation = excinfo.value
-    assert violation.check == "voq_occupancy"
-    assert violation.resources == (3, 2)
+def test_flit_slipped_into_a_voq_breaks_conservation(arbitration):
+    switch, checker, _ = running_switch(arbitration)
+    # A flit that no injection counted, appended to a stored VOQ: the
+    # checker reads every stored VOQ's length each cycle, so the ledger
+    # sees the extra flit.
+    stage = next(stage for stage in switch.stages if stage.voqs)
+    voq = next(iter(stage.voqs.values()))
+    voq.append(voq[-1])
+    violation = recheck(switch, checker)
+    assert violation.check == "flit_conservation"
 
 
 @pytest.mark.parametrize("phantom", [False, True])
 def test_voq_support_drift_is_detected(phantom):
     switch, checker, _ = running_switch("mwm")
-    # The scheduler builds weight rows from each stage's non-empty set:
-    # a member dropped from it, or an empty VOQ added, is a request the
-    # weights misreport.  Counters and queues stay intact, so only the
-    # support check can see it.
-    stage, out = next(
-        (stage, out)
-        for stage in switch.stages
-        for out, voq in enumerate(stage.voqs)
-        if bool(voq) != phantom
-    )
+    # The scheduler builds weight rows from each stage's stored VOQs,
+    # which must be exactly its non-empty ones.  A stored empty VOQ is
+    # a request the weights misreport and breaks support; a non-empty
+    # VOQ dropped from its stage loses its flits and breaks
+    # conservation.
     if phantom:
-        stage.nonempty.add(out)
+        stage, out = next(
+            (stage, out)
+            for stage in switch.stages
+            for out in range(RADIX)
+            if out not in stage.voqs
+        )
+        stage.voqs[out] = deque()
     else:
-        stage.nonempty.discard(out)
+        stage = next(stage for stage in switch.stages if stage.voqs)
+        out = next(iter(stage.voqs))
+        del stage.voqs[out]
     violation = recheck(switch, checker)
-    assert violation.check == "voq_support"
-    assert violation.resources == (stage.input_id, out)
-    assert "non-empty set" in str(violation)
+    if phantom:
+        assert violation.check == "voq_support"
+        assert violation.resources == (stage.input_id, out)
+        assert "stores VOQ" in str(violation)
+    else:
+        assert violation.check == "flit_conservation"

@@ -45,7 +45,7 @@ def run_stuck_mwm():
         for flit in ejected:
             if flit.is_tail and in_window:
                 window_tails[flit.src] += 1
-        voq_levels[cycle] = sum(stage.occupancy_row)
+        voq_levels[cycle] = sum(map(len, stage.voqs.values()))
         backlog[cycle] = len(stage.source)
         if in_window and switch.grant_cycle.get(STUCK) == cycle:
             granted_while_stuck.append(cycle)

@@ -126,6 +126,40 @@ class TestCli:
         assert code == 0
         assert "events" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scheduler", [
+        ["--arbitration", "islip", "--islip-iterations", "4"],
+        ["--arbitration", "mwm"],
+    ], ids=["islip4", "mwm"])
+    def test_trace_voq_scheduler(self, scheduler, capsys, tmp_path):
+        # VOQ schemes trace the VOQ crossbar, byte for byte the capture
+        # of a VOQSwitch run by hand.
+        from repro.core.config import HiRiseConfig
+        from repro.network.engine import Simulation
+        from repro.obs.tracebin import BinaryTracer
+        from repro.switches import VOQSwitch
+        from repro.traffic import UniformRandomTraffic
+
+        path = tmp_path / "cli.tracebin"
+        code = main([
+            "trace", *scheduler, "--radix", "16", "--layers", "1",
+            "--channels", "1", "--cycles", "200", "--warmup", "20",
+            "--load", "0.3", "--binary", str(path),
+        ])
+        assert code == 0
+        assert "sched_grant" in capsys.readouterr().out
+        config = HiRiseConfig(
+            radix=16, layers=1, channel_multiplicity=1,
+            arbitration=scheduler[1],
+            islip_iterations=int(scheduler[-1]) if len(scheduler) > 2 else 1,
+        )
+        tracer = BinaryTracer()
+        Simulation(
+            VOQSwitch(config, tracer=tracer),
+            UniformRandomTraffic(16, 0.3, seed=1), warmup_cycles=20,
+        ).run(200)
+        tracer.save(str(tmp_path / "api.tracebin"))
+        assert path.read_bytes() == (tmp_path / "api.tracebin").read_bytes()
+
     @pytest.mark.parametrize("command", [
         ["trace", "--cycles", "150", "--warmup", "0", "--load", "0.3",
          "--validate", "--jsonl", "{tmp}/flat.jsonl"],

@@ -54,13 +54,16 @@ class TestVOQStage:
         factory = PacketFactory(3)
         stage.source.append_packet(factory.create(0, 2, created_cycle=0))
         stage.source.append_packet(factory.create(0, 1, created_cycle=0))
-        assert stage.occupancy_row == [0, 0, 0, 0]
-        for expected in ([0, 0, 1, 0], [0, 0, 2, 0], [0, 0, 3, 0],
-                         [0, 1, 3, 0]):
+        assert stage.voqs == {}
+        for expected in ({2: 1}, {2: 2}, {2: 3}, {2: 3, 1: 1}):
             stage.refill()
-            assert stage.occupancy_row == expected
-        assert [len(q) for q in stage.voqs] == stage.occupancy_row
-        assert stage.nonempty == {1, 2}
+            assert {out: len(q) for out, q in stage.voqs.items()} == expected
+        # Only non-empty VOQs are stored, each holding its own output's
+        # flits.
+        assert all(
+            flit.dst == out
+            for out, voq in stage.voqs.items() for flit in voq
+        )
         assert stage.total_occupancy() == 6  # 4 in VOQs + 2 in source
 
     def test_pop_dequeues_in_fifo_order_and_tracks_occupancy(self):
@@ -70,11 +73,12 @@ class TestVOQStage:
         stage.refill()
         stage.refill()
         head = stage.pop(1)
-        assert stage.nonempty == {1}
+        assert {out: len(q) for out, q in stage.voqs.items()} == {1: 1}
         tail = stage.pop(1)
         assert head.is_head and tail.is_tail
-        assert stage.occupancy_row == [0, 0]
-        assert stage.nonempty == set()
+        # The pop that empties a VOQ deletes it.
+        assert stage.voqs == {}
+        assert stage.total_occupancy() == 0
 
     def test_refill_on_empty_source_is_a_no_op(self):
         stage = VOQStage(0, 2)
