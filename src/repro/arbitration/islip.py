@@ -92,20 +92,16 @@ class ISLIPArbiter:
         matching: Matching = {}
         for iteration in range(self.iterations):
             # Request: unmatched inputs request all outputs with
-            # backlogged VOQs that are still unmatched.
-            requests: Dict[int, List[int]] = {}
-            if iteration == 0:
-                requests = {out: r for out, r in enumerate(requesters) if r}
-            else:
+            # backlogged VOQs that are still unmatched (a match is never
+            # undone, so each round filters the previous round's lists).
+            if iteration:
                 matched_outputs = set(matching.values())
-                for out, requesting in enumerate(requesters):
-                    if out in matched_outputs:
-                        continue
-                    requesting = [
-                        inp for inp in requesting if inp not in matching
-                    ]
-                    if requesting:
-                        requests[out] = requesting
+                requesters = [
+                    [] if out in matched_outputs
+                    else [inp for inp in requesting if inp not in matching]
+                    for out, requesting in enumerate(requesters)
+                ]
+            requests = {out: r for out, r in enumerate(requesters) if r}
             if not requests:
                 break
 

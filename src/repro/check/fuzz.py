@@ -12,9 +12,9 @@ with both kernels under an :class:`~repro.check.invariants.InvariantChecker`.
 A quarter of the cases run an iSLIP or MWM scheduler instead: the VOQ
 crossbar has one kernel, so :func:`run_voq_case` runs it under the
 :class:`~repro.check.matching.MatchingInvariantChecker` on every cycle.
-:func:`run_case` classifies the result as ``ok``, ``mismatch`` (kernels diverged),
-``violation`` (an invariant or drain stall fired), or ``error`` (an
-unclassified crash).  :func:`run_fuzz` shrinks every failure with
+:func:`run_case` classifies the result as ``ok``, ``mismatch`` (kernels
+diverged), ``violation`` (an invariant or drain stall fired), or
+``error`` (an unclassified crash).  :func:`run_fuzz` shrinks every failure with
 :func:`repro.check.minimize.minimize_case` and writes a replayable
 ``repro.check/v1`` JSON file per failure.
 
@@ -38,8 +38,8 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "TRAFFIC_KINDS",
-    "generate_cases",
     "VOQ_ARBITRATIONS",
+    "generate_cases",
     "run_case",
     "run_fuzz",
     "run_voq_case",
@@ -337,9 +337,8 @@ def run_case(
     strings, so they classify, minimize, and persist exactly like
     fast-vs-reference mismatches.
 
-    A VOQ case (iSLIP or MWM) runs through :func:`run_voq_case` instead;
-    it has no second kernel and no fleet lanes to compare, so it is
-    ``ok`` unless the matching checker or a drain stall raises.
+    A VOQ case runs through :func:`run_voq_case` instead: with no second
+    kernel and no fleet lanes, it is ``ok`` unless a check raises.
     """
     from repro.faults import verify_parity
 
@@ -380,15 +379,10 @@ def run_case(
 
 
 def run_voq_case(case: CaseSpec, invariants: bool = True, tracer=None):
-    """Run a VOQ case on :class:`~repro.switches.VOQSwitch`; return its
-    :class:`~repro.network.engine.SimulationResult`.
-
-    With ``invariants`` a
-    :class:`~repro.check.matching.MatchingInvariantChecker` verifies
-    every cycle, and a drain case that wedges raises
-    :class:`~repro.check.invariants.DrainStallError`.  ``tracer``
-    (optional) observes the run, e.g. to pin its event stream.
-    """
+    """Run a VOQ case on :class:`~repro.switches.VOQSwitch` (observed by
+    ``tracer``, checked every cycle when ``invariants``) and return its
+    :class:`~repro.network.engine.SimulationResult`; a wedged drain
+    raises :class:`~repro.check.invariants.DrainStallError`."""
     from repro.check.matching import MatchingInvariantChecker
     from repro.network.engine import Simulation
     from repro.switches import VOQSwitch
