@@ -22,9 +22,11 @@ import pytest
 
 from conftest import emit, run_once
 from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import ProbedSwitch, accepted_throughput
+from repro.harness.measure import SimulationMeasurement
+from repro.metrics import ProbedSwitch
+from repro.network.engine import Simulation
 from repro.physical import cost_of
-from repro.traffic import AdversarialTraffic, UniformRandomTraffic
+from repro.traffic import AdversarialTraffic
 from repro.traffic.adversarial import binning_adversarial
 
 POLICIES = ("input_binned", "output_binned", "priority")
@@ -40,13 +42,10 @@ def adversarial_point(policy):
         HiRiseConfig(allocation="input_binned", arbitration="clrg")
     )
     probe = ProbedSwitch(HiRiseSwitch(config))
-    result = accepted_throughput(
-        lambda: probe,
-        lambda load: AdversarialTraffic(64, load, demands, seed=3),
-        load=0.9,
+    result = Simulation(
+        probe, AdversarialTraffic(64, 0.9, demands, seed=3),
         warmup_cycles=500,
-        measure_cycles=3000,
-    )
+    ).run(3000)
     return (
         result.throughput_packets_per_cycle,
         probe.mean_channel_utilization(),
@@ -55,13 +54,9 @@ def adversarial_point(policy):
 
 def uniform_tbps(policy):
     config = config_for(policy)
-    result = accepted_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: UniformRandomTraffic(64, load, seed=7),
-        load=0.99,
-        warmup_cycles=400,
-        measure_cycles=2000,
-    )
+    result = SimulationMeasurement(
+        config, load=0.99, warmup_cycles=400, measure_cycles=2000,
+    ).run(seed=7)
     flits = result.throughput_flits_per_cycle
     return cost_of(config).throughput_tbps(flits)
 

@@ -12,9 +12,10 @@ WLRG, CLRG and AGE all reach the flat-LRG fair share.
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput, jain_index
-from repro.traffic import AdversarialTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement
+from repro.metrics import jain_index
+from repro.traffic import TrafficSpec
 from repro.traffic.adversarial import paper_adversarial_demands
 
 SCHEMES = ("l2l_lrg", "l2l_rr", "wlrg", "clrg", "age")
@@ -23,13 +24,10 @@ DEMANDS = paper_adversarial_demands()
 
 def shares_for(scheme):
     config = HiRiseConfig(arbitration=scheme)
-    result = accepted_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: AdversarialTraffic(64, load, DEMANDS, seed=5),
-        load=0.5,
-        warmup_cycles=1200,
-        measure_cycles=10000,
-    )
+    result = SimulationMeasurement(
+        config, traffic=TrafficSpec("adversarial", demands=DEMANDS),
+        load=0.5, warmup_cycles=1200, measure_cycles=10000,
+    ).run(seed=5)
     per_input = result.per_input_throughput(64)
     return {src: per_input[src] for src in sorted(DEMANDS)}
 

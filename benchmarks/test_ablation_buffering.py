@@ -10,10 +10,9 @@ a single VC suffers head-of-line loss, two VCs recover most of it, and the
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import saturation_throughput
+from repro.core import HiRiseConfig
+from repro.harness.measure import saturation_throughput
 from repro.network.port import PortConfig
-from repro.traffic import UniformRandomTraffic
 
 SWEEP = [
     (1, 4), (2, 4), (4, 4), (8, 4),   # VC count at fixed depth
@@ -26,10 +25,7 @@ def measure(num_vcs, vc_depth):
         port_config=PortConfig(num_vcs=num_vcs, vc_depth=vc_depth)
     )
     return saturation_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: UniformRandomTraffic(64, load, seed=7),
-        warmup_cycles=300,
-        measure_cycles=1500,
+        config, seed=7, warmup_cycles=300, measure_cycles=1500,
     )
 
 

@@ -14,22 +14,20 @@ ideal, and more classes add nothing.
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput, jain_index
-from repro.traffic import AdversarialTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement
+from repro.metrics import jain_index
+from repro.traffic import TrafficSpec
 from repro.traffic.adversarial import paper_adversarial_demands
 
 DEMANDS = paper_adversarial_demands()
 
 
 def fairness_of(config):
-    result = accepted_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: AdversarialTraffic(64, load, DEMANDS, seed=5),
-        load=0.5,
-        warmup_cycles=1200,
-        measure_cycles=10000,
-    )
+    result = SimulationMeasurement(
+        config, traffic=TrafficSpec("adversarial", demands=DEMANDS),
+        load=0.5, warmup_cycles=1200, measure_cycles=10000,
+    ).run(seed=5)
     per_input = result.per_input_throughput(64)
     shares = [per_input[src] for src in sorted(DEMANDS)]
     return jain_index(shares), sum(shares)

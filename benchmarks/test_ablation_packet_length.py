@@ -11,9 +11,9 @@ headline Hi-Rise switch.
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput, saturation_throughput
-from repro.traffic import UniformRandomTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement, saturation_throughput
+from repro.traffic import TrafficSpec
 
 LENGTHS = (1, 2, 4, 8)
 
@@ -26,23 +26,14 @@ def measure(num_flits):
     config = HiRiseConfig(
         port_config=PortConfig(num_vcs=4, vc_depth=max(4, num_flits))
     )
+    traffic = TrafficSpec(packet_flits=num_flits)
     saturation_flits = saturation_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: UniformRandomTraffic(
-            64, load, seed=7, packet_flits=num_flits
-        ),
-        warmup_cycles=300,
-        measure_cycles=1500,
+        config, traffic, seed=7, warmup_cycles=300, measure_cycles=1500,
     ) * num_flits
-    zero_load = accepted_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: UniformRandomTraffic(
-            64, load, seed=8, packet_flits=num_flits
-        ),
-        load=0.002,
-        warmup_cycles=200,
-        measure_cycles=3000,
-    ).avg_latency_cycles
+    zero_load = SimulationMeasurement(
+        config, traffic=traffic, load=0.002,
+        warmup_cycles=200, measure_cycles=3000,
+    ).run(seed=8).avg_latency_cycles
     return saturation_flits, zero_load
 
 

@@ -11,9 +11,9 @@ aggregate throughput is unaffected.
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput
-from repro.traffic import AdversarialTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement
+from repro.traffic import TrafficSpec
 
 # Contenders on three different layers plus one local, all -> output 60.
 CONTENDERS = {0: 60, 16: 60, 32: 60, 48: 60}
@@ -30,13 +30,10 @@ def run_system(qos: bool):
         qos_weights=tuple(weights) if qos else None,
         num_classes=8 if qos else 3,
     )
-    result = accepted_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: AdversarialTraffic(64, load, CONTENDERS, seed=4),
-        load=0.9,
-        warmup_cycles=1000,
-        measure_cycles=10000,
-    )
+    result = SimulationMeasurement(
+        config, traffic=TrafficSpec("adversarial", demands=CONTENDERS),
+        load=0.9, warmup_cycles=1000, measure_cycles=10000,
+    ).run(seed=4)
     per_input = result.per_input_throughput(64)
     return {src: per_input[src] for src in sorted(CONTENDERS)}
 

@@ -11,9 +11,8 @@ priority allocation policies.
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import saturation_throughput
-from repro.traffic import UniformRandomTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import saturation_throughput
 
 # Progressive failure sets: kill channel 0 of more and more layer pairs.
 FAILURE_STAGES = {
@@ -33,10 +32,7 @@ FAILURE_STAGES = {
 def measure(allocation, failed):
     config = HiRiseConfig(allocation=allocation, failed_channels=failed)
     return saturation_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: UniformRandomTraffic(64, load, seed=7),
-        warmup_cycles=300,
-        measure_cycles=1500,
+        config, seed=7, warmup_cycles=300, measure_cycles=1500,
     )
 
 

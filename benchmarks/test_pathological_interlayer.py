@@ -10,17 +10,17 @@ dedicated channel's bandwidth, not fairness.
 import pytest
 
 from conftest import emit, run_once
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import saturation_throughput
-from repro.switches import SwizzleSwitch2D
-from repro.traffic import AdversarialTraffic, interlayer_worstcase
+from repro.core import HiRiseConfig
+from repro.harness.measure import saturation_throughput
+from repro.traffic import TrafficSpec, interlayer_worstcase
 
 
-def measure(factory, demands):
+def measure(config, demands):
     return saturation_throughput(
-        factory,
-        lambda load: AdversarialTraffic(64, load, demands, seed=3),
+        config,
+        TrafficSpec("adversarial", demands=demands),
         overdrive_load=0.99,
+        seed=3,
         warmup_cycles=400,
         measure_cycles=2000,
     )
@@ -31,11 +31,12 @@ def test_pathological_interlayer_corner(benchmark):
         results = {}
         config = HiRiseConfig(arbitration="clrg")
         demands = interlayer_worstcase(config)
-        results["2D"] = measure(lambda: SwizzleSwitch2D(64), demands)
+        results["2D"] = measure(
+            HiRiseConfig(radix=64, layers=1, channel_multiplicity=1), demands
+        )
         for arbitration in ("l2l_lrg", "clrg"):
-            cfg = HiRiseConfig(arbitration=arbitration)
             results[arbitration] = measure(
-                lambda cfg=cfg: HiRiseSwitch(cfg), demands
+                HiRiseConfig(arbitration=arbitration), demands
             )
         return results
 

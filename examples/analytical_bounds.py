@@ -13,9 +13,9 @@ Run:  python examples/analytical_bounds.py
 """
 
 from repro.analysis import bottleneck, throughput_bound
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import saturation_throughput
-from repro.traffic import AdversarialTraffic, HotspotTraffic, UniformRandomTraffic
+from repro.core import HiRiseConfig
+from repro.harness import saturation_throughput
+from repro.traffic import TrafficSpec
 from repro.traffic.adversarial import interlayer_worstcase, paper_adversarial_demands
 
 
@@ -26,19 +26,12 @@ def uniform_demands(config, rate=1.0):
     }
 
 
-def simulate(config, traffic_factory):
-    return saturation_throughput(
-        lambda: HiRiseSwitch(config),
-        traffic_factory,
-        warmup_cycles=400,
-        measure_cycles=2000,
-    )
-
-
-def report(name, config, demands, traffic_factory):
+def report(name, config, demands, traffic, seed):
     bound = throughput_bound(config, demands)
     worst = bottleneck(config, demands)
-    measured = simulate(config, traffic_factory)
+    measured = saturation_throughput(
+        config, traffic, seed=seed, warmup_cycles=400, measure_cycles=2000,
+    )
     print(f"{name:<28} bound {bound:6.2f}  measured {measured:6.2f} "
           f"({measured / bound:5.1%})  bottleneck: {worst.resource}")
 
@@ -52,7 +45,8 @@ def main() -> None:
             f"uniform random, c={channels}",
             config,
             uniform_demands(config),
-            lambda load: UniformRandomTraffic(64, load, seed=7),
+            TrafficSpec(),
+            seed=7,
         )
 
     config = HiRiseConfig()
@@ -60,7 +54,8 @@ def main() -> None:
         "hotspot (all -> o/p 63)",
         config,
         {(src, 63): 1.0 for src in range(64)},
-        lambda load: HotspotTraffic(64, load, hotspot_output=63, seed=5),
+        TrafficSpec("hotspot"),
+        seed=5,
     )
 
     flows = paper_adversarial_demands()
@@ -68,7 +63,8 @@ def main() -> None:
         "Sec III-B adversarial",
         config,
         {pair: 1.0 for pair in flows.items()},
-        lambda load: AdversarialTraffic(64, load, flows, seed=5),
+        TrafficSpec("adversarial", demands=flows),
+        seed=5,
     )
 
     worstcase = interlayer_worstcase(config)
@@ -76,7 +72,8 @@ def main() -> None:
         "Sec VI-B pathological",
         config,
         {pair: 1.0 for pair in worstcase.items()},
-        lambda load: AdversarialTraffic(64, load, worstcase, seed=5),
+        TrafficSpec("adversarial", demands=worstcase),
+        seed=5,
     )
 
     print("\nSingle-resource contention saturates the bound; distributed")

@@ -9,11 +9,10 @@ the paper picks — the 4-channel, 4-layer switch.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import saturation_throughput
+from repro.core import HiRiseConfig
+from repro.harness import saturation_throughput
 from repro.physical import cost_of, frequency_ghz
 from repro.physical.geometry import flat2d_geometry, hirise_sweep_geometry
-from repro.traffic import UniformRandomTraffic
 
 
 def sweep_layers() -> None:
@@ -48,10 +47,7 @@ def sweep_channels() -> None:
                               arbitration="l2l_lrg")
         cost = cost_of(config)
         flits = saturation_throughput(
-            lambda config=config: HiRiseSwitch(config),
-            lambda load: UniformRandomTraffic(64, load, seed=3),
-            warmup_cycles=300,
-            measure_cycles=1500,
+            config, seed=3, warmup_cycles=300, measure_cycles=1500,
         ) * 4
         tbps = cost.throughput_tbps(flits)
         rows.append((channels, cost, tbps))

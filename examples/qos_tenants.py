@@ -11,11 +11,11 @@ every input flooding the same storage port.
 Run:  python examples/qos_tenants.py
 """
 
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput
-from repro.traffic import HotspotTraffic
+from repro.core import HiRiseConfig
+from repro.harness import SimulationMeasurement
+from repro.traffic import TrafficSpec
 
-STORAGE_PORT = 63
+STORAGE_PORT = 63                     # hotspot traffic's output: radix - 1
 FOREGROUND = list(range(0, 16))       # layer 1: the latency-critical tenant
 
 
@@ -25,14 +25,11 @@ def run(weights):
         qos_weights=weights,
         num_classes=8 if weights else 3,
     )
-    result = accepted_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: HotspotTraffic(64, load, hotspot_output=STORAGE_PORT,
-                                    seed=3),
+    result = SimulationMeasurement(
+        config, traffic=TrafficSpec("hotspot"),
         load=0.02,  # well above the hotspot's fair share
-        warmup_cycles=1500,
-        measure_cycles=15000,
-    )
+        warmup_cycles=1500, measure_cycles=15000,
+    ).run(seed=3)
     shares = result.per_input_throughput(64)
     fg = sum(shares[i] for i in FOREGROUND)
     bg = sum(shares[i] for i in range(64) if i not in FOREGROUND)

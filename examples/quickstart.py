@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import HiRiseConfig, HiRiseSwitch, Simulation
-from repro.metrics import saturation_throughput, summarize
+from repro.harness import saturation_throughput
+from repro.metrics import summarize
 from repro.physical import cost_of
 from repro.traffic import UniformRandomTraffic
 
@@ -44,10 +45,7 @@ def main() -> None:
 
     # --- saturation throughput ------------------------------------------
     flits = saturation_throughput(
-        lambda: HiRiseSwitch(config),
-        lambda load: UniformRandomTraffic(config.radix, load, seed=2),
-        warmup_cycles=500,
-        measure_cycles=2500,
+        config, seed=2, warmup_cycles=500, measure_cycles=2500,
     ) * 4
     tbps = cost.throughput_tbps(flits)
     print("\nSaturation throughput (uniform random):")

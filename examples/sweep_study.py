@@ -9,29 +9,29 @@ the paper's own tables and figures.
 Run:  python examples/sweep_study.py
 """
 
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.harness import parameter_grid, render_sweep, run_sweep, to_series
+from repro.core import HiRiseConfig
+from repro.harness import (
+    parameter_grid,
+    render_sweep,
+    run_sweep,
+    saturation_throughput,
+    to_series,
+)
 from repro.harness.export import export_series_csv
-from repro.metrics import saturation_throughput
 from repro.physical import cost_of
-from repro.switches import SwizzleSwitch2D
-from repro.traffic import UniformRandomTraffic
 
 
 def delivered_tbps(seed, radix, design):
     """Saturation throughput in Tbps at the design's modelled clock."""
     if design == "2d":
-        factory = lambda: SwizzleSwitch2D(radix)
+        # The flat crossbar is the one-layer Hi-Rise switch.
+        config = HiRiseConfig(radix=radix, layers=1, channel_multiplicity=1)
         cost = cost_of("2d", radix=radix)
     else:
         config = HiRiseConfig(radix=radix, layers=4, channel_multiplicity=4)
-        factory = lambda: HiRiseSwitch(config)
         cost = cost_of(config)
     flits = saturation_throughput(
-        factory,
-        lambda load: UniformRandomTraffic(radix, load, seed=seed),
-        warmup_cycles=250,
-        measure_cycles=1200,
+        config, seed=seed, warmup_cycles=250, measure_cycles=1200,
     ) * 4
     return cost.throughput_tbps(flits)
 

@@ -9,14 +9,17 @@ Public API highlights:
   :class:`repro.switches.FoldedSwitch3D` — the 2D and folded baselines,
   both the one-layer Hi-Rise switch;
 * :mod:`repro.traffic` — synthetic traffic patterns (uniform random,
-  hotspot, bursty, adversarial, ...);
-* :mod:`repro.metrics` — latency/throughput/fairness statistics and the
-  saturation-throughput search;
+  hotspot, bursty, adversarial, ...), named by a
+  :class:`repro.traffic.TrafficSpec`;
+* :mod:`repro.metrics` — latency/throughput/fairness statistics and
+  confidence intervals;
 * :mod:`repro.physical` — calibrated 32 nm area/frequency/energy/TSV cost
   models;
 * :mod:`repro.manycore` — the 64-core application-level simulator
   (Table VI);
-* :mod:`repro.harness` — regenerates every table and figure of the paper.
+* :mod:`repro.harness` — regenerates every table and figure of the paper;
+  :class:`repro.harness.SimulationMeasurement` measures one switch point
+  and :func:`repro.harness.saturation_throughput` its saturation.
 """
 
 from repro.core import HiRiseConfig, HiRiseSwitch

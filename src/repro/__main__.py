@@ -38,10 +38,10 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core import HiRiseConfig, HiRiseSwitch
+from repro.core import HiRiseConfig
 from repro.network.engine import Simulation
 from repro.physical import cost_of
-from repro.traffic import HotspotTraffic, UniformRandomTraffic
+from repro.traffic import TrafficSpec
 
 
 def _build_design(args):
@@ -65,10 +65,15 @@ def _build_config(args) -> HiRiseConfig:
     return _build_design(args)
 
 
-def _build_switch(args):
-    from repro.switches import make_switch
-
-    return make_switch(_build_config(args))
+def _reference_kernel_refused(command: str, flag: str, config) -> bool:
+    """Report (and return True) when ``flag`` asks the reference kernel
+    for a VOQ scheme: that kernel models the paper's schemes only."""
+    if not config.uses_voq:
+        return False
+    print(f"{command}: the reference kernel has no VOQ twin for "
+          f"--arbitration {config.arbitration.value} (drop {flag})",
+          file=sys.stderr)
+    return True
 
 
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
@@ -100,20 +105,17 @@ def cmd_cost(args) -> int:
     return 0
 
 
-def _build_traffic(args):
-    if args.traffic == "uniform":
-        return UniformRandomTraffic(args.radix, args.load, seed=args.seed)
-    return HotspotTraffic(
-        args.radix, args.load, hotspot_output=args.radix - 1,
-        seed=args.seed,
-    )
-
-
 def cmd_simulate(args) -> int:
-    switch = _build_switch(args)
-    traffic = _build_traffic(args)
-    sim = Simulation(switch, traffic, warmup_cycles=args.warmup)
-    result = sim.run(args.cycles, drain=args.drain)
+    from repro.harness.measure import SimulationMeasurement
+
+    result = SimulationMeasurement(
+        _build_config(args),
+        traffic=TrafficSpec(args.traffic),
+        load=args.load,
+        warmup_cycles=args.warmup,
+        measure_cycles=args.cycles,
+        drain=args.drain,
+    ).run(args.seed)
     print(f"simulated {args.cycles} cycles at load "
           f"{args.load} packets/input/cycle ({args.traffic})")
     print(f"  delivered  : {result.packets_ejected} packets")
@@ -357,6 +359,8 @@ def cmd_trace(args) -> int:
     )
     config = _build_config(args)
     if args.kernel == "reference":
+        if _reference_kernel_refused("trace", "--kernel reference", config):
+            return 2
         from repro.core.reference import ReferenceHiRiseSwitch
 
         switch = ReferenceHiRiseSwitch(config, tracer=tracer)
@@ -364,7 +368,8 @@ def cmd_trace(args) -> int:
         from repro.switches import make_switch
 
         switch = make_switch(config, tracer=tracer)
-    sim = Simulation(switch, _build_traffic(args), warmup_cycles=args.warmup)
+    traffic = TrafficSpec(args.traffic).build(args.radix, args.load, args.seed)
+    sim = Simulation(switch, traffic, warmup_cycles=args.warmup)
     start = time.perf_counter()
     result = sim.run(args.cycles, drain=args.drain)
     elapsed = time.perf_counter() - start
@@ -490,6 +495,10 @@ def cmd_faults(args) -> int:
     from repro.harness.report import render_degradation_markdown
 
     config = _build_config(args)
+    for used, flag in ((args.kernel == "reference", "--kernel reference"),
+                       (args.parity, "--parity")):
+        if used and _reference_kernel_refused("faults", flag, config):
+            return 2
     if args.generate is not None:
         try:
             schedule = FaultSchedule.random(
@@ -616,9 +625,11 @@ def cmd_stats(args) -> int:
 
     from repro.metrics.probe import ProbedSwitch
     from repro.obs import StatsRegistry
+    from repro.switches import make_switch
 
-    switch = ProbedSwitch(_build_switch(args))
-    sim = Simulation(switch, _build_traffic(args), warmup_cycles=args.warmup)
+    switch = ProbedSwitch(make_switch(_build_config(args)))
+    traffic = TrafficSpec(args.traffic).build(args.radix, args.load, args.seed)
+    sim = Simulation(switch, traffic, warmup_cycles=args.warmup)
     result = sim.run(args.cycles, drain=args.drain)
     registry = StatsRegistry()
     result.to_stats(registry, num_ports=args.radix)

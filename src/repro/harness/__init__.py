@@ -5,6 +5,8 @@ series of Figs 9(a)-(c), 10, 11(a)-(c) and 12; ``report`` renders either
 as aligned text with paper-vs-measured columns.  All entry points accept
 quality parameters (simulated cycles, warm-up) so the benchmark suite can
 run them at reduced cost while scripts reproduce the full-quality runs.
+Every simulated point is a :class:`SimulationMeasurement` over a config
+and a :class:`~repro.traffic.TrafficSpec` (``measure``).
 """
 
 from repro.harness.tables import (
@@ -32,7 +34,11 @@ from repro.harness.report import (
     render_table,
 )
 from repro.harness.export import export_rows_csv, export_series_csv
-from repro.harness.measure import METRICS, SimulationMeasurement
+from repro.harness.measure import (
+    METRICS,
+    SimulationMeasurement,
+    saturation_throughput,
+)
 from repro.harness.parallel import ResiliencePolicy, TaskFailure, replicate
 from repro.harness.schedulers import (
     SCHEDULER_SPECS,
@@ -73,6 +79,7 @@ __all__ = [
     "METRICS",
     "ResiliencePolicy",
     "SimulationMeasurement",
+    "saturation_throughput",
     "TaskFailure",
     "replicate",
     "SCHEDULERS_SCHEMA",

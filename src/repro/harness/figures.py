@@ -9,8 +9,9 @@ the paper uses cycles, Fig 11a), throughput in packets/ns, area in mm^2.
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput, saturation_throughput
+from repro.core import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement, saturation_throughput
+from repro.harness.tables import FLAT_64
 from repro.physical import (
     cost_of,
     energy_per_transaction_pj,
@@ -19,8 +20,7 @@ from repro.physical import (
 )
 from repro.physical.geometry import hirise_sweep_geometry
 from repro.physical.technology import Technology
-from repro.switches import FoldedSwitch3D, SwizzleSwitch2D
-from repro.traffic import AdversarialTraffic, HotspotTraffic, UniformRandomTraffic
+from repro.traffic import TrafficSpec
 from repro.traffic.adversarial import paper_adversarial_demands
 
 Series = List[Tuple[float, float]]
@@ -96,14 +96,11 @@ def fig9c_energy_vs_radix(
 # ----------------------------------------------------------------------
 def _fig10_designs():
     return {
-        "2D": (lambda: SwizzleSwitch2D(64), cost_of("2d").frequency_ghz),
+        "2D": (FLAT_64, cost_of("2d").frequency_ghz),
         "3D 4-Channel": _hirise_entry(4),
         "3D 2-Channel": _hirise_entry(2),
         "3D 1-Channel": _hirise_entry(1),
-        "3D Folded": (
-            lambda: FoldedSwitch3D(64, 4),
-            cost_of("folded").frequency_ghz,
-        ),
+        "3D Folded": (FLAT_64, cost_of("folded").frequency_ghz),
     }
 
 
@@ -112,7 +109,27 @@ def _hirise_entry(channels: int, arbitration: str = "l2l_lrg"):
         radix=64, layers=4, channel_multiplicity=channels,
         arbitration=arbitration,
     )
-    return (lambda: HiRiseSwitch(config), cost_of(config).frequency_ghz)
+    return (config, cost_of(config).frequency_ghz)
+
+
+def _uniform_load_sweep(
+    config: HiRiseConfig,
+    freq: float,
+    loads_per_ns: Sequence[float],
+    warmup_cycles: int,
+    measure_cycles: int,
+    seed: int,
+):
+    """(load packets/input/ns, result) per load, converted to
+    packets/input/cycle at the design's clock ``freq`` (GHz)."""
+    period_ns = 1.0 / freq
+    measurement = SimulationMeasurement(
+        config, warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
+    )
+    return [
+        (load_ns, measurement.run(seed, load=min(1.0, load_ns * period_ns)))
+        for load_ns in loads_per_ns
+    ]
 
 
 def fig10_latency_vs_load(
@@ -128,22 +145,19 @@ def fig10_latency_vs_load(
     latency of delivered packets, producing the hockey stick.
     """
     results: Dict[str, List[Tuple[float, float, float]]] = {}
-    for name, (factory, freq) in _fig10_designs().items():
+    for name, (config, freq) in _fig10_designs().items():
         period_ns = 1.0 / freq
-        points = []
-        for load_ns in loads_per_ns:
-            load_cycle = min(1.0, load_ns * period_ns)
-            result = accepted_throughput(
-                factory,
-                lambda load: UniformRandomTraffic(64, load, seed=seed),
-                load_cycle,
-                warmup_cycles=warmup_cycles,
-                measure_cycles=measure_cycles,
+        results[name] = [
+            (
+                load_ns,
+                result.avg_latency_cycles * period_ns,
+                result.throughput_packets_per_cycle * freq,
             )
-            latency_ns = result.avg_latency_cycles * period_ns
-            accepted_per_ns = result.throughput_packets_per_cycle * freq
-            points.append((load_ns, latency_ns, accepted_per_ns))
-        results[name] = points
+            for load_ns, result in _uniform_load_sweep(
+                config, freq, loads_per_ns, warmup_cycles, measure_cycles,
+                seed,
+            )
+        ]
     return results
 
 
@@ -151,7 +165,7 @@ def fig10_latency_vs_load(
 # Fig 11: arbitration schemes (cycle simulation)
 # ----------------------------------------------------------------------
 def _fig11_designs():
-    designs = {"2D": (lambda: SwizzleSwitch2D(64), cost_of("2d").frequency_ghz)}
+    designs = {"2D": (FLAT_64, cost_of("2d").frequency_ghz)}
     for arbitration, label in _ARBITRATION_LABELS.items():
         designs[label] = _hirise_entry(4, arbitration)
     return designs
@@ -159,13 +173,13 @@ def _fig11_designs():
 
 def fig11a_hotspot_latency(
     load_fraction: float = 1.0,
-    hotspot_output: int = 63,
     warmup_cycles: int = 2000,
     measure_cycles: int = 20000,
     seed: int = 5,
 ) -> Dict[str, List[float]]:
     """Fig 11(a): per-input average latency (cycles) under hotspot traffic
-    at ``load_fraction`` of each design's hotspot saturation load.
+    (every input to output 63) at ``load_fraction`` of each design's
+    hotspot saturation load.
 
     The paper quotes 80% of saturation; with this simulator's overdrive
     plateau as the saturation estimate, the figure's latency magnitudes
@@ -173,26 +187,18 @@ def fig11a_hotspot_latency(
     for the flat 2D switch) are reproduced at the plateau itself
     (``load_fraction=1.0``, the default), while 0.8 gives the same
     ordering with milder magnitudes — see EXPERIMENTS.md."""
+    hotspot = TrafficSpec("hotspot")
     results: Dict[str, List[float]] = {}
-    for name, (factory, _freq) in _fig11_designs().items():
+    for name, (config, _freq) in _fig11_designs().items():
         sat_packets = saturation_throughput(
-            factory,
-            lambda load: HotspotTraffic(
-                64, load, hotspot_output=hotspot_output, seed=seed
-            ),
+            config, hotspot, seed=seed,
             warmup_cycles=warmup_cycles // 2,
             measure_cycles=measure_cycles // 4,
         )
-        per_input_load = load_fraction * sat_packets / 64
-        result = accepted_throughput(
-            factory,
-            lambda load: HotspotTraffic(
-                64, load, hotspot_output=hotspot_output, seed=seed
-            ),
-            per_input_load,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
-        )
+        result = SimulationMeasurement(
+            config, traffic=hotspot, load=load_fraction * sat_packets / 64,
+            warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
+        ).run(seed)
         results[name] = result.per_input_avg_latency(64)
     return results
 
@@ -205,22 +211,16 @@ def fig11b_arbitration_throughput(
 ) -> Dict[str, Series]:
     """Fig 11(b): accepted throughput (packets/ns) vs offered load for the
     arbitration schemes under uniform random traffic."""
-    results: Dict[str, Series] = {}
-    for name, (factory, freq) in _fig11_designs().items():
-        period_ns = 1.0 / freq
-        points = []
-        for load_ns in loads_per_ns:
-            load_cycle = min(1.0, load_ns * period_ns)
-            result = accepted_throughput(
-                factory,
-                lambda load: UniformRandomTraffic(64, load, seed=seed),
-                load_cycle,
-                warmup_cycles=warmup_cycles,
-                measure_cycles=measure_cycles,
+    return {
+        name: [
+            (load_ns, result.throughput_packets_per_cycle * freq)
+            for load_ns, result in _uniform_load_sweep(
+                config, freq, loads_per_ns, warmup_cycles, measure_cycles,
+                seed,
             )
-            points.append((load_ns, result.throughput_packets_per_cycle * freq))
-        results[name] = points
-    return results
+        ]
+        for name, (config, freq) in _fig11_designs().items()
+    }
 
 
 def fig11c_adversarial_throughput(
@@ -236,19 +236,18 @@ def fig11c_adversarial_throughput(
     L2LC (3 mod 4 == 15 mod 4), reproducing the contention of the
     1-channel walk-through on the headline 4-channel configuration.
     """
-    demands = paper_adversarial_demands()
+    adversarial = TrafficSpec(
+        "adversarial", demands=paper_adversarial_demands()
+    )
     results: Dict[str, Dict[int, float]] = {}
-    for name, (factory, freq) in _fig11_designs().items():
-        result = accepted_throughput(
-            factory,
-            lambda load: AdversarialTraffic(64, load, demands, seed=seed),
-            load_per_cycle,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
-        )
+    for name, (config, freq) in _fig11_designs().items():
+        result = SimulationMeasurement(
+            config, traffic=adversarial, load=load_per_cycle,
+            warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
+        ).run(seed)
         per_cycle = result.per_input_throughput(64)
         results[name] = {
-            src: per_cycle[src] * freq for src in sorted(demands)
+            src: per_cycle[src] * freq for src, _dst in adversarial.demands
         }
     return results
 

@@ -1,30 +1,41 @@
-"""Fleet-aware scalar measurements for sweeps and replications.
+"""One measured single-switch run, and its fleet-aware scalar form.
 
-:class:`SimulationMeasurement` is the bridge between the harness task
-model — ``measurement(seed=..., **parameters) -> float`` — and the
-batched fleet kernel (:mod:`repro.core.fleet`).  It is a module-level,
-picklable callable, so it parallelises over worker processes like any
-other measurement; in addition it can describe each task as a
+:class:`SimulationMeasurement` is the one place a measured
+single-switch :class:`~repro.network.engine.Simulation` is built: a
+config, a :class:`~repro.traffic.TrafficSpec`, a load and a window.
+:meth:`SimulationMeasurement.run` returns the run's
+:class:`~repro.network.engine.SimulationResult`; calling the
+measurement reduces that result to one scalar, which is the harness
+task model — ``measurement(seed=..., **parameters) -> float`` — so it
+parallelises over worker processes like any other measurement.
+:func:`saturation_throughput` is the paper's overdriven saturation
+point on the same path.
+
+A measurement can also describe each task as a
 :class:`~repro.core.fleet.LanePlan`, which lets the executors in
 :mod:`repro.harness.parallel` batch groups of compatible tasks (same
 config and simulation windows, different seeds/faults) through one
-fleet kernel at close to one-run cost.
-
-The fleet path is an *optimisation, never a semantic change*: lane
-results are bit-identical to scalar runs, and any task the fleet cannot
-take — unsupported config, a tracer factory that is not
-fleet-capable, or ``invariants=True`` — simply runs on the scalar
-kernel.  Fleet-capable tracer factories (those advertising
-``fleet_capable = True``, like
+fleet kernel at close to one-run cost.  The fleet path is an
+*optimisation, never a semantic change*: lane results are bit-identical
+to scalar runs, and any task the fleet cannot take — unsupported
+config, a tracer factory that is not fleet-capable, or
+``invariants=True`` — simply runs on the scalar kernel.  Fleet-capable
+tracer factories (those advertising ``fleet_capable = True``, like
 :class:`repro.obs.tracebin.BinaryTracerFactory`) ride the fleet
 natively: the batched kernel emits binary per-lane event streams that
 are bit-identical to what the scalar tracer would have recorded.
 """
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, Optional
 
-from repro.network.engine import DEFAULT_LATENCY_SAMPLE_LIMIT, Simulation
+from repro.network.engine import (
+    DEFAULT_LATENCY_SAMPLE_LIMIT,
+    Simulation,
+    SimulationResult,
+)
+from repro.traffic.spec import TrafficSpec
 
 #: Metrics a SimulationMeasurement can reduce a SimulationResult to.
 METRICS = (
@@ -35,39 +46,17 @@ METRICS = (
 )
 
 
-class _UniformTrafficFactory:
-    """Zero-argument, picklable builder of a fresh uniform-random source.
-
-    Fleet lanes cannot share traffic objects (each holds private RNG
-    state), so plans carry a factory rather than a source.
-    """
-
-    def __init__(self, num_ports: int, load: float, packet_flits: int,
-                 seed: int) -> None:
-        self.num_ports = num_ports
-        self.load = load
-        self.packet_flits = packet_flits
-        self.seed = seed
-
-    def __call__(self):
-        from repro.traffic.uniform import UniformRandomTraffic
-
-        return UniformRandomTraffic(
-            self.num_ports, self.load,
-            packet_flits=self.packet_flits, seed=self.seed,
-        )
-
-
 class SimulationMeasurement:
-    """One simulation run reduced to a scalar, as a picklable callable.
+    """One simulation run (or its scalar reduction), as a picklable callable.
 
     Args:
         config: Base :class:`~repro.core.config.HiRiseConfig`.  Sweep
             parameters may override any config field by name (via
             ``dataclasses.replace``) and ``load`` directly.
+        traffic: The :class:`~repro.traffic.TrafficSpec` every run
+            builds its source from (uniform random by default).
         metric: One of :data:`METRICS`.
-        load: Offered load for the uniform-random traffic source.
-        packet_flits: Flits per generated packet.
+        load: Offered load in packets/input/cycle.
         warmup_cycles / measure_cycles / drain: Simulation window.
         faults: Optional :class:`~repro.faults.FaultSchedule` shared by
             every run (each run gets a private cursor).
@@ -90,14 +79,17 @@ class SimulationMeasurement:
             fleet — one counters object profiles the whole batch; a
             factory without ``fleet_capable`` forces the scalar path
             with an explicit ``RuntimeWarning`` naming it.
+
+    After a scalar run, :attr:`checker` holds that run's invariant
+    checker (``None`` without ``invariants``).
     """
 
     def __init__(
         self,
         config,
+        traffic: TrafficSpec = TrafficSpec(),
         metric: str = "throughput",
         load: float = 0.9,
-        packet_flits: int = 4,
         warmup_cycles: int = 40,
         measure_cycles: int = 300,
         drain: bool = False,
@@ -111,9 +103,9 @@ class SimulationMeasurement:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r} (one of {METRICS})")
         self.config = config
+        self.traffic = traffic
         self.metric = metric
         self.load = load
-        self.packet_flits = packet_flits
         self.warmup_cycles = warmup_cycles
         self.measure_cycles = measure_cycles
         self.drain = drain
@@ -123,6 +115,7 @@ class SimulationMeasurement:
         self.invariants = invariants
         self.latency_sample_limit = latency_sample_limit
         self.perf_factory = perf_factory
+        self.checker = None
 
     # ------------------------------------------------------------------
     # Task resolution
@@ -144,15 +137,17 @@ class SimulationMeasurement:
         )
         return config, load, traffic_seed
 
-    def _traffic_factory(self, config, load: float, traffic_seed: int):
-        return _UniformTrafficFactory(
-            config.radix, load, self.packet_flits, traffic_seed
-        )
-
     # ------------------------------------------------------------------
     # Scalar path
     # ------------------------------------------------------------------
-    def __call__(self, seed: int = 0, **overrides) -> float:
+    def run(self, seed: int = 0, **overrides) -> SimulationResult:
+        """Run this task on the scalar kernel and return its result.
+
+        Builds the switch :func:`repro.switches.make_switch` makes for
+        the resolved config, with this measurement's attachments, and a
+        fresh traffic source seeded by the task seed (or the pinned
+        ``traffic_seed``).
+        """
         config, load, traffic_seed = self._resolve(seed, overrides)
         from repro.switches import make_switch
 
@@ -165,6 +160,7 @@ class SimulationMeasurement:
             from repro.check.matching import checker_for
 
             checker = checker_for(config)
+        self.checker = checker
         perf = (
             self.perf_factory() if self.perf_factory is not None else None
         )
@@ -172,14 +168,17 @@ class SimulationMeasurement:
             config, tracer=tracer, faults=self.faults, invariants=checker,
             perf=perf,
         )
-        traffic = self._traffic_factory(config, load, traffic_seed)()
+        traffic = self.traffic.build(config.radix, load, traffic_seed)
         simulation = Simulation(
             switch, traffic,
             warmup_cycles=self.warmup_cycles,
             latency_sample_limit=self.latency_sample_limit,
         )
-        result = simulation.run(self.measure_cycles, drain=self.drain)
-        return self.value_from_result(result, config)
+        return simulation.run(self.measure_cycles, drain=self.drain)
+
+    def __call__(self, seed: int = 0, **overrides) -> float:
+        config = self._resolve(seed, overrides)[0]
+        return self.value_from_result(self.run(seed, **overrides), config)
 
     # ------------------------------------------------------------------
     # Fleet path
@@ -231,8 +230,8 @@ class SimulationMeasurement:
             return None
         return LanePlan(
             config=config,
-            traffic_factory=self._traffic_factory(
-                config, load, traffic_seed
+            traffic_factory=partial(
+                self.traffic.build, config.radix, load, traffic_seed
             ),
             faults=self.faults,
             warmup_cycles=self.warmup_cycles,
@@ -251,16 +250,18 @@ class SimulationMeasurement:
         checkpoint.  The traffic seed stands in for the task seed (a
         pinned one makes every task identical).  Observers — the tracer
         and perf factories and the invariant checker — are left out:
-        they never change a value.
+        they never change a value.  Uniform traffic is identified by
+        ``"traffic": "uniform"`` and its packet length alone; other
+        patterns name themselves and, when adversarial, their demands.
         """
         from repro.obs.perf import config_fingerprint
 
         config, load, traffic_seed = self._resolve(seed, overrides)
-        return {
+        identity = {
             "config": config_fingerprint(config),
-            "traffic": "uniform",
+            "traffic": self.traffic.pattern,
             "load": float(load),
-            "packet_flits": self.packet_flits,
+            "packet_flits": self.traffic.packet_flits,
             "traffic_seed": traffic_seed,
             "faults": (
                 self.faults.to_records() if self.faults is not None
@@ -272,6 +273,9 @@ class SimulationMeasurement:
             "latency_sample_limit": self.latency_sample_limit,
             "metric": self.metric,
         }
+        if self.traffic.demands is not None:
+            identity["demands"] = [list(pair) for pair in self.traffic.demands]
+        return identity
 
     # ------------------------------------------------------------------
     # Metric extraction (shared by both paths)
@@ -300,3 +304,24 @@ class SimulationMeasurement:
         if self.metric == "packets_ejected":
             return float(result.packets_ejected)
         raise ValueError(f"unknown metric {self.metric!r}")
+
+
+def saturation_throughput(
+    config,
+    traffic: TrafficSpec = TrafficSpec(),
+    overdrive_load: float = 1.0,
+    seed: int = 0,
+    warmup_cycles: int = 1000,
+    measure_cycles: int = 4000,
+) -> float:
+    """Delivered packets/cycle with every input overdriven.
+
+    Saturation throughput is the accepted-rate plateau when offered load
+    exceeds what the switch can carry; overdriving at ``overdrive_load``
+    (default: a packet per input per cycle) measures the plateau directly.
+    """
+    measurement = SimulationMeasurement(
+        config, traffic=traffic, load=overdrive_load,
+        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
+    )
+    return measurement.run(seed).throughput_packets_per_cycle

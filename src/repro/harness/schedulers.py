@@ -7,7 +7,7 @@ maximum-weight-matching oracle, on throughput, tail latency, and Jain
 fairness, across the synthetic traffic zoo?
 
 Every cell of the comparison matrix is one seeded
-:class:`repro.network.engine.Simulation` of the switch
+:meth:`repro.harness.measure.SimulationMeasurement.run` of the switch
 :func:`repro.switches.make_switch` builds for that scheduler's config —
 the Hi-Rise fast kernel for the paper's schemes, the VOQ fabric for
 iSLIP/MWM — with the matching invariant checker attached
@@ -21,10 +21,10 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement, saturation_throughput
 from repro.metrics.fairness import jain_index
 from repro.metrics.stats import LatencyStats
-from repro.network.engine import Simulation
-from repro.switches import make_switch
+from repro.traffic.spec import TrafficSpec
 
 SCHEDULERS_SCHEMA = "repro.schedulers/v1"
 
@@ -48,46 +48,10 @@ __all__ = [
     "SCHEDULER_SPECS",
     "DEFAULT_SCHEDULERS",
     "DEFAULT_TRAFFIC",
-    "build_traffic",
     "compare_schedulers",
     "render_markdown",
     "validate_comparison",
 ]
-
-
-def build_traffic(
-    pattern: str,
-    radix: int,
-    load: float,
-    packet_flits: int,
-    seed: int,
-):
-    """Build a traffic-zoo source by name (the CLI's pattern names)."""
-    if pattern == "uniform":
-        from repro.traffic import UniformRandomTraffic
-
-        return UniformRandomTraffic(radix, load, packet_flits, seed)
-    if pattern == "hotspot":
-        from repro.traffic import HotspotTraffic
-
-        return HotspotTraffic(
-            radix, load, hotspot_output=radix - 1,
-            packet_flits=packet_flits, seed=seed,
-        )
-    if pattern == "bursty":
-        from repro.traffic import BurstyTraffic
-
-        return BurstyTraffic(
-            radix, load, packet_flits=packet_flits, seed=seed
-        )
-    if pattern in ("transpose", "bit_complement", "bit_reverse", "shuffle"):
-        from repro.traffic import PermutationTraffic
-
-        return PermutationTraffic(
-            radix, load, pattern=pattern,
-            packet_flits=packet_flits, seed=seed,
-        )
-    raise ValueError(f"unknown traffic pattern {pattern!r}")
 
 
 def _config_for(base: HiRiseConfig, scheduler: str) -> HiRiseConfig:
@@ -103,22 +67,20 @@ def _config_for(base: HiRiseConfig, scheduler: str) -> HiRiseConfig:
 
 def _run_cell(
     config: HiRiseConfig,
-    traffic,
+    traffic: TrafficSpec,
+    load: float,
+    seed: int,
     warmup_cycles: int,
     measure_cycles: int,
     invariants: bool,
 ) -> Dict[str, object]:
-    checker = None
-    if invariants:
-        from repro.check.matching import checker_for
-
-        checker = checker_for(config)
-    switch = make_switch(config, invariants=checker)
-    simulation = Simulation(
-        switch, traffic, warmup_cycles=warmup_cycles,
-        latency_sample_limit=None,
+    measurement = SimulationMeasurement(
+        config, traffic=traffic, load=load,
+        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
+        invariants=invariants, latency_sample_limit=None,
     )
-    result = simulation.run(measure_cycles)
+    result = measurement.run(seed)
+    checker = measurement.checker
     radix = config.radix
     per_input = [
         result.per_input_ejected.get(port, 0) for port in range(radix)
@@ -145,22 +107,6 @@ def _run_cell(
         ),
         "invariant_violations": 0,  # a violation raises before this
     }
-
-
-def _saturation(
-    config: HiRiseConfig,
-    pattern: str,
-    packet_flits: int,
-    seed: int,
-    warmup_cycles: int,
-    measure_cycles: int,
-) -> float:
-    """Delivered packets/cycle with every input overdriven (load 1.0)."""
-    traffic = build_traffic(pattern, config.radix, 1.0, packet_flits, seed)
-    switch = make_switch(config)
-    simulation = Simulation(switch, traffic, warmup_cycles=warmup_cycles)
-    result = simulation.run(measure_cycles)
-    return result.throughput_packets_per_cycle
 
 
 def compare_schedulers(
@@ -207,23 +153,22 @@ def compare_schedulers(
 
     matrix: Dict[str, Dict[str, Dict[str, object]]] = {}
     for pattern in patterns:
-        row: Dict[str, Dict[str, object]] = {}
-        for name in names:
-            source = build_traffic(
-                pattern, radix, load, packet_flits, seed
+        spec = TrafficSpec(pattern, packet_flits)
+        matrix[pattern] = {
+            name: _run_cell(
+                configs[name], spec, load, seed, warmup_cycles,
+                measure_cycles, invariants,
             )
-            row[name] = _run_cell(
-                configs[name], source, warmup_cycles, measure_cycles,
-                invariants,
-            )
-        matrix[pattern] = row
+            for name in names
+        }
 
     saturation_row: Dict[str, float] = {}
     if saturation:
+        spec = TrafficSpec(saturation_pattern, packet_flits)
         for name in names:
-            saturation_row[name] = _saturation(
-                configs[name], saturation_pattern, packet_flits, seed,
-                warmup_cycles, measure_cycles,
+            saturation_row[name] = saturation_throughput(
+                configs[name], spec, seed=seed,
+                warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
             )
 
     return {

@@ -14,12 +14,11 @@ design's modelled clock (Tbps = flits/cycle x 128 bit x GHz).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core import HiRiseConfig, HiRiseSwitch
+from repro.harness.measure import saturation_throughput
 from repro.manycore import MIXES, SystemConfig, WorkloadMix, system_speedup
-from repro.metrics import saturation_throughput
-from repro.network.engine import SwitchModel
 from repro.physical import cost_of
 from repro.physical.calibration import (
     PAPER_AREA_MM2,
@@ -28,7 +27,10 @@ from repro.physical.calibration import (
     PAPER_TSV_COUNT,
 )
 from repro.switches import SwizzleSwitch2D
-from repro.traffic import UniformRandomTraffic
+
+#: What ``SwizzleSwitch2D(64)`` and ``FoldedSwitch3D(64, 4)`` simulate:
+#: one 64x64 crossbar, the one-layer Hi-Rise switch.
+FLAT_64 = HiRiseConfig(radix=64, layers=1, channel_multiplicity=1)
 
 PAPER_THROUGHPUT_TBPS: Dict[str, float] = {
     "2d": 9.24,
@@ -70,17 +72,16 @@ class SpeedupRow:
 
 
 def _measure_saturation(
-    factory: Callable[[], SwitchModel],
-    radix: int,
+    config: HiRiseConfig,
     warmup_cycles: int,
     measure_cycles: int,
     seed: int = 7,
 ) -> float:
     """Overdriven uniform-random delivered rate, flits/cycle."""
     packets = saturation_throughput(
-        factory,
-        lambda load: UniformRandomTraffic(radix, load, seed=seed),
+        config,
         overdrive_load=0.99,
+        seed=seed,
         warmup_cycles=warmup_cycles,
         measure_cycles=measure_cycles,
     )
@@ -130,7 +131,7 @@ def table1(warmup_cycles: int = 500, measure_cycles: int = 2500) -> List[CostRow
     and the two rows differ only in physical cost.
     """
     flits_per_cycle = _measure_saturation(
-        lambda: SwizzleSwitch2D(64), 64, warmup_cycles, measure_cycles
+        FLAT_64, warmup_cycles, measure_cycles
     )
     return [
         _cost_row("2d", "2d", "64x64", flits_per_cycle),
@@ -146,10 +147,7 @@ def table4(warmup_cycles: int = 500, measure_cycles: int = 2500) -> List[CostRow
         rows.append(
             _cost_row(
                 f"hirise_c{channels}", config, config.configuration_string(),
-                _measure_saturation(
-                    lambda config=config: HiRiseSwitch(config), 64,
-                    warmup_cycles, measure_cycles,
-                ),
+                _measure_saturation(config, warmup_cycles, measure_cycles),
             )
         )
     return rows
@@ -160,7 +158,7 @@ def table5(warmup_cycles: int = 500, measure_cycles: int = 2500) -> List[CostRow
     paper — "its implementation is infeasible")."""
     rows = [
         _cost_row("2d", "2d", "64x64", _measure_saturation(
-            lambda: SwizzleSwitch2D(64), 64, warmup_cycles, measure_cycles,
+            FLAT_64, warmup_cycles, measure_cycles,
         ))
     ]
     for arbitration, key in (("l2l_lrg", "hirise_c4"), ("clrg", "hirise_c4_clrg")):
@@ -169,10 +167,7 @@ def table5(warmup_cycles: int = 500, measure_cycles: int = 2500) -> List[CostRow
             _cost_row(
                 key, config,
                 config.configuration_string(),
-                _measure_saturation(
-                    lambda config=config: HiRiseSwitch(config), 64,
-                    warmup_cycles, measure_cycles,
-                ),
+                _measure_saturation(config, warmup_cycles, measure_cycles),
             )
         )
     return rows

@@ -1,4 +1,8 @@
-"""Statistics: latency distributions, fairness indices, saturation search."""
+"""Statistics: latency distributions, fairness indices, confidence intervals.
+
+The saturation-throughput point lives with the measurement path, as
+:func:`repro.harness.measure.saturation_throughput`.
+"""
 
 from repro.metrics.stats import LatencyStats, summarize
 from repro.metrics.fairness import fairness_summary, jain_index, max_min_ratio
@@ -8,11 +12,6 @@ from repro.metrics.confidence import (
     batch_means,
     replicate,
     t_interval,
-)
-from repro.metrics.saturation import (
-    accepted_throughput,
-    latency_vs_load,
-    saturation_throughput,
 )
 
 __all__ = [
@@ -26,7 +25,4 @@ __all__ = [
     "fairness_summary",
     "jain_index",
     "max_min_ratio",
-    "accepted_throughput",
-    "latency_vs_load",
-    "saturation_throughput",
 ]

@@ -213,14 +213,17 @@ def _run_chaos(spec: Dict[str, object],
 
 
 def _run_simulate(spec: Dict[str, object]) -> Dict[str, object]:
-    from repro.core.hirise import HiRiseSwitch
-    from repro.network.engine import Simulation
+    from repro.harness.measure import SimulationMeasurement
+    from repro.traffic import TrafficSpec
 
-    config = build_config(spec["config"])
-    switch = HiRiseSwitch(config)
-    traffic = _build_traffic(spec, config)
-    sim = Simulation(switch, traffic, warmup_cycles=spec["warmup"])
-    result = sim.run(spec["cycles"], drain=spec["drain"])
+    result = SimulationMeasurement(
+        build_config(spec["config"]),
+        traffic=TrafficSpec(spec["traffic"]),
+        load=spec["load"],
+        warmup_cycles=spec["warmup"],
+        measure_cycles=spec["cycles"],
+        drain=spec["drain"],
+    ).run(spec["seed"])
     avg_latency = (
         result.latency_sum / result.latency_count
         if result.latency_count else 0.0
@@ -234,19 +237,6 @@ def _run_simulate(spec: Dict[str, object]) -> Dict[str, object]:
             result.throughput_packets_per_cycle,
         "avg_latency_cycles": avg_latency,
     }
-
-
-def _build_traffic(spec: Dict[str, object], config: HiRiseConfig):
-    from repro.traffic import HotspotTraffic, UniformRandomTraffic
-
-    if spec["traffic"] == "hotspot":
-        return HotspotTraffic(
-            config.radix, spec["load"],
-            hotspot_output=config.radix - 1, seed=spec["seed"],
-        )
-    return UniformRandomTraffic(
-        config.radix, spec["load"], seed=spec["seed"]
-    )
 
 
 def _run_sweep(spec: Dict[str, object]) -> Dict[str, object]:
@@ -277,15 +267,18 @@ def _run_sweep(spec: Dict[str, object]) -> Dict[str, object]:
 
 
 def _run_audit(spec: Dict[str, object]) -> Dict[str, object]:
-    from repro.core.hirise import HiRiseSwitch
     from repro.network.engine import Simulation
     from repro.obs import BinaryTracer, analyze_tracer, validate_audit_summary
+    from repro.switches import make_switch
+    from repro.traffic import TrafficSpec
 
     config = build_config(spec["config"])
     tracer = BinaryTracer()
-    switch = HiRiseSwitch(config, tracer=tracer)
+    traffic = TrafficSpec(spec["traffic"]).build(
+        config.radix, spec["load"], spec["seed"]
+    )
     sim = Simulation(
-        switch, _build_traffic(spec, config),
+        make_switch(config, tracer=tracer), traffic,
         warmup_cycles=spec["warmup"],
     )
     sim.run(spec["cycles"])

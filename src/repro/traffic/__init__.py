@@ -22,6 +22,11 @@ Patterns:
 * :func:`interlayer_worstcase` — the Section VI-B pathological pattern
   where inputs sharing one L2LC request distinct outputs on another layer;
 * :class:`TraceTraffic` — replay of explicit (cycle, src, dst) triples.
+
+:class:`TrafficSpec` names one of the synthetic patterns as a frozen,
+picklable value; its ``build(radix, load, seed)`` makes a fresh source.
+Measurements, sweeps, service jobs and the CLI describe their traffic
+this way.
 """
 
 from repro.traffic.base import SyntheticTraffic
@@ -36,6 +41,7 @@ from repro.traffic.adversarial import (
 )
 from repro.traffic.permutation import PermutationTraffic
 from repro.traffic.trace import TraceTraffic
+from repro.traffic.spec import TrafficSpec
 
 __all__ = [
     "SyntheticTraffic",
@@ -45,6 +51,7 @@ __all__ = [
     "AdversarialTraffic",
     "PermutationTraffic",
     "TraceTraffic",
+    "TrafficSpec",
     "interlayer_worstcase",
     "binning_adversarial",
     "paper_adversarial_demands",

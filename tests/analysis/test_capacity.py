@@ -4,9 +4,9 @@ import pytest
 
 from repro.analysis import bottleneck, resource_loads, throughput_bound
 from repro.analysis.capacity import service_capacity
-from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import saturation_throughput
-from repro.traffic import AdversarialTraffic, UniformRandomTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import saturation_throughput
+from repro.traffic import TrafficSpec
 from repro.traffic.adversarial import interlayer_worstcase
 
 
@@ -125,10 +125,7 @@ class TestBoundsDominateSimulation:
         demands = uniform_demands(config, rate=1.0)
         bound = throughput_bound(config, demands)
         simulated = saturation_throughput(
-            lambda: HiRiseSwitch(config),
-            lambda load: UniformRandomTraffic(64, load, seed=7),
-            warmup_cycles=300,
-            measure_cycles=1200,
+            config, seed=7, warmup_cycles=300, measure_cycles=1200,
         )
         assert simulated <= bound * 1.02
         # The simulator reaches a solid fraction of the analytical bound
@@ -143,9 +140,7 @@ class TestBoundsDominateSimulation:
         demands = {(src, dst): 1.0 for src, dst in flows.items()}
         bound = throughput_bound(config, demands)
         simulated = saturation_throughput(
-            lambda: HiRiseSwitch(config),
-            lambda load: AdversarialTraffic(64, load, flows, seed=5),
-            warmup_cycles=400,
-            measure_cycles=2000,
+            config, TrafficSpec("adversarial", demands=flows), seed=5,
+            warmup_cycles=400, measure_cycles=2000,
         )
         assert simulated == pytest.approx(bound, rel=0.05)

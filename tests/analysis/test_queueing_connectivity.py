@@ -12,8 +12,8 @@ from repro.analysis import (
     zero_load_latency_cycles,
 )
 from repro.core import HiRiseConfig, HiRiseSwitch
-from repro.metrics import accepted_throughput
-from repro.traffic import HotspotTraffic, TraceTraffic
+from repro.harness.measure import SimulationMeasurement
+from repro.traffic import TraceTraffic, TrafficSpec
 
 
 class TestQueueingFormulas:
@@ -44,17 +44,13 @@ class TestQueueingFormulas:
         """At 80% hotspot load the M/D/1 estimate lands within ~35% of
         the simulated 2D mean (arrivals are near-Poisson, service is
         deterministic — the residual gap is the 64-source correlation)."""
-        from repro.switches import SwizzleSwitch2D
-
         load = 0.8 * 0.2
         estimate = output_latency_estimate(load)
-        result = accepted_throughput(
-            lambda: SwizzleSwitch2D(64),
-            lambda l: HotspotTraffic(64, l, hotspot_output=63, seed=5),
-            load / 64,
-            warmup_cycles=2000,
-            measure_cycles=15000,
-        )
+        result = SimulationMeasurement(
+            HiRiseConfig(radix=64, layers=1, channel_multiplicity=1),
+            traffic=TrafficSpec("hotspot"), load=load / 64,
+            warmup_cycles=2000, measure_cycles=15000,
+        ).run(seed=5)
         assert result.avg_latency_cycles == pytest.approx(estimate, rel=0.35)
 
 

@@ -126,6 +126,29 @@ class TestCli:
         assert code == 0
         assert "events" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flag", [
+        (["trace", "--kernel", "reference"], "--kernel reference"),
+        (["faults", "--kernel", "reference", "--generate", "1",
+          "--include-inputs"], "--kernel reference"),
+        (["faults", "--parity", "--generate", "1", "--include-inputs"],
+         "--parity"),
+    ], ids=["trace-reference", "faults-reference", "faults-parity"])
+    @pytest.mark.parametrize("scheme", ["islip", "mwm"])
+    def test_reference_kernel_refuses_voq_schemes(
+        self, command, flag, scheme, capsys
+    ):
+        code = main([
+            *command, "--arbitration", scheme, "--radix", "8",
+            "--layers", "2", "--channels", "2", "--cycles", "40",
+            "--warmup", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "no VOQ twin" in captured.err
+        assert f"--arbitration {scheme}" in captured.err
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("scheduler", [
         ["--arbitration", "islip", "--islip-iterations", "4"],
         ["--arbitration", "mwm"],

@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.config import HiRiseConfig
 from repro.harness.measure import METRICS, SimulationMeasurement
-from repro.harness.parallel import replicate
+from repro.harness.parallel import _fleet_prepass, replicate
 from repro.harness.sweep import parameter_grid, run_sweep
+from repro.traffic import TrafficSpec
 
 CONFIG = HiRiseConfig(radix=8, layers=2, channel_multiplicity=2)
 GRID = parameter_grid(load=[0.4, 0.8])
@@ -38,10 +39,35 @@ def forced_scalar(measurement):
     so every task takes the scalar kernel.
     """
     clone = make_measurement(
-        metric=measurement.metric, tracer_factory=lambda: None
+        metric=measurement.metric, traffic=measurement.traffic,
+        tracer_factory=lambda: None,
     )
     assert clone.fleet_plan(seed=0) is None
     return clone
+
+
+@pytest.mark.parametrize("traffic", [
+    TrafficSpec("hotspot"),
+    TrafficSpec("adversarial", demands={1: 7, 3: 7, 4: 2, 6: 0}),
+], ids=["hotspot", "adversarial"])
+def test_spec_sweep_values_equal_scalar_runs(traffic):
+    # Non-uniform specs batch too: every task rides one fleet, and each
+    # value equals the task's own scalar run.
+    measurement = make_measurement(traffic=traffic)
+    tasks = [
+        (measurement, {"load": load}, seed)
+        for load in (0.4, 0.8) for seed in range(3)
+    ]
+    values, _walls, lanes = _fleet_prepass(tasks)
+    assert lanes == [len(tasks)] * len(tasks)
+    assert values == [
+        measurement(seed=seed, **parameters)
+        for _, parameters, seed in tasks
+    ]
+    points = run_sweep(measurement, GRID, replications=3, workers=1)
+    scalar = run_sweep(forced_scalar(measurement), GRID, replications=3,
+                       workers=1)
+    assert [p.value for p in points] == [p.value for p in scalar]
 
 
 @pytest.mark.parametrize("metric", METRICS)

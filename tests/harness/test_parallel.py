@@ -27,7 +27,7 @@ from repro.metrics.confidence import replicate, t_interval
 from repro.network.engine import Simulation
 from repro.service.cache import ResultCache
 from repro.switches import SwizzleSwitch2D
-from repro.traffic import UniformRandomTraffic
+from repro.traffic import TrafficSpec, UniformRandomTraffic
 
 
 def throughput_measurement(seed, radix=8, load=0.6):
@@ -479,6 +479,17 @@ class TestTaskFingerprint:
             task_fingerprint((observed, {"load": 0.5}, 3))
         )
 
+    def test_uniform_identity_is_stable(self):
+        # Recorded before traffic became a TrafficSpec: checkpoints
+        # written then still serve uniform tasks.
+        measurement = SimulationMeasurement(
+            HiRiseConfig(radix=16, layers=2, channel_multiplicity=2),
+            warmup_cycles=20, measure_cycles=80,
+        )
+        assert task_fingerprint((measurement, {"load": 0.3}, 5)) == (
+            "40054d4ede8200a11ff7dd55670f0046a5c3aa1397bed57684cc6d2d824b9a76"
+        )
+
     def test_simulation_identity_covers_what_changes_a_value(self):
         config = HiRiseConfig(radix=8, layers=2, channel_multiplicity=2)
         faults = FaultSchedule([fail_channel(5, 0, 1, 0)])
@@ -491,10 +502,21 @@ class TestTaskFingerprint:
             (SimulationMeasurement(config, measure_cycles=301), {}, 3),
             (SimulationMeasurement(config, drain=True), {}, 3),
             (SimulationMeasurement(config, faults=faults), {}, 3),
+            (SimulationMeasurement(config, traffic=TrafficSpec("hotspot")),
+             {}, 3),
+            (SimulationMeasurement(config, traffic=TrafficSpec(
+                packet_flits=2)), {}, 3),
+            (SimulationMeasurement(config, traffic=TrafficSpec(
+                "adversarial", demands={1: 7})), {}, 3),
+            (SimulationMeasurement(config, traffic=TrafficSpec(
+                "adversarial", demands={2: 7})), {}, 3),
         ]
         fingerprints = {task_fingerprint(task) for task in variants}
         assert base not in fingerprints
         assert len(fingerprints) == len(variants)
+        # The default spec is the uniform traffic of every earlier task.
+        assert base == task_fingerprint((SimulationMeasurement(
+            config, traffic=TrafficSpec("uniform", 4)), {}, 3))
         # A pinned traffic seed makes the task seed irrelevant.
         pinned = SimulationMeasurement(config, traffic_seed=7)
         assert task_fingerprint((pinned, {}, 0)) == (

@@ -10,12 +10,12 @@ from repro.harness.measure import SimulationMeasurement
 from repro.harness.schedulers import (
     SCHEDULER_SPECS,
     SCHEDULERS_SCHEMA,
-    build_traffic,
     compare_schedulers,
     render_markdown,
     validate_comparison,
 )
 from repro.harness.sweep import parameter_grid, run_sweep
+from repro.traffic import TrafficSpec
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +82,10 @@ class TestCompareSchedulers:
     def test_traffic_zoo_names_resolve(self):
         for pattern in ("uniform", "hotspot", "bursty", "transpose",
                         "bit_complement", "bit_reverse", "shuffle"):
-            source = build_traffic(pattern, 8, 0.2, 4, 1)
+            source = TrafficSpec(pattern).build(8, 0.2, 1)
             assert sum(1 for _ in source.packets_for_cycle(0)) >= 0
         with pytest.raises(ValueError, match="unknown traffic"):
-            build_traffic("nope", 8, 0.2, 4, 1)
+            compare_schedulers(radix=8, traffic=("nope",))
 
 
 def comparison_digest(comparison):

@@ -52,19 +52,15 @@ class TestRunSweep:
 
     def test_end_to_end_with_simulator(self):
         """Sweep saturation throughput over channel multiplicity."""
-        from repro.core import HiRiseConfig, HiRiseSwitch
-        from repro.metrics import saturation_throughput
-        from repro.traffic import UniformRandomTraffic
+        from repro.core import HiRiseConfig
+        from repro.harness.measure import saturation_throughput
 
         def measure(seed, channels):
             config = HiRiseConfig(
                 radix=16, layers=4, channel_multiplicity=channels
             )
             return saturation_throughput(
-                lambda: HiRiseSwitch(config),
-                lambda load: UniformRandomTraffic(16, load, seed=seed),
-                warmup_cycles=150,
-                measure_cycles=600,
+                config, seed=seed, warmup_cycles=150, measure_cycles=600,
             )
 
         points = run_sweep(measure, parameter_grid(channels=[1, 4]))

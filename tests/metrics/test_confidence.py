@@ -99,16 +99,13 @@ class TestReplicate:
         assert ci.mean == pytest.approx(11.5)
 
     def test_on_throughput_measurements(self):
-        from repro.metrics import saturation_throughput
-        from repro.switches import SwizzleSwitch2D
-        from repro.traffic import UniformRandomTraffic
+        from repro.core import HiRiseConfig
+        from repro.harness.measure import saturation_throughput
 
         def experiment(seed):
             return saturation_throughput(
-                lambda: SwizzleSwitch2D(16),
-                lambda load: UniformRandomTraffic(16, load, seed=seed),
-                warmup_cycles=150,
-                measure_cycles=800,
+                HiRiseConfig(radix=16, layers=1, channel_multiplicity=1),
+                seed=seed, warmup_cycles=150, measure_cycles=800,
             )
 
         ci = replicate(experiment, num_replications=3)

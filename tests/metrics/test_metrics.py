@@ -1,19 +1,15 @@
-"""Tests of statistics, fairness indices, and the saturation search."""
+"""Tests of statistics, fairness indices, and saturation measurements."""
 
 import math
 
 import pytest
 
-from repro.metrics import (
-    LatencyStats,
-    accepted_throughput,
-    jain_index,
-    latency_vs_load,
-    max_min_ratio,
-    saturation_throughput,
-)
-from repro.switches import SwizzleSwitch2D
-from repro.traffic import UniformRandomTraffic
+from repro.core import HiRiseConfig
+from repro.harness.measure import SimulationMeasurement, saturation_throughput
+from repro.metrics import LatencyStats, jain_index, max_min_ratio
+
+#: What ``SwizzleSwitch2D(16)`` simulates.
+FLAT_16 = HiRiseConfig(radix=16, layers=1, channel_multiplicity=1)
 
 
 class TestLatencyStats:
@@ -60,13 +56,9 @@ class TestFairness:
 
 class TestSaturation:
     def test_accepted_tracks_offered_below_saturation(self):
-        result = accepted_throughput(
-            lambda: SwizzleSwitch2D(16),
-            lambda load: UniformRandomTraffic(16, load, seed=1),
-            load=0.05,
-            warmup_cycles=200,
-            measure_cycles=2000,
-        )
+        result = SimulationMeasurement(
+            FLAT_16, load=0.05, warmup_cycles=200, measure_cycles=2000,
+        ).run(seed=1)
         offered = 0.05 * 16
         assert result.throughput_packets_per_cycle == pytest.approx(
             offered, rel=0.1
@@ -74,36 +66,30 @@ class TestSaturation:
 
     def test_saturation_is_a_plateau(self):
         """Overdriving at 0.8 and 1.0 must deliver the same rate."""
+        measurement = SimulationMeasurement(
+            FLAT_16, warmup_cycles=300, measure_cycles=1500,
+        )
+
         def measure(load):
-            return accepted_throughput(
-                lambda: SwizzleSwitch2D(16),
-                lambda l: UniformRandomTraffic(16, l, seed=2),
-                load=load,
-                warmup_cycles=300,
-                measure_cycles=1500,
-            ).throughput_packets_per_cycle
+            return measurement.run(2, load=load).throughput_packets_per_cycle
 
         assert measure(0.8) == pytest.approx(measure(1.0), rel=0.05)
 
     def test_saturation_throughput_reasonable(self):
         sat = saturation_throughput(
-            lambda: SwizzleSwitch2D(16),
-            lambda load: UniformRandomTraffic(16, load, seed=3),
-            warmup_cycles=300,
-            measure_cycles=1500,
+            FLAT_16, seed=3, warmup_cycles=300, measure_cycles=1500,
         )
         per_port_flits = sat * 4 / 16
         assert 0.5 < per_port_flits < 0.85
 
     def test_latency_vs_load_hockey_stick(self):
-        series = latency_vs_load(
-            lambda: SwizzleSwitch2D(16),
-            lambda load: UniformRandomTraffic(16, load, seed=4),
-            loads=[0.02, 0.08, 0.16],
-            warmup_cycles=200,
+        measurement = SimulationMeasurement(
+            FLAT_16, metric="avg_latency", warmup_cycles=200,
             measure_cycles=1500,
         )
-        latencies = [latency for _, latency, _ in series]
+        latencies = [
+            measurement(seed=4, load=load) for load in (0.02, 0.08, 0.16)
+        ]
         assert latencies[0] < latencies[1] < latencies[2]
         # Zero-load latency close to the 4-cycle packet serialisation.
         assert latencies[0] < 8

@@ -111,6 +111,50 @@ class TestRunJob:
         assert "summary" in payload
 
 
+class TestVOQJobs:
+    """VOQ schemes run through the same switch factory as every job."""
+
+    CONFIG = {"radix": 8, "layers": 2, "channel_multiplicity": 2}
+
+    @pytest.mark.parametrize("scheme", ["islip", "mwm"])
+    @pytest.mark.parametrize("traffic", ["uniform", "hotspot"])
+    def test_simulate_equals_a_direct_measurement(self, scheme, traffic):
+        from repro.harness.measure import SimulationMeasurement
+        from repro.service.jobs import build_config
+        from repro.traffic import TrafficSpec
+
+        fields = dict(self.CONFIG, arbitration=scheme)
+        payload = run_job({
+            "kind": "simulate", "config": fields, "traffic": traffic,
+            "load": 0.2, "seed": 3, "warmup": 10, "cycles": 80,
+        })
+        result = SimulationMeasurement(
+            build_config(fields), traffic=TrafficSpec(traffic), load=0.2,
+            warmup_cycles=10, measure_cycles=80,
+        ).run(3)
+        assert payload["packets_ejected"] == result.packets_ejected > 0
+        assert payload["flits_ejected"] == result.flits_ejected
+        assert payload["throughput_packets_per_cycle"] == (
+            result.throughput_packets_per_cycle
+        )
+        assert payload["avg_latency_cycles"] == (
+            result.latency_sum / result.latency_count
+        )
+
+    @pytest.mark.parametrize("scheme", ["islip", "mwm"])
+    def test_audit_summarises_a_voq_trace(self, scheme):
+        from repro.obs import validate_audit_summary
+
+        payload = run_job({
+            "kind": "audit", "config": dict(self.CONFIG, arbitration=scheme),
+            "cycles": 80, "warmup": 10, "window": 16,
+        })
+        summary = payload["summary"]
+        assert validate_audit_summary(summary) == summary
+        assert summary["meta"]["arbitration"] == scheme
+        assert summary["trace"]["counts_by_kind"]["sched_grant"] > 0
+
+
 class TestExecuteJobTask:
     def test_writes_the_cache_entry(self, tmp_path):
         import json
