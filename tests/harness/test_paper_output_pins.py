@@ -40,10 +40,7 @@ def _hex(value):
 
 
 def _hex_row(row) -> dict:
-    return {
-        name: value.hex() if isinstance(value, float) else value
-        for name, value in asdict(row).items()
-    }
+    return {name: _hex(value) for name, value in asdict(row).items()}
 
 
 @pytest.mark.parametrize("name", ["table4", "table5"])
